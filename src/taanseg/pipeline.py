@@ -9,20 +9,31 @@ from .config import PipelineConfig
 
 
 def extract_track(clip, cfg=None):
-    """Baseline vocal attributes from audio: F0, harmonic energy, voicing."""
+    """Baseline vocal attributes from audio: F0, harmonic energy, voicing.
+
+    Tracking streams the 8 kHz clip through C-contiguous (n_bins, n_frames)
+    spectrogram blocks of dsp.FRAME_BLOCK frames: F0 search and harmonic
+    energy are frame-local, so the per-block tracks concatenate to the
+    whole-spectrogram result while memory stays O(block), not O(length).
+    """
     cfg = cfg or PipelineConfig()
     clip = dsp.resample(clip, 8000)
-    spec = dsp.log_spectrogram(clip, win_s=0.04, hop_s=0.01, n_dft=1024)
-    track = vocal.detect_f0_baseline(
-        spec, f_min=cfg.f0_min_hz, f_max=cfg.f0_max_hz,
-        voicing_factor=cfg.voicing_factor, grid_cents=cfg.f0_grid_cents,
-        tol_cents=cfg.harmonic_tol_cents, n_harmonics=cfg.n_harmonics,
-    )
-    energy = vocal.harmonic_energy(spec, track.f0_hz,
-                                   tol_cents=cfg.harmonic_tol_cents,
-                                   n_harmonics=cfg.n_harmonics)
-    return vocal.PitchEnergyTrack(f0_hz=track.f0_hz, energy_db=energy,
-                                  voiced=track.voiced)
+    f0, energy, voiced = [], [], []
+    for spec in dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
+                                           n_dft=1024):
+        track = vocal.detect_f0_baseline(
+            spec, f_min=cfg.f0_min_hz, f_max=cfg.f0_max_hz,
+            voicing_factor=cfg.voicing_factor, grid_cents=cfg.f0_grid_cents,
+            tol_cents=cfg.harmonic_tol_cents, n_harmonics=cfg.n_harmonics,
+        )
+        f0.append(track.f0_hz)
+        voiced.append(track.voiced)
+        energy.append(vocal.harmonic_energy(spec, track.f0_hz,
+                                            tol_cents=cfg.harmonic_tol_cents,
+                                            n_harmonics=cfg.n_harmonics))
+    return vocal.PitchEnergyTrack(f0_hz=np.concatenate(f0),
+                                  energy_db=np.concatenate(energy),
+                                  voiced=np.concatenate(voiced))
 
 
 def track_features(track, cfg=None):

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import dsp
 from .errors import FormatError, InvalidArgumentError, ParseError
 
 TRACK_HOP_S = 0.01
@@ -40,22 +41,28 @@ class PitchEnergyTrack:
 
 
 def _harmonic_bin_ranges(f0, n_bins, bin_hz, tol_cents=30.0, n_harmonics=10):
-    """(lo, hi) bin slices around each usable harmonic of f0."""
-    lo_f = 2.0 ** (-tol_cents / 1200.0)
-    hi_f = 2.0 ** (tol_cents / 1200.0)
-    ranges = []
-    for h in range(1, n_harmonics + 1):
-        fh = h * f0
-        if fh >= HARMONIC_CEILING_HZ:
-            break
-        lo = int(np.floor(fh * lo_f / bin_hz))
-        hi = int(np.ceil(fh * hi_f / bin_hz)) + 1
-        lo = max(lo, 0)
-        hi = min(hi, n_bins)
-        if lo >= hi:
-            continue
-        ranges.append((h, lo, hi))
-    return ranges
+    """Bin slices [lo, hi) within +/- tol_cents of harmonics 1..n_harmonics
+    of each F0 in the 1-D array f0, as (n_harmonics, len(f0)) arrays lo and
+    hi, with a mask of the usable ones: below 5 kHz and non-empty within
+    the n_bins spectrum bins."""
+    harmonics = np.arange(1, n_harmonics + 1)[:, None]
+    # clamped so that out-of-range harmonics still cast to int cleanly
+    fh = np.minimum(harmonics * f0, HARMONIC_CEILING_HZ)
+    lo = np.floor(fh * 2.0 ** (-tol_cents / 1200.0) / bin_hz).astype(np.int64)
+    hi = np.ceil(fh * 2.0 ** (tol_cents / 1200.0) / bin_hz).astype(np.int64) + 1
+    lo = np.maximum(lo, 0)
+    hi = np.minimum(hi, n_bins)
+    return lo, hi, (fh < HARMONIC_CEILING_HZ) & (lo < hi)
+
+
+def _range_argmax(a, lo, hi, frames):
+    """Row of the max of a[lo[i]:hi[i], frames[i]] for each i, first on
+    ties, by one masked gather over the widest range; every range must be
+    non-empty."""
+    rows = lo[:, None] + np.arange((hi - lo).max())
+    vals = a[np.minimum(rows, a.shape[0] - 1), frames[:, None]]
+    vals[rows >= hi[:, None]] = -np.inf
+    return lo + np.argmax(vals, axis=1)
 
 
 def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
@@ -67,6 +74,8 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     5 kHz) wins; the weighting breaks the otherwise exact tie between a
     tone and its subharmonics. A frame is unvoiced when the winning sum
     does not exceed voicing_factor * weight_sum * median frame magnitude.
+    Every step is frame-local, so any split of the spectrogram into
+    frame blocks gives the same track.
     """
     if f_min >= f_max:
         raise InvalidArgumentError("f_min must be below f_max")
@@ -80,19 +89,18 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     mags = spec.magnitudes()  # (n_bins, n_frames)
     n_frames = mags.shape[1]
 
-    cand_ranges = [
-        _harmonic_bin_ranges(f, spec.n_bins, spec.bin_hz, tol_cents, n_harmonics)
-        for f in candidates
-    ]
-    # peak magnitude per (candidate, harmonic) slice, all frames at once
-    sums = np.zeros((len(candidates), n_frames))
-    weight_sum = np.zeros(len(candidates))
+    lo, hi, usable = _harmonic_bin_ranges(candidates, spec.n_bins, spec.bin_hz,
+                                          tol_cents, n_harmonics)
+    # peak magnitude per (candidate, harmonic) slice, all frames at once;
+    # each candidate's sum accumulates in ascending harmonic order
+    sums = np.zeros((n_cands, n_frames))
+    weight_sum = np.zeros(n_cands)
     slice_max = {}
-    for ci, ranges in enumerate(cand_ranges):
-        for h, lo, hi in ranges:
-            key = (lo, hi)
+    for ci in range(n_cands):
+        for h in (np.flatnonzero(usable[:, ci]) + 1).tolist():
+            key = (int(lo[h - 1, ci]), int(hi[h - 1, ci]))
             if key not in slice_max:
-                slice_max[key] = mags[lo:hi].max(axis=0)
+                slice_max[key] = mags[key[0]:key[1]].max(axis=0)
             sums[ci] += slice_max[key] / h
             weight_sum[ci] += 1.0 / h
     if not weight_sum.any():
@@ -100,7 +108,8 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
 
     best = np.argmax(sums, axis=0)
     best_sum = sums[best, np.arange(n_frames)]
-    frame_median = np.median(mags, axis=0)
+    # the median is one order statistic per frame: exact on a frame-major copy
+    frame_median = np.median(dsp.contiguous_transpose(mags), axis=1)
     threshold = voicing_factor * np.maximum(weight_sum[best], 1e-12) * frame_median
     voiced = best_sum > threshold
 
@@ -108,30 +117,31 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     # interpolation of the log magnitude around each peak, averaged over
     # harmonics weighted by peak magnitude (the 10-cent grid alone leaves
     # slice-max plateaus wider than the grid step)
-    f0 = np.zeros(n_frames)
     log_mags = spec.values
-    for ci in np.unique(best):
-        frames = np.flatnonzero((best == ci) & voiced)
-        if len(frames) == 0:
+    frames = np.flatnonzero(voiced)
+    cand = best[frames]
+    num = np.zeros(len(frames))
+    den = np.zeros(len(frames))
+    for h in range(1, n_harmonics + 1):
+        use = np.flatnonzero(usable[h - 1, cand])
+        if len(use) == 0:
             continue
-        num = np.zeros(len(frames))
-        den = np.zeros(len(frames))
-        for h, lo, hi in cand_ranges[ci]:
-            sub = mags[lo:hi, :][:, frames]
-            b = np.argmax(sub, axis=0) + lo
-            inner = (b > 0) & (b < spec.n_bins - 1)
-            delta = np.zeros(len(frames))
-            left = log_mags[np.maximum(b - 1, 0), frames]
-            mid = log_mags[b, frames]
-            right = log_mags[np.minimum(b + 1, spec.n_bins - 1), frames]
-            denom = left - 2.0 * mid + right
-            ok = inner & (np.abs(denom) > 1e-12)
-            delta[ok] = np.clip(0.5 * (left - right)[ok] / denom[ok], -0.5, 0.5)
-            f_est = (b + delta) * spec.bin_hz / h
-            w = mags[b, frames] / h
-            num += w * f_est
-            den += w
-        f0[frames] = num / np.maximum(den, 1e-30)
+        fr = frames[use]
+        b = _range_argmax(mags, lo[h - 1, cand[use]], hi[h - 1, cand[use]], fr)
+        inner = (b > 0) & (b < spec.n_bins - 1)
+        delta = np.zeros(len(fr))
+        left = log_mags[np.maximum(b - 1, 0), fr]
+        mid = log_mags[b, fr]
+        right = log_mags[np.minimum(b + 1, spec.n_bins - 1), fr]
+        denom = left - 2.0 * mid + right
+        ok = inner & (np.abs(denom) > 1e-12)
+        delta[ok] = np.clip(0.5 * (left - right)[ok] / denom[ok], -0.5, 0.5)
+        f_est = (b + delta) * spec.bin_hz / h
+        w = mags[b, fr] / h
+        num[use] += w * f_est
+        den[use] += w
+    f0 = np.zeros(n_frames)
+    f0[frames] = num / np.maximum(den, 1e-30)
     f0 = np.where(voiced & (f0 > 0), f0, 0.0)
     voiced = f0 > 0
     energy = np.where(voiced, 0.0, UNVOICED_DB)
@@ -142,25 +152,30 @@ def harmonic_energy(spec, f0_hz, tol_cents=30.0, n_harmonics=10):
     """Vocal energy: 10*log10 of summed squared harmonic peak magnitudes.
 
     Harmonics of the given F0 below 5 kHz contribute the max linear
-    magnitude within +/- tol_cents; unvoiced frames get -120 dB.
+    magnitude within +/- tol_cents; unvoiced frames, and frames whose F0
+    has no harmonic below 5 kHz, get -120 dB. One pass per harmonic over
+    all voiced frames.
     """
     f0_hz = np.asarray(f0_hz, dtype=np.float64)
     if len(f0_hz) != spec.n_frames:
         raise InvalidArgumentError(
             f"f0 length {len(f0_hz)} != spectrogram frames {spec.n_frames}"
         )
-    mags = spec.magnitudes()
     energy = np.full(len(f0_hz), UNVOICED_DB)
-    for t in range(len(f0_hz)):
-        if f0_hz[t] <= 0:
+    frames = np.flatnonzero(f0_hz > 0)
+    lo, hi, usable = _harmonic_bin_ranges(f0_hz[frames], spec.n_bins,
+                                          spec.bin_hz, tol_cents, n_harmonics)
+    power = np.zeros(len(frames))
+    for row in range(n_harmonics):
+        use = np.flatnonzero(usable[row])
+        if len(use) == 0:
             continue
-        ranges = _harmonic_bin_ranges(
-            f0_hz[t], spec.n_bins, spec.bin_hz, tol_cents, n_harmonics
-        )
-        if not ranges:
-            continue
-        power = sum(mags[lo:hi, t].max() ** 2 for _, lo, hi in ranges)
-        energy[t] = 10.0 * np.log10(max(power, 1e-30))
+        fr = frames[use]
+        b = _range_argmax(spec.values, lo[row, use], hi[row, use], fr)
+        m = np.exp(spec.values[b, fr])
+        power[use] += m * m
+    has = usable.any(axis=0)
+    energy[frames[has]] = 10.0 * np.log10(np.maximum(power[has], 1e-30))
     return energy
 
 

@@ -105,6 +105,22 @@ class TestHarmonicEnergy:
             10 * np.log10(1.3125), abs=1e-6
         )
 
+    def test_no_harmonic_below_ceiling(self):
+        # f0 >= 5 kHz has no usable harmonic, even beside a voiced frame
+        values = np.full((641, 3), np.log(LOG_FLOOR))
+        values[26, :] = 0.0
+        spec = LogSpectrogram(values=values, bin_hz=7.8125, hop_s=0.01)
+        energy = harmonic_energy(spec, [5000.0, 6000.0, 203.125])
+        assert energy[:2].tolist() == [-120.0, -120.0]
+        assert energy[2] == pytest.approx(0.0, abs=1e-6)
+
+    def test_all_unvoiced(self):
+        values = np.zeros((641, 4))
+        spec = LogSpectrogram(values=values, bin_hz=7.8125, hop_s=0.01)
+        with np.errstate(all="raise"):
+            energy = harmonic_energy(spec, np.zeros(4))
+        assert energy.tolist() == [-120.0] * 4
+
     def test_misaligned_lengths(self):
         spec = synthetic_spec({26: 1.0})
         with pytest.raises(InvalidArgumentError):
