@@ -15,6 +15,7 @@ from .mlp import sigmoid, softmax
 PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
+FORWARD_BLOCK = 8       # patches per block of a whole-set forward pass
 
 # shape chain for the full forward pass
 SHAPE_CHAIN = (
@@ -95,40 +96,59 @@ def make_patches(spec, band_stats=None):
     return patches, (mean, std)
 
 
+def _im2col(x, kh, kw):
+    """Patch matrix of a valid kh x kw correlation: x (B,C,H,W) ->
+    (B*H'*W', kh*kw*C), rows in channels-last (b, h, w) order and columns
+    in (i, j, c) order, so each copied run is one pixel's channels."""
+    win = np.lib.stride_tricks.sliding_window_view(
+        x.transpose(0, 2, 3, 1), (kh, kw), axis=(1, 2))
+    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
+        -1, kh * kw * x.shape[1])
+
+
 def _conv_valid(x, w, b):
-    """Valid cross-correlation. x (B,C,H,W), w (F,C,kh,kw) -> (B,F,H',W')."""
-    kh, kw = w.shape[2], w.shape[3]
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    # win: (B, C, H', W', kh, kw)
-    out = np.einsum("bchwij,fcij->bfhw", win, w, optimize=True)
-    return out + b[None, :, None, None]
+    """Valid cross-correlation as im2col + one matmul. x (B,C,H,W),
+    w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last memory."""
+    f, _, kh, kw = w.shape
+    bsz, _, h, wd = x.shape
+    z = _im2col(x, kh, kw) @ w.transpose(0, 2, 3, 1).reshape(f, -1).T
+    z += b
+    return z.reshape(bsz, h - kh + 1, wd - kw + 1, f).transpose(0, 3, 1, 2)
 
 
-def _conv_backward(x, w, d_out):
-    """Gradients of a valid cross-correlation wrt weights, bias, input."""
+def _conv_backward(x, w, d_out, input_grad=True):
+    """Gradients of a valid cross-correlation wrt weights, bias and, with
+    input_grad, input (else None). The input gradient d @ W is scattered
+    back one kernel tap at a time."""
     f, c, kh, kw = w.shape
-    ho, wo = d_out.shape[2], d_out.shape[3]
-    gw = np.empty_like(w)
-    gx = np.zeros_like(x)
+    bsz, _, ho, wo = d_out.shape
+    d = d_out.transpose(0, 2, 3, 1).reshape(-1, f)
+    gw = (d.T @ _im2col(x, kh, kw)).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+    gb = d.sum(axis=0)
+    if not input_grad:
+        return gw, gb, None
+    dcols = (d @ w.transpose(0, 2, 3, 1).reshape(f, -1)).reshape(
+        bsz, ho, wo, kh, kw, c)
+    gx = np.zeros((bsz, x.shape[2], x.shape[3], c))
     for i in range(kh):
         for j in range(kw):
-            xs = x[:, :, i : i + ho, j : j + wo]
-            gw[:, :, i, j] = np.einsum("bfhw,bchw->fc", d_out, xs, optimize=True)
-            gx[:, :, i : i + ho, j : j + wo] += np.einsum(
-                "bfhw,fc->bchw", d_out, w[:, :, i, j], optimize=True
-            )
-    gb = d_out.sum(axis=(0, 2, 3))
-    return gw, gb, gx
+            gx[:, i : i + ho, j : j + wo] += dcols[:, :, :, i, j]
+    return gw, gb, gx.transpose(0, 3, 1, 2)
 
 
 def _pool2(x):
-    b, f, h, w = x.shape
-    return x.reshape(b, f, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    """2x2 mean pooling; the result keeps x's memory layout."""
+    return (x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+            + x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]) / 4.0
 
 
 def _pool2_backward(d_out, in_shape):
+    """Spread each pooled gradient evenly over its 2x2 block."""
     b, f, h, w = in_shape
-    up = np.repeat(np.repeat(d_out, 2, axis=2), 2, axis=3) / 4.0
+    up = np.empty((b, h, w, f)).transpose(0, 3, 1, 2)
+    q = d_out / 4.0
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        up[:, :, i::2, j::2] = q
     return up
 
 
@@ -149,31 +169,43 @@ def _conv_stack_forward(model, xb):
     _check_shape(a2, SHAPE_CHAIN[3], "conv2")
     p2 = _pool2(a2)
     _check_shape(p2, SHAPE_CHAIN[4], "pool2")
-    flat = p2.reshape(len(xb), -1)
-    _check_shape(flat, SHAPE_CHAIN[5], "flatten")
+    flat = p2.reshape(len(xb), -1)      # (B, 2100) once pool2 checks out
     return {"x": xb, "a1": a1, "p1": p1, "a2": a2, "p2": p2, "flat": flat}
+
+
+def _features(model, x):
+    """Flattened pooling features (N, 2100) of a whole patch set, computed
+    FORWARD_BLOCK patches at a time so the im2col buffers stay bounded."""
+    flat = np.empty((len(x),) + SHAPE_CHAIN[5])
+    for s in range(0, len(x), FORWARD_BLOCK):
+        flat[s : s + FORWARD_BLOCK] = _conv_stack_forward(
+            model, x[s : s + FORWARD_BLOCK])["flat"]
+    return flat
+
+
+def _forward(model, xb, return_maps=False):
+    """Posteriors (B, 2) for a patch batch (B,1,94,50); with return_maps
+    also the second pooling layer's channel maps (B, 10, 21, 10)."""
+    flat = _features(model, xb)
+    h = sigmoid(flat @ model.fc_w + model.fc_b)
+    _check_shape(h, SHAPE_CHAIN[6], "fc")
+    p = softmax(h @ model.out_w + model.out_b)
+    _check_shape(p, SHAPE_CHAIN[7], "out")
+    if return_maps:
+        return p, flat.reshape((-1,) + SHAPE_CHAIN[4])
+    return p
 
 
 def cnn_forward(model, patch, return_maps=False):
     """Posterior 2-vector for one patch; optionally the second pooling
     layer's 10 channel maps (21x10 each)."""
-    xb = patch.values[None, None, :, :]
-    acts = _conv_stack_forward(model, xb)
-    h = sigmoid(acts["flat"] @ model.fc_w + model.fc_b)
-    _check_shape(h, SHAPE_CHAIN[6], "fc")
-    p = softmax(h @ model.out_w + model.out_b)
-    _check_shape(p, SHAPE_CHAIN[7], "out")
-    if return_maps:
-        return p[0], acts["p2"][0]
-    return p[0]
+    p, maps = _forward(model, patch.values[None, None], return_maps=True)
+    return (p[0], maps[0]) if return_maps else p[0]
 
 
 def cnn_posteriors(model, patches):
     """Batched taan posteriors (unit 1) for a patch list."""
-    xb = np.stack([p.values for p in patches])[:, None, :, :]
-    acts = _conv_stack_forward(model, xb)
-    h = sigmoid(acts["flat"] @ model.fc_w + model.fc_b)
-    return softmax(h @ model.out_w + model.out_b)[:, 1]
+    return _forward(model, np.stack([p.values for p in patches])[:, None])[:, 1]
 
 
 def export_channel_maps(model, patch, channel):
@@ -215,13 +247,9 @@ def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None):
     head without changing what the conv stack computes.
     """
     acts = _conv_stack_forward(model, xb)
-    if feat_stats is None:
-        feat = acts["flat"]
-        inv_sd = 1.0
-    else:
-        mu, sd = feat_stats
-        inv_sd = 1.0 / sd
-        feat = (acts["flat"] - mu) * inv_sd
+    mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
+    inv_sd = 1.0 / sd
+    feat = (acts["flat"] - mu) * inv_sd
     p = softmax(feat @ head_w + head_b)
     n = len(xb)
     delta = p.copy()
@@ -235,13 +263,10 @@ def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None):
     g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2)
     d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
-    g1w, g1b, _ = _conv_backward(acts["x"], model.conv1_w, d_z1)
+    g1w, g1b, _ = _conv_backward(acts["x"], model.conv1_w, d_z1,
+                                 input_grad=False)
     nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))))
     return (g1w, g1b, g2w, g2b, g_head_w, g_head_b), nll
-
-
-def _lr_at(epoch, lr0, halve_every):
-    return lr0 * 0.5 ** (epoch // halve_every)
 
 
 def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
@@ -268,14 +293,20 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     # fixed preconditioning statistics from the untrained stack; the
     # sqrt(D) factor keeps the softmax-head step size independent of the
     # 2100-d feature width
-    feats0 = _conv_stack_forward(model, x)["flat"]
+    feats0 = _features(model, x)
     s1_stats = (feats0.mean(axis=0),
                 np.maximum(feats0.std(axis=0), 1e-6)
                 * np.sqrt(feats0.shape[1]))
 
+    # conv gradients sum over every output position, so scale their steps
+    # by the map size to keep updates comparable across layers
+    n1 = SHAPE_CHAIN[1][1] * SHAPE_CHAIN[1][2]
+    n2 = SHAPE_CHAIN[3][1] * SHAPE_CHAIN[3][2]
+    params = (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
+              head_w, head_b)
     stage1_loss = []
     for epoch in range(epochs):
-        lr = _lr_at(epoch, lr0, halve_every)
+        lr = lr0 * 0.5 ** (epoch // halve_every)
         order = rng.permutation(len(x))
         total = 0.0
         for s in range(0, len(x), batch):
@@ -283,36 +314,23 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
             grads, nll = _stage1_grads(model, head_w, head_b,
                                        x[idx], labels[idx], s1_stats)
             step = lr / len(idx)
-            # conv gradients sum over every output position, so scale
-            # their steps by the map size to keep updates comparable
-            # across layers
-            n1 = SHAPE_CHAIN[1][1] * SHAPE_CHAIN[1][2]
-            n2 = SHAPE_CHAIN[3][1] * SHAPE_CHAIN[3][2]
-            model.conv1_w -= step / n1 * grads[0]
-            model.conv1_b -= step / n1 * grads[1]
-            model.conv2_w -= step / n2 * grads[2]
-            model.conv2_b -= step / n2 * grads[3]
-            head_w -= step * grads[4]
-            head_b -= step * grads[5]
+            for arr, grad, size in zip(params, grads, (n1, n1, n2, n2, 1, 1)):
+                arr -= step / size * grad
             total += nll
         stage1_loss.append(total / len(x))
 
     # stage 2: frozen conv stack, train the fully connected head on
     # z-scored pooling vectors; the affine transform folds exactly into
     # the stored weights afterwards, so inference sees raw features.
-    feats = _conv_stack_forward(model, x)["flat"]
+    feats = _features(model, x)
     mu = feats.mean(axis=0)
     sd = np.maximum(feats.std(axis=0), 1e-6)
     head = mlp_mod.mlp_init(hidden=300, seed=seed, n_in=2100, n_out=2)
-    head_ep = epochs if head_epochs is None else head_epochs
-    if head_ep > 0:
-        head, stage2_loss = mlp_mod.mlp_train(
-            head, (feats - mu) / sd, labels, lr=lr0, epochs=head_ep,
-            batch=batch, seed=seed, class_balance=False,
-            halve_every=halve_every,
-        )
-    else:
-        stage2_loss = []
+    head, stage2_loss = mlp_mod.mlp_train(
+        head, (feats - mu) / sd, labels, lr=lr0,
+        epochs=epochs if head_epochs is None else head_epochs,
+        batch=batch, seed=seed, class_balance=False, halve_every=halve_every,
+    )
     model.fc_w = head.w1 / sd[:, None]
     model.fc_b = head.b1 - (mu / sd) @ head.w1
     model.out_w = head.w2

@@ -90,10 +90,15 @@ def load_config(path=None):
         return cfg.validate()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: config must be a JSON object")
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     unknown = set(data) - known
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
         setattr(cfg, key, value)
-    return cfg.validate()
+    try:
+        return cfg.validate()
+    except TypeError as exc:
+        raise DataError(f"{path}: wrong-typed config value ({exc})") from None

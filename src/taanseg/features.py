@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidArgumentError
+from .errors import EmptyInputError, InvalidArgumentError, ParseError
 
 REF_HZ = 55.0
 WIN_LEN = 100           # 1 s of 10 ms samples
@@ -193,12 +193,15 @@ def read_features(path):
         header = fh.readline().strip()
         if header != "frame_s,mod_rate,mod_energy,energy_zcr,vocal":
             raise InvalidArgumentError(f"{path}: unexpected header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != 5:
                 raise InvalidArgumentError(f"{path}: expected 5 columns")
-            rows.append([float(p) for p in parts[1:4]])
-            mask.append(bool(int(parts[4])))
+            try:
+                rows.append([float(p) for p in parts[1:4]])
+                mask.append(bool(int(parts[4])))
+            except ValueError as exc:
+                raise ParseError(str(exc), path=path, line=lineno) from None
     return StyleFeatureSeq(
         features=np.array(rows, dtype=np.float64),
         vocal_mask=np.array(mask, dtype=bool),

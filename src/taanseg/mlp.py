@@ -49,12 +49,10 @@ class PosteriorSeq:
 
 
 def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Branch-free stable logistic: with e = exp(-|x|) in [0, 1], the
+    numerator max(e, x >= 0) is 1 for x >= 0 and e below."""
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def softmax(logits):

@@ -67,10 +67,16 @@ def load_model(path):
         magic = fh.read(4)
         if magic != MAGIC:
             raise ParseError(f"bad magic {magic!r}", path=path)
-        version, hlen = struct.unpack("<HI", fh.read(6))
+        head = fh.read(6)
+        if len(head) != 6:
+            raise ParseError("truncated header", path=path)
+        version, hlen = struct.unpack("<HI", head)
         if version != VERSION:
             raise FormatError(f"{path}: unsupported format version {version}")
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:
+            raise ParseError(f"bad JSON header ({exc})", path=path) from None
         arrays = {}
         for layer in header["layers"]:
             shape = tuple(layer["shape"])

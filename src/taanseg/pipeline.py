@@ -6,6 +6,7 @@ import numpy as np
 
 from . import dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
+from .errors import DataError
 
 
 def extract_track(clip, cfg=None):
@@ -68,6 +69,10 @@ def segment_posteriors(posteriors, decisions, cfg=None):
 
 def segment_audio(clip, model, cfg=None):
     """Full MLP-path pipeline on one concert."""
+    if not isinstance(model, mlp.MlpModel):
+        raise DataError(f"segment needs an MLP model, got "
+                        f"{type(model).__name__}; a CNN model classifies "
+                        "audio with `taanseg classify --audio`")
     cfg = cfg or PipelineConfig()
     track = extract_track(clip, cfg)
     seq = track_features(track, cfg)

@@ -24,6 +24,9 @@ def read_wav(path):
         size = struct.unpack("<I", data[pos + 4 : pos + 8])[0]
         body = data[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
+            if len(body) < 16:
+                raise ParseError(f"fmt chunk has {len(body)} bytes, need 16",
+                                 path=path)
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
             payload = body

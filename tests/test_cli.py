@@ -2,6 +2,7 @@
 `main(argv)` with small synthetic inputs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -231,6 +232,61 @@ class TestExitCodes:
     def test_bad_config(self, small_concert, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"no_such_knob": 1}')
+        rc = main(["--config", str(cfg), "synth",
+                   "--out-wav", str(tmp_path / "x.wav")])
+        assert rc == 2
+
+    def test_segment_with_cnn_model(self, small_concert, tmp_path, capsys):
+        model_path = tmp_path / "cnn.tseg"
+        save_model(cnn_init(seed=0), model_path)
+        rc = main(["segment", "--audio", str(small_concert["wav"]),
+                   "--model", str(model_path),
+                   "--out", str(tmp_path / "t.tsv")])
+        assert rc == 2
+        assert "classify --audio" in capsys.readouterr().err
+
+
+class TestReaderCrashes:
+    """Malformed inputs that once escaped as Python errors exit with 2."""
+
+    def test_wav_fmt_chunk_too_short(self, tmp_path, capsys):
+        fmt = struct.pack("<HHI", 1, 1, 8000)
+        chunks = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                  + b"data" + struct.pack("<I", 4) + bytes(4))
+        wav = tmp_path / "short_fmt.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+        rc = main(["tracks", "--audio", str(wav),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "fmt chunk" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        b"TSEG\x01",                                   # cut after the magic
+        b"TSEG" + struct.pack("<HI", 1, 2) + b"\xff{",  # header not UTF-8
+    ])
+    def test_model_truncated_or_garbled(self, features_csv, tmp_path, content):
+        model_path = tmp_path / "cut.tseg"
+        model_path.write_bytes(content)
+        rc = main(["classify", "--model", str(model_path),
+                   "--features", str(features_csv),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+
+    def test_features_non_numeric_cell(self, tmp_path, capsys):
+        feat = tmp_path / "features.csv"
+        feat.write_text("frame_s,mod_rate,mod_energy,energy_zcr,vocal\n"
+                        "0.0,1.0,2.0,3.0,1\n"
+                        "1.0,fast,2.0,3.0,1\n")
+        rc = main(["bootstrap-labels", "--features", str(feat),
+                   "--seed-labels", str(tmp_path / "seed.tsv"),
+                   "--out", str(tmp_path / "labels.tsv")])
+        assert rc == 2
+        assert f"{feat}:3:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"f0_min_hz": "low"}', '[]', '7'])
+    def test_config_wrong_typed_value(self, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
         rc = main(["--config", str(cfg), "synth",
                    "--out-wav", str(tmp_path / "x.wav")])
         assert rc == 2

@@ -1,0 +1,212 @@
+"""Equivalence tests for the im2col convolution, the blocked whole-set
+forward pass and the branch-free sigmoid.
+
+The oracles are in-test copies of the code these replaced: the
+sliding-window `einsum` forward, the per-tap `einsum` backward, the
+reshape-mean pooling and the boolean-mask sigmoid.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from taanseg.cnn import (
+    FORWARD_BLOCK,
+    PATCH_BINS,
+    PATCH_FRAMES,
+    SpectrogramPatch,
+    _conv_backward,
+    _conv_stack_forward,
+    _conv_valid,
+    _features,
+    _forward,
+    _pool2,
+    _pool2_backward,
+    cnn_forward,
+    cnn_init,
+    cnn_posteriors,
+)
+from taanseg.mlp import sigmoid
+
+
+def _oracle_conv_valid(x, w, b):
+    kh, kw = w.shape[2], w.shape[3]
+    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    out = np.einsum("bchwij,fcij->bfhw", win, w, optimize=True)
+    return out + b[None, :, None, None]
+
+
+def _oracle_conv_backward(x, w, d_out):
+    f, c, kh, kw = w.shape
+    ho, wo = d_out.shape[2], d_out.shape[3]
+    gw = np.empty_like(w)
+    gx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            xs = x[:, :, i : i + ho, j : j + wo]
+            gw[:, :, i, j] = np.einsum("bfhw,bchw->fc", d_out, xs,
+                                       optimize=True)
+            gx[:, :, i : i + ho, j : j + wo] += np.einsum(
+                "bfhw,fc->bchw", d_out, w[:, :, i, j], optimize=True)
+    return gw, d_out.sum(axis=(0, 2, 3)), gx
+
+
+def _oracle_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _assert_close(got, ref):
+    """Within 1e-12 of the oracle, relative to the oracle's largest
+    magnitude: the weight gradients sum up to ~19k unit-scale products."""
+    assert got.shape == ref.shape
+    scale = max(1.0, float(np.abs(ref).max()))
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
+
+
+def _channels_last(a):
+    """True when an NCHW array is a view of C-contiguous (B,H,W,C) memory."""
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+GEOMETRIES = {
+    "conv1": ((1, 94, 50), (10, 1, 7, 7)),
+    "conv2": ((10, 44, 22), (10, 10, 3, 3)),
+}
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("layer", sorted(GEOMETRIES))
+class TestConvAgainstEinsumOracle:
+    def _inputs(self, layer, batch):
+        in_shape, w_shape = GEOMETRIES[layer]
+        rng = np.random.default_rng(batch * 10 + len(layer))
+        x = rng.normal(size=(batch,) + in_shape)
+        w = rng.normal(scale=0.3, size=w_shape)
+        b = rng.normal(size=w_shape[0])
+        out_shape = (batch, w_shape[0], in_shape[1] - w_shape[2] + 1,
+                     in_shape[2] - w_shape[3] + 1)
+        return x, w, b, rng.normal(size=out_shape)
+
+    def test_forward(self, layer, batch):
+        x, w, b, _ = self._inputs(layer, batch)
+        out = _conv_valid(x, w, b)
+        ref = _oracle_conv_valid(x, w, b)
+        assert _channels_last(out)
+        _assert_close(out, ref)
+
+    def test_forward_from_channels_last_input(self, layer, batch):
+        x, w, b, _ = self._inputs(layer, batch)
+        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(
+            0, 3, 1, 2)
+        np.testing.assert_array_equal(_conv_valid(x_cl, w, b),
+                                      _conv_valid(x, w, b))
+
+    def test_backward(self, layer, batch):
+        x, w, _, d_out = self._inputs(layer, batch)
+        gw, gb, gx = _conv_backward(x, w, d_out)
+        rw, rb, rx = _oracle_conv_backward(x, w, d_out)
+        for got, ref in ((gw, rw), (gb, rb), (gx, rx)):
+            _assert_close(got, ref)
+
+    def test_backward_without_input_gradient(self, layer, batch):
+        x, w, _, d_out = self._inputs(layer, batch)
+        gw, gb, gx = _conv_backward(x, w, d_out, input_grad=False)
+        full = _conv_backward(x, w, d_out)
+        assert gx is None
+        np.testing.assert_array_equal(gw, full[0])
+        np.testing.assert_array_equal(gb, full[1])
+
+
+class TestPoolingAgainstReshapeOracle:
+    def test_forward(self):
+        x = np.random.default_rng(0).normal(size=(3, 10, 88, 44))
+        ref = x.reshape(3, 10, 44, 2, 22, 2).mean(axis=(3, 5))
+        np.testing.assert_allclose(_pool2(x), ref, rtol=0, atol=1e-15)
+
+    def test_backward(self):
+        d = np.random.default_rng(1).normal(size=(3, 10, 21, 10))
+        ref = np.repeat(np.repeat(d, 2, axis=2), 2, axis=3) / 4.0
+        got = _pool2_backward(d, (3, 10, 42, 20))
+        assert _channels_last(got)
+        np.testing.assert_array_equal(got, ref)
+
+
+def _patch_batch(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, 1, PATCH_BINS, PATCH_FRAMES))
+
+
+class TestBlockedForward:
+    @pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK,
+                                   FORWARD_BLOCK + 1, 2 * FORWARD_BLOCK + 3])
+    def test_bit_identical_to_one_stack_call(self, n):
+        model = cnn_init(seed=2)
+        x = _patch_batch(n, seed=n)
+        np.testing.assert_array_equal(_features(model, x),
+                                      _conv_stack_forward(model, x)["flat"])
+
+    def test_activations_stay_channels_last(self):
+        acts = _conv_stack_forward(cnn_init(seed=0), _patch_batch(3))
+        for name in ("a1", "p1", "a2", "p2"):
+            assert _channels_last(acts[name]), name
+
+    def test_maps_are_second_pooling_layer(self):
+        model = cnn_init(seed=1)
+        x = _patch_batch(FORWARD_BLOCK + 2, seed=3)
+        _, maps = _forward(model, x, return_maps=True)
+        np.testing.assert_array_equal(maps, _conv_stack_forward(model, x)["p2"])
+
+    def test_single_patch_path_matches_batch(self):
+        model = cnn_init(seed=4)
+        x = _patch_batch(FORWARD_BLOCK + 1, seed=5)
+        patches = [SpectrogramPatch(v[0]) for v in x]
+        batched = cnn_posteriors(model, patches)
+        np.testing.assert_array_equal(batched, _forward(model, x)[:, 1])
+        for k in (0, FORWARD_BLOCK):
+            np.testing.assert_allclose(cnn_forward(model, patches[k])[1],
+                                       batched[k], rtol=0, atol=1e-15)
+
+
+class TestSigmoidBitIdentical:
+    def test_special_values(self):
+        tiny = np.finfo(np.float64).tiny
+        x = np.array([0.0, -0.0, 1e4, -1e4, 745.0, -745.0, 746.0, -746.0,
+                      709.8, -709.8, 1.0, -1.0, tiny, -tiny, tiny / 2**10,
+                      -tiny / 2**10, 5e-324, -5e-324, np.inf, -np.inf])
+        got = sigmoid(x)
+        assert np.array_equal(got.view(np.int64),
+                              _oracle_sigmoid(x).view(np.int64))
+        assert np.isnan(sigmoid(np.array([np.nan]))[0])
+
+    def test_normal_draws(self):
+        rng = np.random.default_rng(11)
+        for scale in (1.0, 30.0):
+            x = rng.normal(scale=scale, size=100_000)
+            assert np.array_equal(sigmoid(x), _oracle_sigmoid(x))
+
+    def test_keeps_memory_layout(self):
+        x = np.random.default_rng(2).normal(size=(2, 5, 4, 3))
+        assert _channels_last(sigmoid(x.transpose(0, 3, 1, 2)))
+
+
+def test_posteriors_memory_is_bounded():
+    # 599 patches is one 10-minute concert. One unblocked forward pass
+    # would hold a ~900 MB conv1 im2col buffer; blocks keep it small.
+    rng = np.random.default_rng(0)
+    patches = [SpectrogramPatch(rng.normal(size=(PATCH_BINS, PATCH_FRAMES)))
+               for _ in range(599)]
+    model = cnn_init(seed=0)
+    tracemalloc.start()
+    try:
+        post = cnn_posteriors(model, patches)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert post.shape == (599,)
+    assert peak < 150 * 2**20
