@@ -216,10 +216,17 @@ def _run(args, cfg):
         detected = seg_mod.read_timeline(args.detected)
         truth = seg_mod.read_timeline(args.truth)
         report = evaluation.match_sections(detected, truth)
+        dev = evaluation.boundary_deviation(report)
         if args.json:
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.table())
+            print(json.dumps({**report.as_dict(), "boundary_deviation": dev},
+                             indent=2))
+            return 0
+        print(report.table())
+        print(f"{'Boundary deviation':<20}" + (
+            "no exact matches" if dev["empty"] else
+            f"onset mean {dev['mean_onset']:.2f} s, max {dev['max_onset']:.2f} s;"
+            f" offset mean {dev['mean_offset']:.2f} s,"
+            f" max {dev['max_offset']:.2f} s"))
         return 0
 
     if args.command == "inspect-cnn":

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import mlp as mlp_mod
-from .errors import InternalError, InvalidArgumentError
+from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import sigmoid, softmax
 
 PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
@@ -203,9 +203,16 @@ def cnn_forward(model, patch, return_maps=False):
     return (p[0], maps[0]) if return_maps else p[0]
 
 
+def _stack_patches(patches):
+    """(n, 1, 94, 50) batch of a patch list; EmptyInputError when empty."""
+    if not patches:
+        raise EmptyInputError("no 1 s spectrogram patch: audio too short")
+    return np.stack([p.values for p in patches])[:, None]
+
+
 def cnn_posteriors(model, patches):
     """Batched taan posteriors (unit 1) for a patch list."""
-    return _forward(model, np.stack([p.values for p in patches])[:, None])[:, 1]
+    return _forward(model, _stack_patches(patches))[:, 1]
 
 
 def export_channel_maps(model, patch, channel):
@@ -281,7 +288,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     labels = np.asarray(labels, dtype=np.int64)
     if len(np.unique(labels)) < 2:
         raise InvalidArgumentError("training set must contain both classes")
-    x = np.stack([p.values for p in patches])[:, None, :, :]
+    x = _stack_patches(patches)
     model = cnn_init(seed)
     model.band_mean, model.band_std = band_stats
 

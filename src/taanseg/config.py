@@ -92,13 +92,21 @@ def load_config(path=None):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - known
+    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    unknown = set(data) - set(types)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
+        if not _is_type(value, types[key]):
+            raise DataError(f"{path}: config value {key}={value!r} is not "
+                            f"of type {types[key].__name__}")
         setattr(cfg, key, value)
-    try:
-        return cfg.validate()
-    except TypeError as exc:
-        raise DataError(f"{path}: wrong-typed config value ({exc})") from None
+    return cfg.validate()
+
+
+def _is_type(value, kind):
+    """Whether a JSON value fits a field type: an int also fits a float
+    field, but a bool fits only a bool field."""
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)

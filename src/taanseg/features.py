@@ -50,89 +50,90 @@ def hz_to_cents(f0_hz, ref_hz=REF_HZ):
     return cents
 
 
-def _fill_gaps(window, max_gap_frac=MAX_GAP_FRAC):
-    """Linear interpolation across NaN gaps; None if too gappy."""
-    w = np.asarray(window, dtype=np.float64)
+# orthonormal basis of the cubics on the window grid: the least-squares
+# cubic of a window w is the fixed projection (w Q) Q^T
+_CUBIC_Q = np.linalg.qr(np.vander(np.arange(WIN_LEN) / WIN_LEN, 4,
+                                  increasing=True))[0]
+
+
+def _gap_filled_windows(x, max_gap_frac):
+    """Copies of the 1 s windows of x at 500 ms hop, and the mask of the
+    usable ones (at most max_gap_frac of the samples non-finite, and not
+    all), whose gaps are filled by linear interpolation."""
+    starts = np.arange(0, len(x) - WIN_LEN + 1, HOP_LEN)
+    w = x[starts[:, None] + np.arange(WIN_LEN)]
     bad = ~np.isfinite(w)
-    if not bad.any():
-        return w
-    if bad.mean() > max_gap_frac or bad.all():
-        return None
-    idx = np.arange(len(w))
-    out = w.copy()
-    out[bad] = np.interp(idx[bad], idx[~bad], w[~bad])
-    return out
+    usable = (bad.mean(axis=1) <= max_gap_frac) & ~bad.all(axis=1)
+    idx = np.arange(WIN_LEN)
+    for i in np.flatnonzero(usable & bad.any(axis=1)):
+        gap = bad[i]
+        w[i, gap] = np.interp(idx[gap], idx[~gap], w[i, ~gap])
+    return w, usable
 
 
 def detrend_poly3(window):
-    """Residual after removing a least-squares cubic from a 1 s window."""
+    """Residual after removing the least-squares cubic from each 1 s window
+    along the last axis (one window, or a batch of them)."""
     w = np.asarray(window, dtype=np.float64)
-    if len(w) != WIN_LEN:
+    if w.shape[-1:] != (WIN_LEN,):
         raise InvalidArgumentError(f"window must have {WIN_LEN} samples")
-    t = np.arange(WIN_LEN) / WIN_LEN
-    coeffs = np.polynomial.polynomial.polyfit(t, w, deg=3)
-    return w - np.polynomial.polynomial.polyval(t, coeffs)
+    return w - (w @ _CUBIC_Q) @ _CUBIC_Q.T
 
 
 def modulation_spectrum(residual):
-    """Magnitudes of the 128-point DFT (bins 0..64) of a 100-sample residual."""
+    """Magnitudes of the 128-point DFT (bins 0..64) of 100-sample residuals
+    along the last axis."""
     r = np.asarray(residual, dtype=np.float64)
-    if len(r) != WIN_LEN:
+    if r.shape[-1:] != (WIN_LEN,):
         raise InvalidArgumentError(f"residual must have {WIN_LEN} samples")
-    return np.abs(np.fft.rfft(r, n=MOD_DFT))
+    return np.abs(np.fft.rfft(r, n=MOD_DFT, axis=-1))
 
 
 def modulation_peak_features(mag):
-    """Peak rate (Hz) and power-spectrum energy around the peak in 1-20 Hz.
+    """Peak rate (Hz) and power-spectrum energy around the peak in 1-20 Hz,
+    per 65-bin spectrum along the last axis.
 
     Returns (mod_rate, mod_energy, degenerate); an all-zero spectrum is
     flagged degenerate with the rate pinned to the first searched bin.
     """
     mag = np.asarray(mag, dtype=np.float64)
-    band = mag[PEAK_BIN_LO : PEAK_BIN_HI + 1]
-    if not band.any():
-        return PEAK_BIN_LO * MOD_BIN_HZ, 0.0, True
-    peak = PEAK_BIN_LO + int(np.argmax(band))
-    lo = max(peak - PEAK_HALFWIDTH, 0)
-    hi = min(peak + PEAK_HALFWIDTH + 1, len(mag))
-    energy = float(np.sum(mag[lo:hi] ** 2))
-    return peak * MOD_BIN_HZ, energy, False
+    if mag.shape[-1:] != (MOD_DFT // 2 + 1,):
+        raise InvalidArgumentError(f"spectrum must have {MOD_DFT // 2 + 1} bins")
+    band = mag[..., PEAK_BIN_LO : PEAK_BIN_HI + 1]
+    degenerate = ~band.any(axis=-1)
+    peak = PEAK_BIN_LO + np.argmax(band, axis=-1)
+    near = peak[..., None] + np.arange(-PEAK_HALFWIDTH, PEAK_HALFWIDTH + 1)
+    energy = np.sum(np.take_along_axis(mag, near, axis=-1) ** 2, axis=-1)
+    return peak * MOD_BIN_HZ, np.where(degenerate, 0.0, energy), degenerate
 
 
 def energy_zcr(energy_window):
-    """Sign changes of the mean-removed energy contour over a 1 s window."""
+    """Sign changes of the mean-removed energy contour over each 1 s window
+    along the last axis."""
     w = np.asarray(energy_window, dtype=np.float64)
-    if len(w) != WIN_LEN:
+    if w.shape[-1:] != (WIN_LEN,):
         raise InvalidArgumentError(f"window must have {WIN_LEN} samples")
-    centered = w - w.mean()
-    return int(np.sum(centered[:-1] * centered[1:] < 0))
+    centered = w - w.mean(axis=-1, keepdims=True)
+    return np.sum(centered[..., :-1] * centered[..., 1:] < 0, axis=-1)
 
 
 def raw_features(track, vocal_mask, max_gap_frac=MAX_GAP_FRAC):
-    """Per-window raw descriptors at 500 ms hop.
+    """Per-window raw descriptors at 500 ms hop, all windows in one pass.
 
     Returns (features (k,3), valid (k,)); windows with more than
     max_gap_frac non-vocal samples (or degenerate spectra) are invalid.
     """
-    cents = hz_to_cents(track.f0_hz)
-    cents[~vocal_mask] = np.nan
+    cents = np.where(vocal_mask, hz_to_cents(track.f0_hz), np.nan)
     energy = np.where(vocal_mask, track.energy_db, np.nan)
-    n = len(track)
-    n_windows = max((n - WIN_LEN) // HOP_LEN + 1, 0)
-    feats = np.full((n_windows, 3), np.nan)
-    valid = np.zeros(n_windows, dtype=bool)
-    for k in range(n_windows):
-        s = k * HOP_LEN
-        cw = _fill_gaps(cents[s : s + WIN_LEN], max_gap_frac)
-        ew = _fill_gaps(energy[s : s + WIN_LEN], max_gap_frac)
-        if cw is None or ew is None:
-            continue
-        mag = modulation_spectrum(detrend_poly3(cw))
-        rate, mod_energy, degenerate = modulation_peak_features(mag)
-        if degenerate:
-            continue
-        feats[k] = (rate, mod_energy, energy_zcr(ew))
-        valid[k] = True
+    cw, c_ok = _gap_filled_windows(cents, max_gap_frac)
+    ew, e_ok = _gap_filled_windows(energy, max_gap_frac)
+    valid = c_ok & e_ok
+    mag = modulation_spectrum(detrend_poly3(cw[valid]))
+    rate, mod_energy, degenerate = modulation_peak_features(mag)
+    raw = np.column_stack((rate, mod_energy, energy_zcr(ew[valid])))
+    valid[valid] = ~degenerate
+    feats = np.full((len(cw), 3), np.nan)
+    feats[valid] = raw[~degenerate]
     return feats, valid
 
 
@@ -146,18 +147,20 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
         raise EmptyInputError("no vocal frames: nothing to normalize")
     half = int(round(smooth_s / 2 / 0.5))  # raw hops within +/- smooth_s/2
     k = len(valid)
+    # sums over the valid run around each frame, added in ascending order
+    # like the row sum in a mean
+    run = np.cumsum(valid & ~np.r_[False, valid[:-1]])
+    total = np.zeros((k, 3))
+    count = np.zeros(k)
+    for off in range(-half, half + 1):
+        lo = max(-off, 0)
+        i = slice(lo, max(min(k, k - off), lo))
+        j = slice(i.start + off, i.stop + off)
+        same = valid[i] & valid[j] & (run[i] == run[j])
+        total[i] += np.where(same[:, None], feats[j], 0.0)
+        count[i] += same
     smoothed = np.full((k, 3), np.nan)
-    for i in range(k):
-        if not valid[i]:
-            continue
-        # truncate at the edges of the contiguous valid region
-        lo = i
-        while lo > max(i - half, 0) and valid[lo - 1]:
-            lo -= 1
-        hi = i
-        while hi < min(i + half, k - 1) and valid[hi + 1]:
-            hi += 1
-        smoothed[i] = feats[lo : hi + 1][valid[lo : hi + 1]].mean(axis=0)
+    smoothed[valid] = total[valid] / count[valid, None]
     # decimate 500 ms -> 1 s
     sm = smoothed[::2]
     mask = valid[::2] & np.isfinite(sm).all(axis=1)

@@ -5,6 +5,8 @@ describing layer names, type tags and shapes.
 """
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -26,6 +28,7 @@ _CNN_LAYERS = (
     ("out_w", "dense"), ("out_b", "bias"),
     ("band_mean", "stat"), ("band_std", "stat"),
 )
+_KIND_LAYERS = {"mlp": _MLP_LAYERS, "cnn": _CNN_LAYERS}
 
 
 def _save(path, kind, layers, arrays, meta):
@@ -62,6 +65,25 @@ def save_model(model, path):
     _save(path, kind, layers, arrays, model.meta)
 
 
+def _layer_shapes(header, path):
+    """(name, shape) of each array a model header lists; ParseError unless
+    the header is an object with a "kind" string and a "layers" list of
+    {"name": string, "shape": [non-negative ints]} entries."""
+    if not (isinstance(header, dict) and isinstance(header.get("kind"), str)
+            and isinstance(header.get("layers"), list)):
+        raise ParseError("model header needs a 'kind' string and a 'layers' "
+                         "list", path=path)
+    shapes = []
+    for layer in header["layers"]:
+        entry = layer if isinstance(layer, dict) else {}
+        name, shape = entry.get("name"), entry.get("shape")
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)):
+            raise ParseError(f"malformed layer entry {layer!r}", path=path)
+        shapes.append((name, tuple(shape)))
+    return shapes
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -77,27 +99,31 @@ def load_model(path):
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except ValueError as exc:
             raise ParseError(f"bad JSON header ({exc})", path=path) from None
+        size = os.fstat(fh.fileno()).st_size
         arrays = {}
-        for layer in header["layers"]:
-            shape = tuple(layer["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
+        for name, shape in _layer_shapes(header, path):
+            nbytes = 8 * math.prod(shape)
+            if fh.tell() + nbytes > size:
                 raise ParseError("truncated array payload", path=path)
-            arrays[layer["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+            buf = fh.read(nbytes)
+            arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     meta = {}
     try:
         with open(str(path) + ".json", "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         pass
-    if header["kind"] == "mlp":
+    kind = header["kind"]
+    if kind not in _KIND_LAYERS:
+        raise FormatError(f"{path}: unknown model kind {kind!r}")
+    missing = [name for name, _ in _KIND_LAYERS[kind] if name not in arrays]
+    if missing:
+        raise ParseError(f"{kind} model lacks arrays {missing}", path=path)
+    if kind == "mlp":
         return MlpModel(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
                         meta=meta)
-    if header["kind"] == "cnn":
-        return CnnModel(**{name: arrays[name] for name, _ in _CNN_LAYERS},
-                        meta=meta)
-    raise FormatError(f"{path}: unknown model kind {header['kind']!r}")
+    return CnnModel(**{name: arrays[name] for name, _ in _CNN_LAYERS},
+                    meta=meta)
 
 
 def write_pgm(matrix, path):

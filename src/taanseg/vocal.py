@@ -230,43 +230,56 @@ def write_track(track, path):
             )
 
 
+_TRACK_ROW = np.dtype([("time_s", "f8"), ("f0_hz", "f8"),
+                       ("energy_db", "f8"), ("voiced", "i8")])
+
+
+def _checked_rows(path, lines, first_line):
+    """Track CSV body lines (line first_line on) as records parsed in one
+    pass, or None if a line does not parse or is empty. Raises for the first
+    line that fails the voiced flag, 10 ms grid or f0 > 0 iff voiced check."""
+    try:
+        rows = np.loadtxt(lines, dtype=_TRACK_ROW, delimiter=",",
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(rows) != len(lines):
+        return None
+    t, f, v = rows["time_s"], rows["f0_hz"], rows["voiced"]
+    expected = (first_line - 2 + np.arange(len(rows))) * TRACK_HOP_S
+    bad = np.column_stack(((v != 0) & (v != 1), np.abs(t - expected) > 1e-6,
+                           (f > 0) != (v != 0)))
+    if not bad.any():
+        return rows
+    i, check = divmod(int(np.argmax(bad)), 3)  # first bad line, first check
+    msg = (f"voiced must be 0/1, got {v[i]}",
+           f"time {t[i]} not on 10 ms grid (expected {expected[i]})",
+           f"f0={f[i]} inconsistent with voiced={v[i]}")[check]
+    if check == 1:
+        raise FormatError(f"{path}:{first_line + i}: {msg}")
+    raise ParseError(msg, path=path, line=first_line + i)
+
+
 def ingest_track(path):
-    """Read a pitch-track CSV, validating hop and track invariants."""
-    f0, energy, voiced = [], [], []
+    """Read a pitch-track CSV, validating hop and track invariants; the
+    body is parsed in one pass and trailing empty lines are ignored."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != "time_s,f0_hz,energy_db,voiced":
             raise FormatError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError("expected 4 columns", path=path, line=lineno)
-            try:
-                t = float(parts[0])
-                f = float(parts[1])
-                e = float(parts[2])
-                v = int(parts[3])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            if v not in (0, 1):
-                raise ParseError(f"voiced must be 0/1, got {parts[3]}",
+        body = fh.read().rstrip()
+    lines = body.split("\n") if body else []
+    rows = _checked_rows(path, lines, 2) if lines else np.zeros(0, _TRACK_ROW)
+    if rows is None:
+        # the first bad line; an empty one shifts the next row off the grid
+        blank = None
+        for lineno, line in enumerate(lines, start=2):
+            if not line.strip():
+                blank = blank or lineno
+            elif _checked_rows(path, [line], lineno) is None:
+                raise ParseError(f"not 4 numbers, the last 0 or 1: {line!r}",
                                  path=path, line=lineno)
-            expected_t = (lineno - 2) * TRACK_HOP_S
-            if abs(t - expected_t) > 1e-6:
-                raise FormatError(
-                    f"{path}:{lineno}: time {t} not on 10 ms grid "
-                    f"(expected {expected_t})"
-                )
-            if (f > 0) != bool(v):
-                raise ParseError(
-                    f"f0={f} inconsistent with voiced={v}", path=path, line=lineno
-                )
-            f0.append(f)
-            energy.append(e)
-            voiced.append(bool(v))
-    return PitchEnergyTrack(
-        f0_hz=np.array(f0), energy_db=np.array(energy), voiced=np.array(voiced)
-    )
+        raise FormatError(f"{path}:{blank}: empty line inside the track")
+    return PitchEnergyTrack(f0_hz=rows["f0_hz"].copy(),
+                            energy_db=rows["energy_db"].copy(),
+                            voiced=rows["voiced"] == 1)

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from taanseg import features as feat_mod
+from taanseg import wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
 from taanseg.cnn import cnn_init
+from taanseg.dsp import AudioClip
 from taanseg.features import StyleFeatureSeq
-from taanseg.modelio import load_model, save_model
-from taanseg.segmentation import read_timeline
+from taanseg.modelio import MAGIC, VERSION, load_model, save_model
+from taanseg.segmentation import (Section, SectionTimeline, read_timeline,
+                                  write_timeline)
 from taanseg.synth import ConcertScript, SectionSpec, script_to_json
 
 
@@ -162,6 +165,36 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "Exact detection" in out
 
+    def test_boundary_deviation(self, small_concert, tmp_path, capsys):
+        truth = read_timeline(small_concert["timeline"])
+        shifted = SectionTimeline([
+            Section(s.start_s + 1.0, s.end_s - 0.5, s.label) if s.label == "taan"
+            else s for s in truth])
+        detected = tmp_path / "detected.tsv"
+        write_timeline(shifted, detected)
+        args = ["evaluate", "--detected", str(detected),
+                "--truth", str(small_concert["timeline"])]
+        assert main(args) == 0
+        assert ("Boundary deviation  onset mean 1.00 s, max 1.00 s; "
+                "offset mean 0.50 s, max 0.50 s") in capsys.readouterr().out
+        assert main(args + ["--json"]) == 0
+        dev = json.loads(capsys.readouterr().out)["boundary_deviation"]
+        assert dev["empty"] is False
+        assert dev["max_onset"] == pytest.approx(1.0)
+        assert dev["mean_offset"] == pytest.approx(0.5)
+
+    def test_no_exact_matches(self, small_concert, tmp_path, capsys):
+        detected = tmp_path / "detected.tsv"
+        write_timeline(SectionTimeline([Section(0.0, 100.0, "non-taan")]),
+                       detected)
+        args = ["evaluate", "--detected", str(detected),
+                "--truth", str(small_concert["timeline"])]
+        assert main(args) == 0
+        assert "Boundary deviation  no exact matches" in capsys.readouterr().out
+        assert main(args + ["--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["boundary_deviation"] == {"empty": True}
+
 
 class TestInspectCnn:
     def test_channel_map_exports(self, small_concert, tmp_path):
@@ -246,8 +279,53 @@ class TestExitCodes:
         assert "classify --audio" in capsys.readouterr().err
 
 
+@pytest.fixture
+def half_second_wav(tmp_path):
+    """A 0.5 s 8 kHz tone: shorter than one 1 s CNN patch."""
+    wav = tmp_path / "short.wav"
+    t = np.arange(4000) / 8000.0
+    wavio.write_wav(AudioClip(0.5 * np.sin(2 * np.pi * 220.0 * t), 8000), wav)
+    return wav
+
+
+def model_file(path, header):
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(MAGIC + struct.pack("<HI", VERSION, len(blob)) + blob)
+    return path
+
+
 class TestReaderCrashes:
     """Malformed inputs that once escaped as Python errors exit with 2."""
+
+    def test_cnn_classify_audio_shorter_than_a_patch(self, half_second_wav,
+                                                     tmp_path, capsys):
+        model_path = tmp_path / "cnn.tseg"
+        save_model(cnn_init(seed=0), model_path)
+        rc = main(["classify", "--model", str(model_path),
+                   "--audio", str(half_second_wav),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert "too short" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [
+        {"layers": []},                                 # no kind
+        {"kind": "mlp"},                                # no layers
+        {"kind": "mlp", "layers": {}},
+        {"kind": "mlp", "layers": []},                  # no arrays
+        {"kind": "mlp", "layers": [{"shape": [1]}]},
+        {"kind": "mlp", "layers": [{"name": "w1", "shape": [-1]}]},
+        {"kind": "mlp", "layers": [{"name": "w1", "shape": [2 ** 40]}]},
+        {"kind": "cnn", "layers": ["conv1_w"]},
+        [],
+    ])
+    def test_model_header_structure(self, features_csv, tmp_path, capsys,
+                                    header):
+        model_path = model_file(tmp_path / "bad.tseg", header)
+        rc = main(["classify", "--model", str(model_path),
+                   "--features", str(features_csv),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert str(model_path) in capsys.readouterr().err
 
     def test_wav_fmt_chunk_too_short(self, tmp_path, capsys):
         fmt = struct.pack("<HHI", 1, 1, 8000)
@@ -290,3 +368,17 @@ class TestReaderCrashes:
         rc = main(["--config", str(cfg), "synth",
                    "--out-wav", str(tmp_path / "x.wav")])
         assert rc == 2
+
+    @pytest.mark.parametrize("text", [
+        '{"n_harmonics": 2.5}', '{"n_harmonics": true}',
+        '{"class_balance": 1}', '{"conv_activation": 3}',
+        '{"f0_max_hz": "600"}'])
+    def test_config_value_not_of_field_type(self, half_second_wav, tmp_path,
+                                            capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "tracks",
+                   "--audio", str(half_second_wav),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert json.loads(text).popitem()[0] in capsys.readouterr().err

@@ -26,7 +26,7 @@ from taanseg.cnn import (
     make_patches,
 )
 from taanseg.dsp import AudioClip, log_spectrogram
-from taanseg.errors import InternalError, InvalidArgumentError
+from taanseg.errors import EmptyInputError, InternalError, InvalidArgumentError
 
 
 def _tiny_model(seed=0, scale=0.3):
@@ -304,6 +304,13 @@ class TestTraining:
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
         with pytest.raises(InvalidArgumentError):
             cnn_train(patches, [1, 1, 1, 1], stats, epochs=1)
+
+    def test_no_patches_rejected(self):
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        with pytest.raises(EmptyInputError):
+            cnn_train([], [0, 1], stats, epochs=1)
+        with pytest.raises(EmptyInputError):
+            cnn_posteriors(cnn_init(seed=0), [])
 
 
 class TestChannelMaps:

@@ -285,6 +285,25 @@ class TestConfig:
         assert cfg.taan_threshold == 0.6
         assert cfg.f0_min_hz == 80.0
 
+    def test_int_for_float_field(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"f0_min_hz": 100, "taan_threshold": 1, '
+                        '"class_balance": false, "conv_activation": "relu"}')
+        cfg = load_config(path)
+        assert cfg.f0_min_hz == 100 and cfg.taan_threshold == 1
+        assert cfg.class_balance is False and cfg.conv_activation == "relu"
+
+    @pytest.mark.parametrize("text", ['{"mlp_hidden": 50.0}',
+                                      '{"mlp_epochs": false}',
+                                      '{"taan_threshold": true}',
+                                      '{"gaussian_taper": 0}',
+                                      '{"conv_activation": null}'])
+    def test_wrong_type_names_key(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(DataError, match=next(iter(json.loads(text)))):
+            load_config(path)
+
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"mpl_hidden": 50}')
