@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError
+from .errors import InvalidArgumentError, ParseError, open_utf8
 
 COV_EIG_FLOOR = 1e-8
 LOG_2PI = np.log(2.0 * np.pi)
@@ -155,7 +155,7 @@ def write_frame_labels(labels, path, frame_s=1.0, names=("non-taan", "taan")):
 def read_frame_labels(path):
     """Read a frame-label TSV; returns (times, label strings)."""
     times, labels = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

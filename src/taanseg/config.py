@@ -7,7 +7,7 @@ import dataclasses
 import json
 import os
 
-from .errors import DataError
+from .errors import DataError, open_utf8
 
 ENV_VAR = "TAANSEG_CONFIG"
 
@@ -88,7 +88,7 @@ def load_config(path=None):
     cfg = PipelineConfig()
     if path is None:
         return cfg.validate()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise DataError(f"{path}: config must be a JSON object")

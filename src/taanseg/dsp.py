@@ -15,7 +15,10 @@ ACCEPTED_RATES = (8000, 16000, 22050, 44100, 48000)
 LOG_FLOOR = 1e-10
 
 # frames per spectrogram block: bounds the working set of streamed tracking
-FRAME_BLOCK = 4096
+FRAME_BLOCK = 2048
+
+# output samples per resampling chunk: bounds the working set of `resample`
+RESAMPLE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -113,12 +116,16 @@ def _frame_major_blocks(clip, win, hop, n_frames, n_dft):
     # frame t is the sample slice [t*hop, t*hop + win): a strided view
     windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
     rows = min(FRAME_BLOCK, n_frames)
+    # windowed frames go into the first win columns; the rest stay zero, so
+    # the FFT needs no padded copy of its own
+    padded = np.zeros((rows, n_dft))
     spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, n_dft // 2 + 1))
     for t0 in range(0, n_frames, FRAME_BLOCK):
         frames = windows[t0:t0 + FRAME_BLOCK]
         n = len(frames)
-        np.fft.rfft(frames * w, n=n_dft, axis=1, out=spectrum[:n])
+        np.multiply(frames, w, out=padded[:n, :win])
+        np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
         np.abs(spectrum[:n], out=mag[:n])
         np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
         yield t0, np.log(mag[:n], out=mag[:n])
@@ -166,19 +173,40 @@ def _lowpass_taps(cutoff_norm, n_taps=64):
 
 
 def resample(clip, target_hz):
-    """Downsample `clip` to target_hz (anti-aliased; upsampling rejected)."""
+    """Downsample `clip` to target_hz (anti-aliased; upsampling rejected).
+
+    A 64-tap windowed-sinc low-pass, then linear interpolation at the
+    output instants. The output is computed RESAMPLE_CHUNK samples at a
+    time from the input stretch each chunk needs, so the working set is
+    O(RESAMPLE_CHUNK) besides the input and output, whatever the length;
+    every filtered sample is the same dot product over the same input
+    memory as when filtering the whole clip at once. A clip already at
+    target_hz is returned as it is, not copied.
+    """
     if int(target_hz) not in ACCEPTED_RATES:
         raise InvalidArgumentError(f"target rate {target_hz} not accepted")
     sr = clip.sample_rate
     if target_hz > sr:
         raise UnsupportedOperationError("upsampling is not supported")
     if target_hz == sr:
-        return AudioClip(samples=clip.samples.copy(), sample_rate=sr)
+        return clip
     h = _lowpass_taps(0.45 * target_hz / sr)
-    filtered = np.convolve(clip.samples, h, mode="full")
-    delay = (len(h) - 1) / 2.0
-    n_out = int(round(len(clip.samples) * target_hz / sr))
-    # linear interpolation at the fractional source positions
-    pos = np.arange(n_out) * (sr / target_hz) + delay
-    out = np.interp(pos, np.arange(len(filtered)), filtered)
+    x = clip.samples
+    n, taps = len(x), len(h)
+    n_out = int(round(n * target_hz / sr))
+    out = np.empty(n_out)
+    for k0 in range(0, n_out, RESAMPLE_CHUNK):
+        k1 = min(k0 + RESAMPLE_CHUNK, n_out)
+        # fractional positions of the output samples in the filtered signal
+        pos = np.arange(k0, k1) * (sr / target_hz) + (taps - 1) / 2.0
+        # filtered samples [f0, f1) bracket every position; positions stay
+        # below n + (taps - 1) / 2, inside the full convolution
+        f0, f1 = int(pos[0]), int(pos[-1]) + 2
+        # input [a, b): the taps - 1 samples of context before f0, and never
+        # shorter than the filter unless the clip is, so that np.convolve
+        # keeps the signal as its first operand as on the whole clip
+        a = max(min(f0 - taps + 1, n - taps), 0)
+        b = min(max(f1, a + taps), n)
+        filtered = np.convolve(x[a:b], h, mode="full")
+        out[k0:k1] = np.interp(pos, np.arange(f0, f1), filtered[f0 - a:f1 - a])
     return AudioClip(samples=out, sample_rate=int(target_hz))

@@ -1,8 +1,11 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the UTF-8 text
+opener every reader uses so that undecodable bytes are a ParseError.
 
 CLI exit-code mapping: UsageError -> 1, DataError (and subclasses) -> 2,
 InternalError -> 3.
 """
+
+import contextlib
 
 
 class TaansegError(Exception):
@@ -53,3 +56,15 @@ class ResourceLimitError(TaansegError):
 
 class InternalError(TaansegError):
     """Invariant violation inside the library; indicates a bug."""
+
+
+@contextlib.contextmanager
+def open_utf8(path):
+    """Open a UTF-8 text file for reading. Bytes that do not decode, read
+    anywhere inside the `with` block, raise ParseError naming the path
+    instead of UnicodeDecodeError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidArgumentError, ParseError
+from .errors import EmptyInputError, InvalidArgumentError, ParseError, open_utf8
 
 REF_HZ = 55.0
 WIN_LEN = 100           # 1 s of 10 ms samples
@@ -164,6 +164,9 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
     # decimate 500 ms -> 1 s
     sm = smoothed[::2]
     mask = valid[::2] & np.isfinite(sm).all(axis=1)
+    if not mask.any():
+        raise EmptyInputError("no valid window on the 1 s frame grid: "
+                              "nothing to normalize")
     out = np.full_like(sm, np.nan)
     mu = sm[mask].mean(axis=0)
     var = sm[mask].var(axis=0)
@@ -192,7 +195,7 @@ def write_features(seq, path):
 def read_features(path):
     """Read a feature CSV written by write_features."""
     rows, mask = [], []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip()
         if header != "frame_s,mod_rate,mod_energy,energy_zcr,vocal":
             raise InvalidArgumentError(f"{path}: unexpected header {header!r}")

@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from .cnn import CnnModel
-from .errors import FormatError, ParseError
+from .errors import FormatError, ParseError, open_utf8
 from .mlp import MlpModel
 
 MAGIC = b"TSEG"
@@ -109,7 +109,7 @@ def load_model(path):
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     meta = {}
     try:
-        with open(str(path) + ".json", "r", encoding="utf-8") as fh:
+        with open_utf8(str(path) + ".json") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         pass

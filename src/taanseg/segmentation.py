@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError
+from .errors import InvalidArgumentError, ParseError, open_utf8
 
 LABELS = ("taan", "non-taan", "instrumental")
 
@@ -198,7 +198,7 @@ def write_timeline(timeline, path):
 
 def read_timeline(path):
     sections = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:

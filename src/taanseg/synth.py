@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dsp import AudioClip
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, open_utf8
 from .segmentation import Section, SectionTimeline
 
 STYLES = ("taan", "steady-vocal", "glide-vocal", "instrumental")
@@ -52,7 +52,7 @@ class ConcertScript:
 
 
 def script_from_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         data = json.load(fh)
     sections = [SectionSpec(**s) for s in data["sections"]]
     return ConcertScript(sections=sections, seed=int(data.get("seed", 0)),

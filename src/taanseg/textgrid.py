@@ -41,11 +41,14 @@ class TextGridDoc:
 def _read_text(path):
     with open(path, "rb") as fh:
         raw = fh.read()
-    if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
-        return raw.decode("utf-16")
-    if raw.startswith(b"\xef\xbb\xbf"):
-        return raw.decode("utf-8-sig")
-    return raw.decode("utf-8")
+    try:
+        if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
+            return raw.decode("utf-16")
+        if raw.startswith(b"\xef\xbb\xbf"):
+            return raw.decode("utf-8-sig")
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"undecodable text ({exc.reason})", path=path) from None
 
 
 class _Cursor:

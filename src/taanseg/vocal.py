@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import FormatError, InvalidArgumentError, ParseError
+from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
 
 TRACK_HOP_S = 0.01
 UNVOICED_DB = -120.0
@@ -92,24 +92,35 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     lo, hi, usable = _harmonic_bin_ranges(candidates, spec.n_bins, spec.bin_hz,
                                           tol_cents, n_harmonics)
     # peak magnitude per (candidate, harmonic) slice, all frames at once;
-    # each candidate's sum accumulates in ascending harmonic order
-    sums = np.zeros((n_cands, n_frames))
+    # each candidate's sum accumulates in ascending harmonic order into one
+    # row, and a running first maximum (strict >, from -inf, so candidate 0
+    # is always taken) keeps argmax's winner without a (n_cands, n_frames)
+    # matrix
     weight_sum = np.zeros(n_cands)
     slice_max = {}
+    acc, q = np.empty(n_frames), np.empty(n_frames)
+    best = np.zeros(n_frames, dtype=np.intp)
+    best_sum = np.full(n_frames, -np.inf)
+    better = np.empty(n_frames, dtype=bool)
     for ci in range(n_cands):
+        acc.fill(0.0)
         for h in (np.flatnonzero(usable[:, ci]) + 1).tolist():
             key = (int(lo[h - 1, ci]), int(hi[h - 1, ci]))
             if key not in slice_max:
                 slice_max[key] = mags[key[0]:key[1]].max(axis=0)
-            sums[ci] += slice_max[key] / h
+            acc += np.divide(slice_max[key], h, out=q)
             weight_sum[ci] += 1.0 / h
+        np.greater(acc, best_sum, out=better)
+        np.copyto(best, ci, where=better)
+        np.copyto(best_sum, acc, where=better)
+    del slice_max  # freed before the median's frame-major copy
     if not weight_sum.any():
         raise InvalidArgumentError("empty candidate grid")
 
-    best = np.argmax(sums, axis=0)
-    best_sum = sums[best, np.arange(n_frames)]
-    # the median is one order statistic per frame: exact on a frame-major copy
-    frame_median = np.median(dsp.contiguous_transpose(mags), axis=1)
+    # the median is one order statistic per frame: exact on a frame-major
+    # copy, which it may reorder in place
+    frame_median = np.median(dsp.contiguous_transpose(mags), axis=1,
+                             overwrite_input=True)
     threshold = voicing_factor * np.maximum(weight_sum[best], 1e-12) * frame_median
     voiced = best_sum > threshold
 
@@ -263,7 +274,7 @@ def _checked_rows(path, lines, first_line):
 def ingest_track(path):
     """Read a pitch-track CSV, validating hop and track invariants; the
     body is parsed in one pass and trailing empty lines are ignored."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         header = fh.readline().strip()
         if header != "time_s,f0_hz,energy_db,voiced":
             raise FormatError(f"{path}: unexpected header {header!r}")

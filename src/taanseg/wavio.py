@@ -38,6 +38,10 @@ def read_wav(path):
         samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if len(bad):
+            raise ParseError(f"non-finite sample {samples[bad[0]]} at payload "
+                             f"index {bad[0]}", path=path)
     else:
         raise UnsupportedFormatError(
             f"{path}: unsupported WAV encoding (format {audio_format}, "

@@ -382,3 +382,58 @@ class TestReaderCrashes:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
         assert json.loads(text).popitem()[0] in capsys.readouterr().err
+
+    def test_float_wav_with_non_finite_sample(self, tmp_path, capsys):
+        for value in (np.nan, np.inf, -np.inf):
+            samples = np.zeros(8000, dtype="<f4")
+            samples[100] = value
+            payload = samples.tobytes()
+            fmt = struct.pack("<HHIIHH", 3, 1, 8000, 32000, 4, 32)
+            chunks = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+                      + b"data" + struct.pack("<I", len(payload)) + payload)
+            wav = tmp_path / "float.wav"
+            wav.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+            rc = main(["tracks", "--audio", str(wav),
+                       "--out", str(tmp_path / "t.csv")])
+            assert rc == 2
+            assert f"{wav}: non-finite sample" in capsys.readouterr().err
+
+
+NOT_UTF8 = b"0.0\t1.0\tta\xffan\n"
+
+
+class TestNotUtf8:
+    """Every UTF-8 text reader turns undecodable bytes into exit 2 with the
+    file's path, not a UnicodeDecodeError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["features", "--track", "{bad}", "--out", "{out}"],
+        ["evaluate", "--detected", "{bad}", "--truth", "{truth}"],
+        ["classify", "--model", "{model}", "--features", "{bad}",
+         "--out", "{out}"],
+        ["bootstrap-labels", "--features", "{features}",
+         "--seed-labels", "{bad}", "--out", "{out}"],
+        ["--config", "{bad}", "synth", "--out-wav", "{out}"],
+        ["synth", "--script", "{bad}", "--out-wav", "{out}"],
+    ], ids=["track-csv", "timeline-tsv", "feature-csv", "frame-label-tsv",
+            "config-json", "synth-script-json"])
+    def test_reader(self, small_concert, features_csv, mlp_model, tmp_path,
+                    capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(NOT_UTF8)
+        paths = {"bad": bad, "out": tmp_path / "out", "model": mlp_model,
+                 "truth": small_concert["timeline"], "features": features_csv}
+        rc = main([a.format(**paths) for a in argv])
+        assert rc == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_model_sidecar(self, features_csv, mlp_model, tmp_path, capsys):
+        model = tmp_path / "model.tseg"
+        model.write_bytes(mlp_model.read_bytes())
+        sidecar = tmp_path / "model.tseg.json"
+        sidecar.write_bytes(NOT_UTF8)
+        rc = main(["classify", "--model", str(model),
+                   "--features", str(features_csv),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        assert f"{sidecar}: not UTF-8 text" in capsys.readouterr().err

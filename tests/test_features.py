@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,16 @@ class TestSmoothNormalize:
     def test_no_vocal_frames(self):
         with pytest.raises(EmptyInputError):
             smooth_and_normalize(np.zeros((10, 3)), np.zeros(10, dtype=bool))
+
+    @pytest.mark.parametrize("odd", [[7], [1, 3, 5, 13]])
+    def test_valid_windows_only_at_odd_hops(self, odd):
+        # the 1 s decimation keeps even hops: nothing is left to normalize
+        valid = np.zeros(15, dtype=bool)
+        valid[odd] = True
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptyInputError, match="1 s frame grid"):
+                smooth_and_normalize(np.ones((15, 3)), valid)
 
 
 def fm_track(rate_hz=6.0, depth=150.0, dur_s=30.0, base=2400.0, ramp=True):

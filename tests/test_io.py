@@ -177,6 +177,18 @@ class TestTextGrid:
         with pytest.raises(ParseError):
             parse_textgrid(path)
 
+    @pytest.mark.parametrize("raw", [
+        b'File type = "ooTextFile"\n\xff\n',          # not UTF-8
+        b'\xef\xbb\xbfFile type = "ooTextFile"\n\xff\n',  # BOM, then not
+        b'\xff\xfeF\x00i',                             # cut UTF-16
+    ], ids=["utf-8", "utf-8-bom", "utf-16-cut"])
+    def test_undecodable_text_rejected(self, tmp_path, raw):
+        path = tmp_path / "bad.TextGrid"
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="undecodable text") as info:
+            parse_textgrid(path)
+        assert info.value.path == path
+
     def test_tier_to_timeline_label_mapping(self):
         tl = tier_to_timeline(_doc().tiers[0])
         assert [s.label for s in tl] == ["instrumental", "taan", "non-taan"]

@@ -1,9 +1,9 @@
-"""Streamed spectral front end against the whole-spectrogram code it
-replaced.
+"""Streamed spectral front end against the whole-clip code it replaced.
 
-The oracles below are the one-shot spectrogram formula, the per-candidate
-F0 refinement and the per-frame harmonic-energy loop, kept verbatim in
-their scalar form as references.
+The oracles below are the whole-clip resampler, the one-shot spectrogram
+formula, the (n_cands, n_frames) harmonic-sum matrix with its argmax, the
+per-candidate F0 refinement and the per-frame harmonic-energy loop, kept
+verbatim in their scalar form as references.
 """
 
 import tracemalloc
@@ -11,25 +11,40 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taanseg import pipeline
+from taanseg import dsp, pipeline
 from taanseg.cli import main
 from taanseg.config import PipelineConfig
 from taanseg.dsp import (
     FRAME_BLOCK,
     LOG_FLOOR,
+    RESAMPLE_CHUNK,
     AudioClip,
     LogSpectrogram,
+    _lowpass_taps,
     hamming_window,
     log_spectrogram,
     log_spectrogram_blocks,
+    resample,
 )
 from taanseg.errors import EmptyInputError
-from taanseg.vocal import HARMONIC_CEILING_HZ, UNVOICED_DB
+from taanseg.vocal import HARMONIC_CEILING_HZ, UNVOICED_DB, detect_f0_baseline
 from taanseg.wavio import write_wav
 
 SR = 8000
 HOP = 80   # 10 ms at 8 kHz
 WIN = 320  # 40 ms at 8 kHz
+
+
+def whole_resample(clip, target_hz):
+    """The whole-clip resampler: one full convolution of the clip and one
+    interpolation over all of it."""
+    sr = clip.sample_rate
+    h = _lowpass_taps(0.45 * target_hz / sr)
+    filtered = np.convolve(clip.samples, h, mode="full")
+    delay = (len(h) - 1) / 2.0
+    n_out = int(round(len(clip.samples) * target_hz / sr))
+    pos = np.arange(n_out) * (sr / target_hz) + delay
+    return np.interp(pos, np.arange(len(filtered)), filtered)
 
 
 def oneshot_values(clip, win_s, hop_s, n_dft):
@@ -61,8 +76,9 @@ def scalar_ranges(f0, n_bins, bin_hz, tol_cents, n_harmonics):
     return ranges
 
 
-def loop_detect_f0(spec, cfg):
-    """Harmonic-sum F0 search with per-candidate refinement loops."""
+def oracle_sums(spec, cfg):
+    """(n_cands, n_frames) harmonic sums, weight sums and harmonic ranges
+    of every candidate."""
     n_cands = int(np.floor(1200.0 * np.log2(cfg.f0_max_hz / cfg.f0_min_hz)
                            / cfg.f0_grid_cents)) + 1
     candidates = cfg.f0_min_hz * 2.0 ** (
@@ -81,6 +97,14 @@ def loop_detect_f0(spec, cfg):
                 slice_max[(lo, hi)] = mags[lo:hi].max(axis=0)
             sums[ci] += slice_max[(lo, hi)] / h
             weight_sum[ci] += 1.0 / h
+    return sums, weight_sum, cand_ranges
+
+
+def loop_detect_f0(spec, cfg):
+    """Harmonic-sum F0 search with per-candidate refinement loops."""
+    mags = spec.magnitudes()
+    n_frames = mags.shape[1]
+    sums, weight_sum, cand_ranges = oracle_sums(spec, cfg)
     best = np.argmax(sums, axis=0)
     best_sum = sums[best, np.arange(n_frames)]
     threshold = (cfg.voicing_factor * np.maximum(weight_sum[best], 1e-12)
@@ -212,22 +236,147 @@ class TestSpectrogramLayout:
         assert np.array_equal(np.concatenate([b.values for b in blocks],
                                              axis=1), whole.values)
 
+    def test_window_fills_the_dft(self, reference):
+        # win == n_dft leaves no zero padding in the reused frame buffer;
+        # the clip ends in a partial block
+        clip = reference[0]
+        spec = log_spectrogram(clip, 1024 / SR, 0.01, 1024)
+        assert spec.n_frames > FRAME_BLOCK and spec.n_frames % FRAME_BLOCK
+        assert np.array_equal(spec.values,
+                              oneshot_values(clip, 1024 / SR, 0.01, 1024))
+
+
+def peak_spectrogram(bins, n_bins=513):
+    """Log spectrogram at the LOG_FLOOR magnitude everywhere except one
+    magnitude-1 bin per frame (none where bins holds -1)."""
+    values = np.full((n_bins, len(bins)), np.log(LOG_FLOOR))
+    for t, b in enumerate(bins):
+        if b >= 0:
+            values[b, t] = 0.0
+    return LogSpectrogram(values=values, bin_hz=SR / 1024, hop_s=0.01)
+
+
+class TestF0Ties:
+    """A lone peak lies within the fundamental's range of several adjacent
+    candidates, whose harmonic sums are then exactly equal: the lowest
+    one wins, as np.argmax picks it from the whole sum matrix."""
+
+    def test_equal_sums_pick_the_lowest_candidate(self):
+        cfg = PipelineConfig()
+        # bins 10 and 11 tie with candidate 0 (80 Hz); the last frame
+        # ties every candidate with ten harmonics below 5 kHz
+        spec = peak_spectrogram(list(range(10, 64)) + [-1])
+        sums, _, _ = oracle_sums(spec, cfg)
+        n_max = (sums == sums.max(axis=0)).sum(axis=0)
+        assert n_max.min() >= 2
+        assert (sums[0] == sums.max(axis=0))[:2].all()
+        track = detect_f0_baseline(spec)
+        expected = loop_detect_f0(spec, cfg)
+        assert (expected[:-1] > 0).all() and expected[-1] == 0
+        assert np.array_equal(track.f0_hz, expected)
+
+
+def test_f0_working_set():
+    # the magnitudes (1x the spectrogram) and the cached slice maxima
+    # (about 1.7x) set the peak; a (n_cands, n_frames) sum matrix (0.7x),
+    # a second copy for the median (1x), or the slice cache kept alive
+    # next to the median's frame-major copy (1x) each push it past 3x
+    rng = np.random.default_rng(2)
+    clip = AudioClip(samples=0.1 * rng.standard_normal(30 * SR),
+                     sample_rate=SR)
+    spec = log_spectrogram(clip, 0.04, 0.01, 1024)
+    tracemalloc.start()
+    try:
+        detect_f0_baseline(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * spec.values.nbytes
+
+
+class TestChunkedResample:
+    @staticmethod
+    def clip_for(n_out, sr, seed=0):
+        """Noise at sr that resamples to exactly n_out samples at 8 kHz."""
+        n = int(round(n_out * sr / 8000))
+        assert int(round(n * 8000 / sr)) == n_out
+        rng = np.random.default_rng(seed)
+        return AudioClip(samples=rng.uniform(-1.0, 1.0, n), sample_rate=sr)
+
+    @pytest.mark.parametrize("sr", [16000, 22050, 44100, 48000])
+    @pytest.mark.parametrize("n_out", [
+        RESAMPLE_CHUNK - 1, RESAMPLE_CHUNK, RESAMPLE_CHUNK + 1,
+        3 * RESAMPLE_CHUNK + 777,
+    ])
+    def test_matches_whole_clip(self, sr, n_out):
+        clip = self.clip_for(n_out, sr)
+        out = resample(clip, 8000)
+        assert out.sample_rate == 8000 and len(out.samples) == n_out
+        assert np.array_equal(out.samples, whole_resample(clip, 8000))
+
+    @pytest.mark.parametrize("sr", [16000, 22050, 44100, 48000])
+    def test_shorter_than_the_filter(self, sr):
+        rng = np.random.default_rng(3)
+        for n in (1, 2, 5, 17, 63, 64, 65):
+            clip = AudioClip(samples=rng.uniform(-1.0, 1.0, n), sample_rate=sr)
+            assert np.array_equal(resample(clip, 8000).samples,
+                                  whole_resample(clip, 8000))
+
+    @pytest.mark.parametrize("sr", [16000, 44100, 48000])
+    def test_every_chunk_tail(self, monkeypatch, sr):
+        # 5-sample chunks put a chunk boundary at every position of the
+        # filter's tail, where the input stretch is shortest
+        monkeypatch.setattr(dsp, "RESAMPLE_CHUNK", 5)
+        rng = np.random.default_rng(4)
+        for n in range(1, 400, 3):
+            clip = AudioClip(samples=rng.uniform(-1.0, 1.0, n), sample_rate=sr)
+            assert np.array_equal(resample(clip, 8000).samples,
+                                  whole_resample(clip, 8000))
+
+    def test_same_rate_returns_the_clip(self):
+        clip = self.clip_for(100, 8000)
+        assert resample(clip, 8000) is clip
+
+    def test_memory_is_o_chunk(self):
+        # working memory besides the output, at 2 and 8 min of 44.1 kHz
+        extra = []
+        for minutes in (2, 8):
+            clip = self.clip_for(minutes * 60 * 8000, 44100)
+            tracemalloc.start()
+            try:
+                out = resample(clip, 8000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra.append(peak - out.samples.nbytes)
+        assert extra[1] <= 1.25 * extra[0]
+
 
 def traced_peak(clip):
-    """tracemalloc peak of extract_track, less its resampled input copy."""
+    """tracemalloc peak of extract_track; the clip itself is not counted
+    (an 8 kHz clip is tracked as it is, without a resampled copy)."""
     tracemalloc.start()
     try:
         pipeline.extract_track(clip)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - clip.samples.nbytes
+    return peak
 
 
-def test_memory_is_o_block():
+@pytest.fixture(scope="module")
+def noise_peaks():
+    """traced_peak of noise clips, by (seconds, sample rate)."""
     rng = np.random.default_rng(1)
-    short = AudioClip(samples=0.1 * rng.standard_normal(120 * SR),
-                      sample_rate=SR)
-    long = AudioClip(samples=0.1 * rng.standard_normal(480 * SR),
-                     sample_rate=SR)
-    assert traced_peak(long) <= 1.25 * traced_peak(short)
+    return {(secs, sr): traced_peak(AudioClip(
+        samples=0.1 * rng.standard_normal(secs * sr), sample_rate=sr))
+        for secs, sr in ((120, SR), (480, SR), (120, 44100))}
+
+
+def test_memory_is_o_block(noise_peaks):
+    assert noise_peaks[480, SR] <= 1.25 * noise_peaks[120, SR]
+
+
+@pytest.mark.parametrize("secs, sr", [(480, SR), (120, 44100)])
+def test_memory_bound(noise_peaks, secs, sr):
+    assert noise_peaks[secs, sr] <= 100e6
