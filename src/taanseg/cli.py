@@ -161,20 +161,13 @@ def _run(args, cfg):
         if len(args.audio) != len(args.labels):
             raise UsageError("--audio and --labels must pair up")
         patches, targets = [], []
-        stats = None
         specs = [_cnn_patch_spec(a) for a in args.audio]
-        # band statistics over the whole training set
-        bands = np.concatenate([s.values[:cnn.PATCH_BINS] for s in specs],
-                               axis=1)
-        mean = bands.mean(axis=1)
-        std = np.sqrt(np.maximum(bands.var(axis=1), cfg.band_var_floor))
-        stats = (mean, std)
+        stats = cnn.spectrogram_band_stats(specs)
         for spec, lpath in zip(specs, args.labels):
             pats, _ = cnn.make_patches(spec, band_stats=stats)
-            y, vmask = _load_labels_as_targets(lpath, len(pats))
-            for k, p in enumerate(pats[: len(y)]):
-                patches.append(p)
-                targets.append(y[k])
+            y, _ = _load_labels_as_targets(lpath, len(pats))
+            patches.extend(pats[: len(y)])
+            targets.extend(y)
         model = cnn.cnn_train(patches, targets, stats, epochs=cfg.cnn_epochs,
                               lr0=cfg.cnn_lr0, halve_every=cfg.cnn_halve_every,
                               batch=cfg.cnn_batch, seed=cfg.cnn_seed)

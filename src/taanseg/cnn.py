@@ -61,6 +61,14 @@ class CnnModel:
     meta: dict = field(default_factory=dict)
 
 
+def spectrogram_band_stats(specs):
+    """Mean and floored std of the PATCH_BINS lowest bands over specs."""
+    bands = [s.values[:PATCH_BINS] for s in specs]
+    bands = bands[0] if len(bands) == 1 else np.concatenate(bands, axis=1)
+    return (bands.mean(axis=1),
+            np.sqrt(np.maximum(bands.var(axis=1), BAND_VAR_FLOOR)))
+
+
 def make_patches(spec, band_stats=None):
     """Cut a log spectrogram into band-normalized 94x50 patches.
 
@@ -74,25 +82,16 @@ def make_patches(spec, band_stats=None):
         )
     if spec.n_bins < PATCH_BINS:
         raise InvalidArgumentError("spectrogram has too few bins")
-    bands = spec.values[:PATCH_BINS]
     if band_stats is None:
-        mean = bands.mean(axis=1)
-        std = np.sqrt(np.maximum(bands.var(axis=1), BAND_VAR_FLOOR))
+        mean, std = spectrogram_band_stats([spec])
     else:
-        mean, std = band_stats
-        mean = np.asarray(mean, dtype=np.float64)
-        std = np.asarray(std, dtype=np.float64)
+        mean, std = (np.asarray(v, dtype=np.float64) for v in band_stats)
         if mean.shape != (PATCH_BINS,) or std.shape != (PATCH_BINS,):
             raise InvalidArgumentError("band statistics need 94 entries each")
-    normed = (bands - mean[:, None]) / std[:, None]
-    n_patches = spec.n_frames // PATCH_FRAMES
-    patches = [
-        SpectrogramPatch(
-            values=normed[:, k * PATCH_FRAMES : (k + 1) * PATCH_FRAMES],
-            origin=("", k),
-        )
-        for k in range(n_patches)
-    ]
+    normed = (spec.values[:PATCH_BINS] - mean[:, None]) / std[:, None]
+    step = PATCH_FRAMES
+    patches = [SpectrogramPatch(normed[:, k * step : (k + 1) * step], ("", k))
+               for k in range(spec.n_frames // step)]
     return patches, (mean, std)
 
 
@@ -106,34 +105,35 @@ def _im2col(x, kh, kw):
         -1, kh * kw * x.shape[1])
 
 
-def _conv_valid(x, w, b):
+def _conv_valid(x, w, b, cols=None):
     """Valid cross-correlation as im2col + one matmul. x (B,C,H,W),
-    w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last memory."""
+    w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last memory.
+    cols, when given, is x's im2col matrix, built once by the caller."""
     f, _, kh, kw = w.shape
     bsz, _, h, wd = x.shape
-    z = _im2col(x, kh, kw) @ w.transpose(0, 2, 3, 1).reshape(f, -1).T
+    if cols is None:
+        cols = _im2col(x, kh, kw)
+    z = cols @ w.transpose(0, 2, 3, 1).reshape(f, -1).T
     z += b
     return z.reshape(bsz, h - kh + 1, wd - kw + 1, f).transpose(0, 3, 1, 2)
 
 
-def _conv_backward(x, w, d_out, input_grad=True):
+def _conv_backward(x, w, d_out, input_grad=True, cols=None):
     """Gradients of a valid cross-correlation wrt weights, bias and, with
-    input_grad, input (else None). The input gradient d @ W is scattered
-    back one kernel tap at a time."""
+    input_grad, input (else None), which is the zero-padded d_out correlated
+    with the flipped, channel-swapped kernel; cols: x's im2col, if built."""
     f, c, kh, kw = w.shape
-    bsz, _, ho, wo = d_out.shape
+    if cols is None:
+        cols = _im2col(x, kh, kw)
     d = d_out.transpose(0, 2, 3, 1).reshape(-1, f)
-    gw = (d.T @ _im2col(x, kh, kw)).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+    gw = (d.T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     gb = d.sum(axis=0)
     if not input_grad:
         return gw, gb, None
-    dcols = (d @ w.transpose(0, 2, 3, 1).reshape(f, -1)).reshape(
-        bsz, ho, wo, kh, kw, c)
-    gx = np.zeros((bsz, x.shape[2], x.shape[3], c))
-    for i in range(kh):
-        for j in range(kw):
-            gx[:, i : i + ho, j : j + wo] += dcols[:, :, :, i, j]
-    return gw, gb, gx.transpose(0, 3, 1, 2)
+    pad = np.pad(d_out.transpose(0, 2, 3, 1),
+                 ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
+    return gw, gb, _conv_valid(pad.transpose(0, 3, 1, 2),
+                               w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 0.0)
 
 
 def _pool2(x):
@@ -157,20 +157,24 @@ def _check_shape(x, expected, stage):
         raise InternalError(f"{stage}: shape {x.shape[1:]}, expected {expected}")
 
 
-def _conv_stack_forward(model, xb):
-    """Shared conv/pool stack; returns intermediates for backprop."""
-    z1 = _conv_valid(xb, model.conv1_w, model.conv1_b)
+def _conv_stack_forward(model, xb, keep_cols=False):
+    """Shared conv/pool stack; returns intermediates for backprop, with
+    keep_cols also both im2col matrices (else each is freed after use)."""
+    cols1 = _im2col(xb, *model.conv1_w.shape[2:]) if keep_cols else None
+    z1 = _conv_valid(xb, model.conv1_w, model.conv1_b, cols1)
     a1 = sigmoid(z1)
     _check_shape(a1, SHAPE_CHAIN[1], "conv1")
     p1 = _pool2(a1)
     _check_shape(p1, SHAPE_CHAIN[2], "pool1")
-    z2 = _conv_valid(p1, model.conv2_w, model.conv2_b)
+    cols2 = _im2col(p1, *model.conv2_w.shape[2:]) if keep_cols else None
+    z2 = _conv_valid(p1, model.conv2_w, model.conv2_b, cols2)
     a2 = sigmoid(z2)
     _check_shape(a2, SHAPE_CHAIN[3], "conv2")
     p2 = _pool2(a2)
     _check_shape(p2, SHAPE_CHAIN[4], "pool2")
     flat = p2.reshape(len(xb), -1)      # (B, 2100) once pool2 checks out
-    return {"x": xb, "a1": a1, "p1": p1, "a2": a2, "p2": p2, "flat": flat}
+    return {"cols1": cols1, "a1": a1, "p1": p1, "cols2": cols2, "a2": a2,
+            "p2": p2, "flat": flat}
 
 
 def _features(model, x):
@@ -246,34 +250,46 @@ def cnn_init(seed):
     )
 
 
-def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None):
-    """Gradients for conv stack + direct softmax head on one batch.
-
-    feat_stats, when given, is a fixed (mean, std) pair used to z-score
-    the 2100-d pooling vectors before the head; this preconditions the
-    head without changing what the conv stack computes.
-    """
-    acts = _conv_stack_forward(model, xb)
-    mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
-    inv_sd = 1.0 / sd
+def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
+    """_stage1_grads of one block; its im2col matrices serve both passes,
+    and every intermediate is freed on return."""
+    acts = _conv_stack_forward(model, xb, keep_cols=True)
+    rows = np.arange(len(xb))
     feat = (acts["flat"] - mu) * inv_sd
     p = softmax(feat @ head_w + head_b)
-    n = len(xb)
     delta = p.copy()
-    delta[np.arange(n), yb] -= 1.0
-    g_head_w = feat.T @ delta
-    g_head_b = delta.sum(axis=0)
-    d_flat = (delta @ head_w.T) * inv_sd
-    d_p2 = d_flat.reshape(acts["p2"].shape)
+    delta[rows, yb] -= 1.0
+    d_p2 = ((delta @ head_w.T) * inv_sd).reshape(acts["p2"].shape)
     d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
     d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
-    g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2)
+    g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2,
+                                    cols=acts["cols2"])
     d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
-    g1w, g1b, _ = _conv_backward(acts["x"], model.conv1_w, d_z1,
-                                 input_grad=False)
-    nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))))
-    return (g1w, g1b, g2w, g2b, g_head_w, g_head_b), nll
+    g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
+                                 cols=acts["cols1"])
+    nll = float(np.sum(-np.log(np.maximum(p[rows, yb], 1e-300))))
+    return (g1w, g1b, g2w, g2b, feat.T @ delta, delta.sum(axis=0)), nll
+
+
+def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None):
+    """Gradients for conv stack + direct softmax head on one batch, and its
+    summed NLL, FORWARD_BLOCK patches at a time (all is row-wise up to the
+    batch sums, so blocking changes only their order). feat_stats, if
+    given, is a fixed (mean, std) z-scoring the 2100-d pooling vectors
+    before the head, which preconditions it without changing the stack."""
+    mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
+    blocks = [_stage1_block_grads(model, head_w, head_b,
+                                  xb[s : s + FORWARD_BLOCK],
+                                  yb[s : s + FORWARD_BLOCK], mu, 1.0 / sd)
+              for s in range(0, len(xb), FORWARD_BLOCK)]
+    grads = tuple(sum(g) for g in zip(*(g for g, _ in blocks)))
+    return grads, sum(nll for _, nll in blocks)
+
+
+def _feature_stats(feats):
+    """Per-column mean and std (floored at 1e-6) of pooling features."""
+    return feats.mean(axis=0), np.maximum(feats.std(axis=0), 1e-6)
 
 
 def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
@@ -300,38 +316,24 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     # fixed preconditioning statistics from the untrained stack; the
     # sqrt(D) factor keeps the softmax-head step size independent of the
     # 2100-d feature width
-    feats0 = _features(model, x)
-    s1_stats = (feats0.mean(axis=0),
-                np.maximum(feats0.std(axis=0), 1e-6)
-                * np.sqrt(feats0.shape[1]))
+    mu0, sd0 = _feature_stats(_features(model, x))
+    s1_stats = (mu0, sd0 * np.sqrt(SHAPE_CHAIN[5][0]))
 
     # conv gradients sum over every output position, so scale their steps
     # by the map size to keep updates comparable across layers
-    n1 = SHAPE_CHAIN[1][1] * SHAPE_CHAIN[1][2]
-    n2 = SHAPE_CHAIN[3][1] * SHAPE_CHAIN[3][2]
-    params = (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
-              head_w, head_b)
-    stage1_loss = []
-    for epoch in range(epochs):
-        lr = lr0 * 0.5 ** (epoch // halve_every)
-        order = rng.permutation(len(x))
-        total = 0.0
-        for s in range(0, len(x), batch):
-            idx = order[s : s + batch]
-            grads, nll = _stage1_grads(model, head_w, head_b,
-                                       x[idx], labels[idx], s1_stats)
-            step = lr / len(idx)
-            for arr, grad, size in zip(params, grads, (n1, n1, n2, n2, 1, 1)):
-                arr -= step / size * grad
-            total += nll
-        stage1_loss.append(total / len(x))
+    n1, n2 = (SHAPE_CHAIN[k][1] * SHAPE_CHAIN[k][2] for k in (1, 3))
+    stage1_loss = list(mlp_mod.sgd_epochs(
+        (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
+         head_w, head_b), (n1, n1, n2, n2, 1, 1),
+        lambda xb, yb, _: _stage1_grads(model, head_w, head_b, xb, yb,
+                                        s1_stats),
+        x, labels, np.ones(len(x)), rng, lr0, epochs, batch, halve_every))
 
     # stage 2: frozen conv stack, train the fully connected head on
     # z-scored pooling vectors; the affine transform folds exactly into
     # the stored weights afterwards, so inference sees raw features.
     feats = _features(model, x)
-    mu = feats.mean(axis=0)
-    sd = np.maximum(feats.std(axis=0), 1e-6)
+    mu, sd = _feature_stats(feats)
     head = mlp_mod.mlp_init(hidden=300, seed=seed, n_in=2100, n_out=2)
     head, stage2_loss = mlp_mod.mlp_train(
         head, (feats - mu) / sd, labels, lr=lr0,
@@ -342,11 +344,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     model.fc_b = head.b1 - (mu / sd) @ head.w1
     model.out_w = head.w2
     model.out_b = head.b2
-    model.meta.update({
-        "epochs": epochs,
-        "lr0": lr0,
-        "halve_every": halve_every,
-        "stage1_loss": [float(v) for v in stage1_loss],
-        "stage2_loss": [float(v) for v in stage2_loss],
-    })
+    model.meta.update(epochs=epochs, lr0=lr0, halve_every=halve_every,
+                      stage1_loss=[float(v) for v in stage1_loss],
+                      stage2_loss=[float(v) for v in stage2_loss])
     return model

@@ -43,7 +43,6 @@ class PipelineConfig:
     cnn_batch: int = 32
     cnn_seed: int = 0
     conv_activation: str = "sigmoid"
-    band_var_floor: float = 1e-12
     # segmentation
     novelty_half_width_s: float = 5.0
     gaussian_taper: bool = True
@@ -97,14 +96,14 @@ def load_config(path=None):
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
-        if not _is_type(value, types[key]):
+        if not fits_type(value, types[key]):
             raise DataError(f"{path}: config value {key}={value!r} is not "
                             f"of type {types[key].__name__}")
         setattr(cfg, key, value)
     return cfg.validate()
 
 
-def _is_type(value, kind):
+def fits_type(value, kind):
     """Whether a JSON value fits a field type: an int also fits a float
     field, but a bool fits only a bool field."""
     if isinstance(value, bool) or kind is bool:

@@ -23,14 +23,6 @@ class MlpModel:
     def n_in(self):
         return self.w1.shape[0]
 
-    @property
-    def hidden(self):
-        return self.w1.shape[1]
-
-    @property
-    def n_out(self):
-        return self.w2.shape[1]
-
     def copy(self):
         return MlpModel(self.w1.copy(), self.b1.copy(),
                         self.w2.copy(), self.b2.copy(), dict(self.meta))
@@ -107,6 +99,29 @@ def _grads(model, xb, yb, weights):
     return (gw1, gb1, gw2, gb2), nll
 
 
+def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
+               batch, halve_every=None):
+    """Shuffled mini-batch SGD on the arrays in params, in place; yields
+    each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (grads in
+    params order, summed weighted loss). A batch steps by lr over its
+    weight sum, divided by the parameter's scale."""
+    for epoch in range(epochs):
+        lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
+        order = rng.permutation(len(x))
+        total = wsum = 0.0
+        for s in range(0, len(x), batch):
+            idx = order[s : s + batch]
+            wb = weights[idx]
+            grads, loss = grad_fn(x[idx], y[idx], wb)
+            bw = wb.sum()
+            step = lr_e / max(bw, 1e-12)
+            for arr, grad, scale in zip(params, grads, scales):
+                arr -= step / scale * grad
+            total += loss
+            wsum += bw
+        yield total / wsum
+
+
 def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
               class_balance=True, halve_every=None):
     """Mini-batch SGD; returns (trained model, per-epoch mean loss).
@@ -130,26 +145,13 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
         weights = np.ones(len(y))
 
     model = model.copy()
-    rng = np.random.default_rng(seed)
     losses = []
-    for epoch in range(epochs):
-        lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
-        order = rng.permutation(len(x))
-        total = 0.0
-        wsum = 0.0
-        for s in range(0, len(x), batch):
-            idx = order[s : s + batch]
-            grads, nll = _grads(model, x[idx], y[idx], weights[idx])
-            bw = weights[idx].sum()
-            step = lr_e / max(bw, 1e-12)
-            model.w1 -= step * grads[0]
-            model.b1 -= step * grads[1]
-            model.w2 -= step * grads[2]
-            model.b2 -= step * grads[3]
-            total += nll
-            wsum += bw
-        losses.append(total / wsum)
-        if not np.isfinite(losses[-1]):
+    for loss in sgd_epochs(
+            (model.w1, model.b1, model.w2, model.b2), (1, 1, 1, 1),
+            lambda xb, yb, wb: _grads(model, xb, yb, wb), x, y, weights,
+            np.random.default_rng(seed), lr, epochs, batch, halve_every):
+        losses.append(loss)
+        if not np.isfinite(loss):
             raise InvalidArgumentError("training diverged: non-finite loss")
     model.meta.update({"epochs": epochs, "lr": lr,
                        "loss_history": [float(v) for v in losses]})

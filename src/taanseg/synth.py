@@ -3,13 +3,17 @@ voice rendering over a drone-and-percussion bed, plus ground-truth
 timelines and 1 s frame labels. Serves as the test corpus.
 """
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import fits_type
 from .dsp import AudioClip
-from .errors import InvalidArgumentError, ResourceLimitError, open_utf8
+from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
+                     open_utf8)
 from .segmentation import Section, SectionTimeline
 
 STYLES = ("taan", "steady-vocal", "glide-vocal", "instrumental")
@@ -51,12 +55,46 @@ class ConcertScript:
         return sum(s.duration_s for s in self.sections)
 
 
+_SCRIPT_TYPES = {"sections": list, "seed": int, "sample_rate": int}
+
+
+def _check_object(path, where, obj, types, required):
+    """DataError unless obj is a JSON object with every required key and
+    only keys of `types`, each holding a value of its type (floats finite)."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {where} must be a JSON object")
+    for key in required:
+        if key not in obj:
+            raise DataError(f"{path}: {where} has no {key!r} key")
+    for key, value in obj.items():
+        if key not in types:
+            raise DataError(f"{path}: {where} has unknown key {key!r}")
+        kind = types[key]
+        if not fits_type(value, kind) or (kind is float
+                                          and not math.isfinite(value)):
+            want = ("a finite number" if kind is float
+                    else f"of type {kind.__name__}")
+            raise DataError(f"{path}: {where} key {key!r}: {value!r} is not "
+                            f"{want}")
+
+
 def script_from_json(path):
+    """Read a concert script. Malformed content raises DataError naming
+    the path and the offending key."""
     with open_utf8(path) as fh:
         data = json.load(fh)
-    sections = [SectionSpec(**s) for s in data["sections"]]
-    return ConcertScript(sections=sections, seed=int(data.get("seed", 0)),
-                         sample_rate=int(data.get("sample_rate", 8000)))
+    _check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
+    types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
+    sections = []
+    for k, spec in enumerate(data["sections"]):
+        where = f"section {k}"
+        _check_object(path, where, spec, types, ("style", "duration_s"))
+        try:
+            sections.append(SectionSpec(**spec))
+        except InvalidArgumentError as exc:
+            raise DataError(f"{path}: {where}: {exc}") from None
+    return ConcertScript(sections=sections, seed=data.get("seed", 0),
+                         sample_rate=data.get("sample_rate", 8000))
 
 
 def script_to_json(script, path):
@@ -157,6 +195,10 @@ def synth_concert(script):
     Frame labels are per 1 s frame: taan / non-taan / instrumental.
     Fully deterministic given the script's seed.
     """
+    if not script.sections:
+        raise InvalidArgumentError("script has no sections")
+    if script.seed < 0:
+        raise InvalidArgumentError(f"seed {script.seed} is negative")
     total = script.total_duration()
     if total > MAX_DURATION_S:
         raise ResourceLimitError(

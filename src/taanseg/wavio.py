@@ -16,37 +16,50 @@ def read_wav(path):
         data = fh.read()
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise ParseError("not a RIFF/WAVE file", path=path)
+    view = memoryview(data)
     pos = 12
     fmt = None
     payload = None
     while pos + 8 <= len(data):
         cid = data[pos : pos + 4]
         size = struct.unpack("<I", data[pos + 4 : pos + 8])[0]
-        body = data[pos + 8 : pos + 8 + size]
+        body = view[pos + 8 : pos + 8 + size]
         if cid == b"fmt ":
             if len(body) < 16:
                 raise ParseError(f"fmt chunk has {len(body)} bytes, need 16",
                                  path=path)
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
+            if len(body) < size:
+                raise ParseError(f"data chunk states {size} bytes but only "
+                                 f"{len(body)} follow", path=path)
             payload = body
         pos += 8 + size + (size & 1)
     if fmt is None or payload is None:
         raise ParseError("missing fmt or data chunk", path=path)
     audio_format, channels, sample_rate, _, _, bits = fmt
+    if channels == 0:
+        raise ParseError("fmt chunk declares 0 channels", path=path)
     if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+        dtype = "<i2"
     elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if len(bad):
-            raise ParseError(f"non-finite sample {samples[bad[0]]} at payload "
-                             f"index {bad[0]}", path=path)
+        dtype = "<f4"
     else:
         raise UnsupportedFormatError(
             f"{path}: unsupported WAV encoding (format {audio_format}, "
             f"{bits}-bit); only 16-bit PCM and 32-bit float are accepted"
         )
+    if len(payload) % (bits // 8):
+        raise ParseError(f"data chunk of {len(payload)} bytes is not a whole "
+                         f"number of {bits}-bit samples", path=path)
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+    if audio_format == 1:
+        samples /= 32768.0
+    else:
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if len(bad):
+            raise ParseError(f"non-finite sample {samples[bad[0]]} at payload "
+                             f"index {bad[0]}", path=path)
     if channels > 1:
         samples = samples[: len(samples) // channels * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)

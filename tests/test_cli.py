@@ -338,6 +338,48 @@ class TestReaderCrashes:
         assert rc == 2
         assert "fmt chunk" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, key", [
+        ("{}", "'sections'"),
+        ('{"sections": [{"style": "taan", "duration_s": 5.0, "tempo": 1}]}',
+         "'tempo'"),
+        ('{"sections": [{"style": "taan", "duration_s": "x"}]}',
+         "'duration_s'"),
+        ('[{"style": "taan", "duration_s": 5.0}]', "JSON object"),
+    ], ids=["no-sections", "unknown-section-key", "duration-not-number",
+            "top-level-list"])
+    def test_synth_script_contract(self, tmp_path, capsys, text, key):
+        script = tmp_path / "script.json"
+        script.write_text(text)
+        rc = main(["synth", "--script", str(script),
+                   "--out-wav", str(tmp_path / "x.wav")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{script}: " in err and key in err
+
+    @pytest.mark.parametrize("fmt, payload, stated, message", [
+        ((1, 1, 8000, 16000, 2, 16), bytes(8001), None,
+         "not a whole number of 16-bit samples"),
+        ((3, 1, 8000, 32000, 4, 32), bytes(8002), None,
+         "not a whole number of 32-bit samples"),
+        ((1, 0, 8000, 16000, 2, 16), bytes(8000), None, "0 channels"),
+        ((1, 1, 8000, 16000, 2, 16), bytes(8000), 16000,
+         "states 16000 bytes but only 8000 follow"),
+    ], ids=["pcm16-odd-bytes", "float32-partial-sample", "zero-channels",
+            "data-past-end-of-file"])
+    def test_wav_data_chunk_contract(self, tmp_path, capsys, fmt, payload,
+                                     stated, message):
+        fmt_body = struct.pack("<HHIIHH", *fmt)
+        size = len(payload) if stated is None else stated
+        chunks = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body))
+                  + fmt_body + b"data" + struct.pack("<I", size) + payload)
+        wav = tmp_path / "bad.wav"
+        wav.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+        rc = main(["tracks", "--audio", str(wav),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{wav}: " in err and message in err
+
     @pytest.mark.parametrize("content", [
         b"TSEG\x01",                                   # cut after the magic
         b"TSEG" + struct.pack("<HI", 1, 2) + b"\xff{",  # header not UTF-8

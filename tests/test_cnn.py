@@ -24,6 +24,7 @@ from taanseg.cnn import (
     cnn_train,
     export_channel_maps,
     make_patches,
+    spectrogram_band_stats,
 )
 from taanseg.dsp import AudioClip, log_spectrogram
 from taanseg.errors import EmptyInputError, InternalError, InvalidArgumentError
@@ -71,6 +72,14 @@ class TestPatches:
         bands = spec.values[:PATCH_BINS]
         normed = (bands - mean[:, None]) / std[:, None]
         assert np.allclose(normed.mean(axis=1), 0.0, atol=1e-7)
+
+    def test_band_stats_pool_every_spectrogram(self):
+        specs = [self._spec(3.0, 400.0), self._spec(2.0, 700.0)]
+        bands = np.concatenate([s.values[:PATCH_BINS] for s in specs], axis=1)
+        mean, std = spectrogram_band_stats(specs)
+        np.testing.assert_array_equal(mean, bands.mean(axis=1))
+        np.testing.assert_array_equal(
+            std, np.sqrt(np.maximum(bands.var(axis=1), 1e-12)))
 
     def test_tone_row_with_unit_stats(self):
         # With identity band stats the 400 Hz ridge sits at bin

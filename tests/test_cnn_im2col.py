@@ -1,9 +1,10 @@
 """Equivalence tests for the im2col convolution, the blocked whole-set
-forward pass and the branch-free sigmoid.
+forward pass, the blocked stage-1 gradients and the branch-free sigmoid.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
-reshape-mean pooling and the boolean-mask sigmoid.
+reshape-mean pooling, the batch-at-once stage-1 gradients and the
+boolean-mask sigmoid.
 """
 
 import tracemalloc
@@ -21,13 +22,16 @@ from taanseg.cnn import (
     _conv_valid,
     _features,
     _forward,
+    _im2col,
     _pool2,
     _pool2_backward,
+    _stage1_grads,
     cnn_forward,
     cnn_init,
     cnn_posteriors,
+    cnn_train,
 )
-from taanseg.mlp import sigmoid
+from taanseg.mlp import sigmoid, softmax
 
 
 def _oracle_conv_valid(x, w, b):
@@ -80,7 +84,7 @@ GEOMETRIES = {
 }
 
 
-@pytest.mark.parametrize("batch", [1, 5])
+@pytest.mark.parametrize("batch", [1, 5, FORWARD_BLOCK])
 @pytest.mark.parametrize("layer", sorted(GEOMETRIES))
 class TestConvAgainstEinsumOracle:
     def _inputs(self, layer, batch):
@@ -113,6 +117,13 @@ class TestConvAgainstEinsumOracle:
         rw, rb, rx = _oracle_conv_backward(x, w, d_out)
         for got, ref in ((gw, rw), (gb, rb), (gx, rx)):
             _assert_close(got, ref)
+
+    def test_backward_from_forward_columns(self, layer, batch):
+        x, w, _, d_out = self._inputs(layer, batch)
+        cols = _im2col(x, *w.shape[2:])
+        for got, ref in zip(_conv_backward(None, w, d_out, cols=cols),
+                            _conv_backward(x, w, d_out)):
+            np.testing.assert_array_equal(got, ref)
 
     def test_backward_without_input_gradient(self, layer, batch):
         x, w, _, d_out = self._inputs(layer, batch)
@@ -171,6 +182,70 @@ class TestBlockedForward:
         for k in (0, FORWARD_BLOCK):
             np.testing.assert_allclose(cnn_forward(model, patches[k])[1],
                                        batched[k], rtol=0, atol=1e-15)
+
+
+def _oracle_stage1_grads(model, head_w, head_b, xb, yb, feat_stats):
+    """The whole batch at once, with the per-tap einsum conv backward."""
+    acts = _conv_stack_forward(model, xb)
+    mu, sd = feat_stats
+    feat = (acts["flat"] - mu) / sd
+    p = softmax(feat @ head_w + head_b)
+    n = len(xb)
+    delta = p.copy()
+    delta[np.arange(n), yb] -= 1.0
+    d_p2 = ((delta @ head_w.T) / sd).reshape(acts["p2"].shape)
+    d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
+    d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
+    g2w, g2b, d_p1 = _oracle_conv_backward(acts["p1"], model.conv2_w, d_z2)
+    d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
+    d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
+    g1w, g1b, _ = _oracle_conv_backward(xb, model.conv1_w, d_z1)
+    nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))))
+    return (g1w, g1b, g2w, g2b, feat.T @ delta, delta.sum(axis=0)), nll
+
+
+class TestBlockedStage1Grads:
+    @pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK,
+                                   FORWARD_BLOCK + 1, 32, 33])
+    def test_matches_batch_at_once(self, n):
+        model = cnn_init(seed=n)
+        rng = np.random.default_rng(n)
+        head_w = rng.normal(scale=0.05, size=(2100, 2))
+        head_b = rng.normal(scale=0.1, size=2)
+        stats = (rng.normal(scale=0.1, size=2100),
+                 rng.uniform(0.5, 2.0, size=2100))
+        x = _patch_batch(n, seed=n)
+        y = rng.integers(0, 2, size=n)
+        grads, nll = _stage1_grads(model, head_w, head_b, x, y, stats)
+        ref, ref_nll = _oracle_stage1_grads(model, head_w, head_b, x, y, stats)
+        for got, want in zip(grads, ref):
+            _assert_close(got, want)
+        assert abs(nll - ref_nll) <= 1e-12 * max(1.0, abs(ref_nll))
+
+
+def _train_peak(patches, labels, batch):
+    stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+    tracemalloc.start()
+    try:
+        cnn_train(patches, labels, stats, epochs=1, head_epochs=1,
+                  batch=batch)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_memory_does_not_grow_with_batch():
+    # stage 1 runs FORWARD_BLOCK patches at a time, so the batch size sets
+    # only how often the weights move; a whole 64-patch batch would hold a
+    # ~97 MB conv1 im2col matrix
+    rng = np.random.default_rng(0)
+    patches = [SpectrogramPatch(rng.normal(size=(PATCH_BINS, PATCH_FRAMES)))
+               for _ in range(599)]
+    labels = rng.integers(0, 2, size=599)
+    peak32 = _train_peak(patches, labels, 32)
+    peak64 = _train_peak(patches, labels, 64)
+    assert peak32 < 100 * 2**20
+    assert peak64 <= 1.1 * peak32
 
 
 class TestSigmoidBitIdentical:

@@ -204,6 +204,51 @@ class TestTraining:
         assert np.mean(np.argmax(p, axis=1) == 1) >= 0.9
 
 
+def _oracle_mlp_train(model, x, y, lr, epochs, batch, seed, weights,
+                      halve_every):
+    """mlp_train's own loop from before it moved into sgd_epochs."""
+    model = model.copy()
+    rng = np.random.default_rng(seed)
+    losses = []
+    for epoch in range(epochs):
+        lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
+        order = rng.permutation(len(x))
+        total = 0.0
+        wsum = 0.0
+        for s in range(0, len(x), batch):
+            idx = order[s : s + batch]
+            grads, nll = _grads(model, x[idx], y[idx], weights[idx])
+            bw = weights[idx].sum()
+            step = lr_e / max(bw, 1e-12)
+            model.w1 -= step * grads[0]
+            model.b1 -= step * grads[1]
+            model.w2 -= step * grads[2]
+            model.b2 -= step * grads[3]
+            total += nll
+            wsum += bw
+        losses.append(total / wsum)
+    return model, losses
+
+
+@pytest.mark.parametrize("class_balance", [True, False])
+@pytest.mark.parametrize("halve_every", [None, 2])
+def test_shared_sgd_loop_is_bit_identical(class_balance, halve_every):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(75, 3))
+    y = (x[:, 0] + 0.5 * rng.normal(size=75) > 0.6).astype(int)
+    init = mlp_init(hidden=6, seed=2)
+    model, losses = mlp_train(init, x, y, lr=0.2, epochs=5, batch=16, seed=9,
+                              class_balance=class_balance,
+                              halve_every=halve_every)
+    freq = np.bincount(y) / len(y)
+    weights = (1.0 / (2 * freq[y]) if class_balance else np.ones(len(y)))
+    ref, ref_losses = _oracle_mlp_train(init, x, y, 0.2, 5, 16, 9, weights,
+                                        halve_every)
+    assert losses == ref_losses
+    for k in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(model, k), getattr(ref, k))
+
+
 class TestClassifyFrames:
     def _seq(self, feats, mask):
         return StyleFeatureSeq(features=feats, vocal_mask=mask,

@@ -91,6 +91,14 @@ class TestPitchContour:
 
 
 class TestSynthConcert:
+    @pytest.mark.parametrize("script", [
+        ConcertScript(sections=[]),
+        ConcertScript(sections=[SectionSpec("instrumental", 1.0)], seed=-1),
+    ], ids=["no-sections", "negative-seed"])
+    def test_rejects_unrenderable_script(self, script):
+        with pytest.raises(InvalidArgumentError):
+            synth_concert(script)
+
     def test_deterministic(self):
         a, _, _ = synth_concert(default_test_script(seed=7))
         b, _, _ = synth_concert(default_test_script(seed=7))
