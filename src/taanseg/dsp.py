@@ -17,6 +17,9 @@ LOG_FLOOR = 1e-10
 # frames per spectrogram block: bounds the working set of streamed tracking
 FRAME_BLOCK = 2048
 
+# frames per FFT call: bounds the padded, complex and magnitude buffers
+FFT_ROWS = 256
+
 # output samples per resampling chunk: bounds the working set of `resample`
 RESAMPLE_CHUNK = 1 << 16
 
@@ -110,25 +113,27 @@ def _frame_count(clip, win_s, hop_s, n_dft):
 
 def _frame_major_blocks(clip, win, hop, n_frames, n_dft):
     """(t0, log magnitudes of frames t0.. as a [frames x n_bins] array) per
-    block of FRAME_BLOCK frames. The array is a buffer reused by the next
-    block: copy what must outlive the iteration."""
+    run of at most FFT_ROWS frames; no run crosses a multiple of
+    FRAME_BLOCK. The array is a buffer reused by the next run: copy what
+    must outlive the iteration."""
     w = hamming_window(win)
     # frame t is the sample slice [t*hop, t*hop + win): a strided view
     windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    rows = min(FRAME_BLOCK, n_frames)
+    rows = min(FFT_ROWS, FRAME_BLOCK, n_frames)
     # windowed frames go into the first win columns; the rest stay zero, so
     # the FFT needs no padded copy of its own
     padded = np.zeros((rows, n_dft))
     spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
     mag = np.empty((rows, n_dft // 2 + 1))
-    for t0 in range(0, n_frames, FRAME_BLOCK):
-        frames = windows[t0:t0 + FRAME_BLOCK]
-        n = len(frames)
-        np.multiply(frames, w, out=padded[:n, :win])
-        np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
-        np.abs(spectrum[:n], out=mag[:n])
-        np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
-        yield t0, np.log(mag[:n], out=mag[:n])
+    for b0 in range(0, n_frames, FRAME_BLOCK):
+        for t0 in range(b0, min(b0 + FRAME_BLOCK, n_frames), rows):
+            frames = windows[t0:min(t0 + rows, b0 + FRAME_BLOCK)]
+            n = len(frames)
+            np.multiply(frames, w, out=padded[:n, :win])
+            np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
+            np.abs(spectrum[:n], out=mag[:n])
+            np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
+            yield t0, np.log(mag[:n], out=mag[:n])
 
 
 def log_spectrogram_blocks(clip, win_s, hop_s, n_dft):
@@ -139,20 +144,27 @@ def log_spectrogram_blocks(clip, win_s, hop_s, n_dft):
     is dropped. Output values are ln(max(|X|, 1e-10)). Yields one
     C-contiguous [n_bins x n_block_frames] LogSpectrogram per run of
     FRAME_BLOCK consecutive frames (the last run may be shorter), so the
-    working set is O(FRAME_BLOCK) whatever the clip length. Input errors
-    are raised when iteration starts.
+    working set is O(FRAME_BLOCK) whatever the clip length; the FFT runs
+    FFT_ROWS frames at a time into the block. Input errors are raised when
+    iteration starts.
     """
     win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
-    for _, mag in _frame_major_blocks(clip, win, hop, n_frames, n_dft):
-        yield LogSpectrogram(values=contiguous_transpose(mag),
-                             bin_hz=clip.sample_rate / n_dft,
-                             hop_s=hop / clip.sample_rate)
+    for t0, mag in _frame_major_blocks(clip, win, hop, n_frames, n_dft):
+        col = t0 % FRAME_BLOCK
+        if col == 0:
+            values = np.empty((n_dft // 2 + 1,
+                               min(FRAME_BLOCK, n_frames - t0)))
+        contiguous_transpose(mag, out=values[:, col:col + len(mag)])
+        if col + len(mag) == values.shape[1]:
+            yield LogSpectrogram(values=values,
+                                 bin_hz=clip.sample_rate / n_dft,
+                                 hop_s=hop / clip.sample_rate)
 
 
 def log_spectrogram(clip, win_s, hop_s, n_dft):
     """Framed log-magnitude spectrum of the whole clip: one C-contiguous
-    [n_bins x n_frames] LogSpectrogram, filled block by block with the
-    framing and values of `log_spectrogram_blocks`. Pitch tracking
+    [n_bins x n_frames] LogSpectrogram, filled FFT_ROWS frames at a time
+    with the framing and values of `log_spectrogram_blocks`. Pitch tracking
     (`pipeline.extract_track`) streams the blocks instead, so that its
     memory does not grow with the clip."""
     win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)

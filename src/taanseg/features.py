@@ -23,6 +23,10 @@ PEAK_HALFWIDTH = 2      # +/- 1.6 Hz neighborhood = 5 bins
 MAX_GAP_FRAC = 0.2
 SMOOTH_S = 5.0
 VAR_FLOOR = 1e-12
+# a detrended window that stays within this many cents of zero is flat: the
+# cubic fit of a constant pitch leaves ~1e-12 cents of rounding, and any
+# real modulation is many orders of magnitude larger
+FLAT_CENTS = 1e-6
 
 
 @dataclass
@@ -121,15 +125,19 @@ def raw_features(track, vocal_mask, max_gap_frac=MAX_GAP_FRAC):
     """Per-window raw descriptors at 500 ms hop, all windows in one pass.
 
     Returns (features (k,3), valid (k,)); windows with more than
-    max_gap_frac non-vocal samples (or degenerate spectra) are invalid.
+    max_gap_frac non-vocal samples, or degenerate ones (an all-zero
+    spectrum, or a detrended contour within FLAT_CENTS of zero), are
+    invalid.
     """
     cents = np.where(vocal_mask, hz_to_cents(track.f0_hz), np.nan)
     energy = np.where(vocal_mask, track.energy_db, np.nan)
     cw, c_ok = _gap_filled_windows(cents, max_gap_frac)
     ew, e_ok = _gap_filled_windows(energy, max_gap_frac)
     valid = c_ok & e_ok
-    mag = modulation_spectrum(detrend_poly3(cw[valid]))
-    rate, mod_energy, degenerate = modulation_peak_features(mag)
+    residual = detrend_poly3(cw[valid])
+    rate, mod_energy, degenerate = modulation_peak_features(
+        modulation_spectrum(residual))
+    degenerate |= np.abs(residual).max(axis=-1) < FLAT_CENTS
     raw = np.column_stack((rate, mod_energy, energy_zcr(ew[valid])))
     valid[valid] = ~degenerate
     feats = np.full((len(cw), 3), np.nan)

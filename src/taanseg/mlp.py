@@ -42,9 +42,15 @@ class PosteriorSeq:
 
 def sigmoid(x):
     """Branch-free stable logistic: with e = exp(-|x|) in [0, 1], the
-    numerator max(e, x >= 0) is 1 for x >= 0 and e below."""
-    e = np.exp(-np.abs(x))
-    return np.maximum(e, x >= 0) / (1.0 + e)
+    numerator max(e, x >= 0) is 1 for x >= 0 and e below. Computed in
+    place on two full-size arrays, e and the result."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
 
 
 def softmax(logits):

@@ -2,11 +2,41 @@
 posteriors -> labeled taan timeline.
 """
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
 from .errors import DataError
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# spectrogram blocks tracked at once, one per worker thread: numpy releases
+# the interpreter lock inside the array operations of the F0 search, so two
+# blocks overlap on two cores
+TRACK_WORKERS = min(2, _usable_cpus())
+
+
+def _track_block(spec, cfg):
+    """(f0, energy, voiced) of one spectrogram block."""
+    track = vocal.detect_f0_baseline(
+        spec, f_min=cfg.f0_min_hz, f_max=cfg.f0_max_hz,
+        voicing_factor=cfg.voicing_factor, grid_cents=cfg.f0_grid_cents,
+        tol_cents=cfg.harmonic_tol_cents, n_harmonics=cfg.n_harmonics,
+    )
+    energy = vocal.harmonic_energy(spec, track.f0_hz,
+                                   tol_cents=cfg.harmonic_tol_cents,
+                                   n_harmonics=cfg.n_harmonics)
+    return track.f0_hz, energy, track.voiced
 
 
 def extract_track(clip, cfg=None):
@@ -16,22 +46,25 @@ def extract_track(clip, cfg=None):
     spectrogram blocks of dsp.FRAME_BLOCK frames: F0 search and harmonic
     energy are frame-local, so the per-block tracks concatenate to the
     whole-spectrogram result while memory stays O(block), not O(length).
+    Blocks are tracked on TRACK_WORKERS threads, with at most that many
+    blocks in flight; the pool is gone when this returns or raises, and a
+    block's exception is raised here as it is.
     """
     cfg = cfg or PipelineConfig()
     clip = dsp.resample(clip, 8000)
-    f0, energy, voiced = [], [], []
-    for spec in dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
-                                           n_dft=1024):
-        track = vocal.detect_f0_baseline(
-            spec, f_min=cfg.f0_min_hz, f_max=cfg.f0_max_hz,
-            voicing_factor=cfg.voicing_factor, grid_cents=cfg.f0_grid_cents,
-            tol_cents=cfg.harmonic_tol_cents, n_harmonics=cfg.n_harmonics,
-        )
-        f0.append(track.f0_hz)
-        voiced.append(track.voiced)
-        energy.append(vocal.harmonic_energy(spec, track.f0_hz,
-                                            tol_cents=cfg.harmonic_tol_cents,
-                                            n_harmonics=cfg.n_harmonics))
+    blocks = dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
+                                        n_dft=1024)
+    parts, pending = [], deque()
+    pool = ThreadPoolExecutor(max_workers=TRACK_WORKERS)
+    try:
+        for spec in blocks:
+            pending.append(pool.submit(_track_block, spec, cfg))
+            if len(pending) == TRACK_WORKERS:
+                parts.append(pending.popleft().result())
+        parts.extend(future.result() for future in pending)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+    f0, energy, voiced = zip(*parts)
     return vocal.PitchEnergyTrack(f0_hz=np.concatenate(f0),
                                   energy_db=np.concatenate(energy),
                                   voiced=np.concatenate(voiced))

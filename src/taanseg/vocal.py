@@ -15,6 +15,8 @@ from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
 TRACK_HOP_S = 0.01
 UNVOICED_DB = -120.0
 HARMONIC_CEILING_HZ = 5000.0
+# F0 candidates summed at once in the harmonic-sum search
+CAND_BLOCK = 32
 
 
 @dataclass
@@ -65,6 +67,54 @@ def _range_argmax(a, lo, hi, frames):
     return lo + np.argmax(vals, axis=1)
 
 
+def _best_candidates(mags, lo, hi, usable):
+    """Per frame, the first candidate with the largest 1/h-weighted
+    harmonic sum, and that sum, as np.argmax over the (n_cands, n_frames)
+    sum matrix would give them, NaN sums aside; each sum adds its usable
+    harmonics in ascending order. Frames where every sum is NaN get
+    candidate 0 and -inf.
+
+    Each distinct slice maximum is one row of a table whose last row is
+    zero. The sums of CAND_BLOCK candidates at a time add, per harmonic h,
+    the gathered table rows divided by h (zero where unusable, which
+    leaves a non-negative sum as it is), and a running maximum over the
+    blocks keeps the first winner. So the array operations are few and
+    long, and the interpreter lock is free for most of the search."""
+    n_frames = mags.shape[1]
+    n_cands = lo.shape[1]
+    keys, inverse = np.unique(np.stack((lo[usable], hi[usable]), axis=1),
+                              axis=0, return_inverse=True)
+    rows = np.full(lo.shape, len(keys))
+    rows[usable] = inverse.ravel()
+    table = np.empty((len(keys) + 1, n_frames))
+    for r, (a, b) in enumerate(keys.tolist()):
+        np.max(mags[a:b], axis=0, out=table[r])
+    table[-1] = 0.0
+
+    best = np.zeros(n_frames, dtype=np.intp)
+    best_sum = np.full(n_frames, -np.inf)
+    sums = np.empty((min(CAND_BLOCK, n_cands), n_frames))
+    term = np.empty_like(sums)
+    for c0 in range(0, n_cands, CAND_BLOCK):
+        c1 = min(c0 + CAND_BLOCK, n_cands)
+        acc, part = sums[:c1 - c0], term[:c1 - c0]
+        acc.fill(0.0)
+        for h, (row, use) in enumerate(zip(rows[:, c0:c1],
+                                           usable[:, c0:c1].any(axis=1)),
+                                       start=1):
+            if use:
+                np.take(table, row, axis=0, out=part)
+                part /= h
+                acc += part
+        # the block's largest non-NaN sum and its first candidate; a later
+        # block must beat it strictly, as the first maximum does
+        top = np.fmax.reduce(acc, axis=0)
+        better = top > best_sum
+        np.copyto(best, c0 + np.argmax(acc == top, axis=0), where=better)
+        np.copyto(best_sum, top, where=better)
+    return best, best_sum
+
+
 def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
                        grid_cents=10.0, tol_cents=30.0, n_harmonics=10):
     """Predominant-F0 track from a log spectrogram at 10 ms hop.
@@ -91,31 +141,12 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
 
     lo, hi, usable = _harmonic_bin_ranges(candidates, spec.n_bins, spec.bin_hz,
                                           tol_cents, n_harmonics)
-    # peak magnitude per (candidate, harmonic) slice, all frames at once;
-    # each candidate's sum accumulates in ascending harmonic order into one
-    # row, and a running first maximum (strict >, from -inf, so candidate 0
-    # is always taken) keeps argmax's winner without a (n_cands, n_frames)
-    # matrix
     weight_sum = np.zeros(n_cands)
-    slice_max = {}
-    acc, q = np.empty(n_frames), np.empty(n_frames)
-    best = np.zeros(n_frames, dtype=np.intp)
-    best_sum = np.full(n_frames, -np.inf)
-    better = np.empty(n_frames, dtype=bool)
-    for ci in range(n_cands):
-        acc.fill(0.0)
-        for h in (np.flatnonzero(usable[:, ci]) + 1).tolist():
-            key = (int(lo[h - 1, ci]), int(hi[h - 1, ci]))
-            if key not in slice_max:
-                slice_max[key] = mags[key[0]:key[1]].max(axis=0)
-            acc += np.divide(slice_max[key], h, out=q)
-            weight_sum[ci] += 1.0 / h
-        np.greater(acc, best_sum, out=better)
-        np.copyto(best, ci, where=better)
-        np.copyto(best_sum, acc, where=better)
-    del slice_max  # freed before the median's frame-major copy
+    for row in range(n_harmonics):
+        weight_sum += np.where(usable[row], 1.0 / (row + 1), 0.0)
     if not weight_sum.any():
         raise InvalidArgumentError("empty candidate grid")
+    best, best_sum = _best_candidates(mags, lo, hi, usable)
 
     # the median is one order statistic per frame: exact on a frame-major
     # copy, which it may reorder in place

@@ -1,5 +1,6 @@
 """Minimal RIFF/WAVE reader and writer: PCM 16-bit and 32-bit float,
-mono or stereo (stereo is averaged to mono on read).
+mono or stereo (stereo is averaged to mono on read). The reader also takes
+WAVE_FORMAT_EXTENSIBLE files whose sub-format is one of the two.
 """
 
 import struct
@@ -8,6 +9,25 @@ import numpy as np
 
 from .dsp import AudioClip
 from .errors import ParseError, UnsupportedFormatError
+
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# the sub-format GUID of an extensible fmt chunk is the plain format code
+# (1 PCM, 3 IEEE float) as its first 2 bytes, then these 14
+_GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+
+
+def _extensible_format(fmt_body, path):
+    """Plain format code (1 or 3) named by the sub-format GUID of an
+    extensible fmt chunk body."""
+    if len(fmt_body) < 40 or struct.unpack("<H", fmt_body[16:18])[0] < 22:
+        raise ParseError(f"extensible fmt chunk of {len(fmt_body)} bytes "
+                         "lacks its 22-byte extension", path=path)
+    guid = bytes(fmt_body[24:40])
+    code = struct.unpack("<H", guid[:2])[0]
+    if guid[2:] != _GUID_TAIL or code not in (1, 3):
+        raise ParseError(f"unsupported extensible sub-format {guid.hex()}; "
+                         "only PCM and IEEE float are accepted", path=path)
+    return code
 
 
 def read_wav(path):
@@ -28,7 +48,9 @@ def read_wav(path):
             if len(body) < 16:
                 raise ParseError(f"fmt chunk has {len(body)} bytes, need 16",
                                  path=path)
-            fmt = struct.unpack("<HHIIHH", body[:16])
+            fmt = list(struct.unpack("<HHIIHH", body[:16]))
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE:
+                fmt[0] = _extensible_format(body, path)
         elif cid == b"data":
             if len(body) < size:
                 raise ParseError(f"data chunk states {size} bytes but only "

@@ -479,3 +479,74 @@ class TestNotUtf8:
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 2
         assert f"{sidecar}: not UTF-8 text" in capsys.readouterr().err
+
+
+def wav_file(path, fmt_body, payload):
+    """Write a RIFF/WAVE file of one fmt chunk and one data chunk."""
+    chunks = (b"WAVE" + b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
+              + b"data" + struct.pack("<I", len(payload)) + payload)
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+    return path
+
+
+def fmt_body(code, bits, channels=2, sr=44100, extension=None):
+    """A 16-byte fmt body, followed by `extension` when given."""
+    align = channels * bits // 8
+    body = struct.pack("<HHIIHH", code, channels, sr, sr * align, align, bits)
+    return body if extension is None else body + extension
+
+
+def extension(sub_code, bits, tail=wavio._GUID_TAIL):
+    """The 22-byte WAVE_FORMAT_EXTENSIBLE extension, with its size field:
+    valid bits, a front-left/front-right channel mask and the sub-format
+    GUID."""
+    return (struct.pack("<HHI", 22, bits, 3)
+            + struct.pack("<H", sub_code) + tail)
+
+
+class TestExtensibleWav:
+    """A WAVE_FORMAT_EXTENSIBLE file carrying 16-bit PCM or 32-bit float
+    tracks bit-identically to the same audio in a plain fmt chunk."""
+
+    @staticmethod
+    def stereo(seconds=3.0, sr=44100):
+        t = np.arange(int(seconds * sr)) / sr
+        voice = sum(np.sin(2 * np.pi * h * 196.0 * t) / h for h in range(1, 7))
+        noise = 0.01 * np.random.default_rng(8).standard_normal((len(t), 2))
+        return np.column_stack((0.25 * voice, 0.2 * voice)) / 2.5 + noise
+
+    @pytest.mark.parametrize("code, bits", [(1, 16), (3, 32)],
+                             ids=["pcm16", "float32"])
+    def test_tracks_as_plain_format(self, tmp_path, code, bits):
+        x = self.stereo()
+        if code == 1:
+            payload = np.round(x * 32767).astype("<i2").tobytes()
+        else:
+            payload = x.astype("<f4").tobytes()
+        tracks = []
+        for name, body in (
+                ("plain", fmt_body(code, bits)),
+                ("ext", fmt_body(wavio.WAVE_FORMAT_EXTENSIBLE, bits,
+                                 extension=extension(code, bits)))):
+            wav = wav_file(tmp_path / f"{name}.wav", body, payload)
+            out = tmp_path / f"{name}.csv"
+            assert main(["tracks", "--audio", str(wav), "--out", str(out)]) == 0
+            tracks.append(out.read_bytes())
+        assert tracks[0] == tracks[1]
+        assert b",1\n" in tracks[0]   # some frames are voiced
+
+    @pytest.mark.parametrize("ext, message", [
+        (extension(2, 16), "unsupported extensible sub-format"),
+        (extension(1, 16, tail=bytes(14)), "unsupported extensible sub-format"),
+        (extension(1, 16)[:10], "lacks its 22-byte extension"),
+        (struct.pack("<H", 0), "lacks its 22-byte extension"),
+    ], ids=["adpcm-guid", "foreign-guid", "truncated", "no-extension"])
+    def test_bad_extension(self, tmp_path, capsys, ext, message):
+        wav = wav_file(tmp_path / "bad.wav",
+                       fmt_body(wavio.WAVE_FORMAT_EXTENSIBLE, 16,
+                                extension=ext), bytes(4000))
+        rc = main(["tracks", "--audio", str(wav),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{wav}: " in err and message in err

@@ -3,8 +3,8 @@ forward pass, the blocked stage-1 gradients and the branch-free sigmoid.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
-reshape-mean pooling, the batch-at-once stage-1 gradients and the
-boolean-mask sigmoid.
+reshape-mean pooling, the batch-at-once stage-1 gradients, the
+boolean-mask sigmoid and the out-of-place branch-free sigmoid.
 """
 
 import tracemalloc
@@ -63,6 +63,11 @@ def _oracle_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _out_of_place_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    return np.maximum(e, x >= 0) / (1.0 + e)
 
 
 def _assert_close(got, ref):
@@ -248,12 +253,17 @@ def test_training_memory_does_not_grow_with_batch():
     assert peak64 <= 1.1 * peak32
 
 
+SIGMOID_SPECIALS = [0.0, -0.0, 1e4, -1e4, 745.0, -745.0, 746.0, -746.0,
+                    709.8, -709.8, 1.0, -1.0, np.finfo(np.float64).tiny,
+                    -np.finfo(np.float64).tiny,
+                    np.finfo(np.float64).tiny / 2**10,
+                    -np.finfo(np.float64).tiny / 2**10, 5e-324, -5e-324,
+                    np.inf, -np.inf]
+
+
 class TestSigmoidBitIdentical:
     def test_special_values(self):
-        tiny = np.finfo(np.float64).tiny
-        x = np.array([0.0, -0.0, 1e4, -1e4, 745.0, -745.0, 746.0, -746.0,
-                      709.8, -709.8, 1.0, -1.0, tiny, -tiny, tiny / 2**10,
-                      -tiny / 2**10, 5e-324, -5e-324, np.inf, -np.inf])
+        x = np.array(SIGMOID_SPECIALS)
         got = sigmoid(x)
         assert np.array_equal(got.view(np.int64),
                               _oracle_sigmoid(x).view(np.int64))
@@ -264,6 +274,26 @@ class TestSigmoidBitIdentical:
         for scale in (1.0, 30.0):
             x = rng.normal(scale=scale, size=100_000)
             assert np.array_equal(sigmoid(x), _oracle_sigmoid(x))
+
+    def test_in_place_matches_out_of_place(self):
+        # every bit, NaN included, on the special values and 2e5 draws
+        rng = np.random.default_rng(12)
+        x = np.concatenate((SIGMOID_SPECIALS, [np.nan, -np.nan],
+                            rng.normal(size=100_000),
+                            rng.normal(scale=300.0, size=100_000)))
+        assert np.array_equal(sigmoid(x).view(np.int64),
+                              _out_of_place_sigmoid(x).view(np.int64))
+
+    def test_two_full_size_arrays(self):
+        # e and the result, beside the 1/8-size sign mask
+        x = np.random.default_rng(3).normal(size=200_000)
+        tracemalloc.start()
+        try:
+            sigmoid(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * x.nbytes
 
     def test_keeps_memory_layout(self):
         x = np.random.default_rng(2).normal(size=(2, 5, 4, 3))

@@ -225,6 +225,23 @@ class TestRawEdgeCases:
                                           np.ones(400, dtype=bool))
         assert valid.tolist() == [True, True, True, False, True, True, True]
 
+    def test_constant_pitch_is_degenerate(self):
+        # the cubic detrend of a steady 110 Hz leaves only rounding noise,
+        # which must not read as a 1.56 Hz modulation
+        track = PitchEnergyTrack(f0_hz=np.full(300, 110.0),
+                                 energy_db=np.sin(np.arange(300) * 0.9),
+                                 voiced=np.ones(300, dtype=bool))
+        feats, valid = raw_features(track, np.ones(300, dtype=bool))
+        assert len(valid) == 5 and not valid.any() and np.isnan(feats).all()
+
+    def test_modulation_above_the_flat_floor(self):
+        # a modulation of 1000 times the floor stays a valid window
+        t = np.arange(300) * 0.01
+        cents = 2400 + 1000 * features.FLAT_CENTS * np.sin(2 * np.pi * 6 * t)
+        feats, valid = raw_features(cents_track(cents),
+                                    np.ones(300, dtype=bool))
+        assert valid.all() and np.allclose(feats[:, 0], 6.25)
+
     def test_all_gap(self):
         track = cents_track(np.zeros(300))
         feats, valid = raw_features(track, np.zeros(300, dtype=bool))

@@ -6,12 +6,13 @@ per-candidate F0 refinement and the per-frame harmonic-energy loop, kept
 verbatim in their scalar form as references.
 """
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from taanseg import dsp, pipeline
+from taanseg import dsp, pipeline, vocal
 from taanseg.cli import main
 from taanseg.config import PipelineConfig
 from taanseg.dsp import (
@@ -26,8 +27,13 @@ from taanseg.dsp import (
     log_spectrogram_blocks,
     resample,
 )
-from taanseg.errors import EmptyInputError
-from taanseg.vocal import HARMONIC_CEILING_HZ, UNVOICED_DB, detect_f0_baseline
+from taanseg.errors import DataError, EmptyInputError, InternalError
+from taanseg.vocal import (
+    HARMONIC_CEILING_HZ,
+    UNVOICED_DB,
+    detect_f0_baseline,
+    harmonic_energy,
+)
 from taanseg.wavio import write_wav
 
 SR = 8000
@@ -218,6 +224,93 @@ class TestStreamedTrack:
                      "--out", str(tmp_path / "t.csv")]) == 2
 
 
+def serial_track(clip, cfg):
+    """extract_track's blocks tracked one after another in this thread."""
+    f0, energy, voiced = [], [], []
+    for spec in log_spectrogram_blocks(resample(clip, 8000), 0.04, 0.01, 1024):
+        track = detect_f0_baseline(
+            spec, f_min=cfg.f0_min_hz, f_max=cfg.f0_max_hz,
+            voicing_factor=cfg.voicing_factor, grid_cents=cfg.f0_grid_cents,
+            tol_cents=cfg.harmonic_tol_cents, n_harmonics=cfg.n_harmonics)
+        f0.append(track.f0_hz)
+        voiced.append(track.voiced)
+        energy.append(harmonic_energy(spec, track.f0_hz,
+                                      tol_cents=cfg.harmonic_tol_cents,
+                                      n_harmonics=cfg.n_harmonics))
+    return np.concatenate(f0), np.concatenate(energy), np.concatenate(voiced)
+
+
+def fail_on_second_block(monkeypatch, exc):
+    """Make the F0 search raise exc on the second spectrogram block."""
+    blocks, detect = dsp.log_spectrogram_blocks, vocal.detect_f0_baseline
+    second = []
+
+    def tagged_blocks(*args, **kwargs):
+        for i, spec in enumerate(blocks(*args, **kwargs)):
+            if i == 1:
+                second.append(spec)
+            yield spec
+
+    def failing_detect(spec, **kwargs):
+        if second and spec is second[0]:
+            raise exc
+        return detect(spec, **kwargs)
+
+    monkeypatch.setattr(dsp, "log_spectrogram_blocks", tagged_blocks)
+    monkeypatch.setattr(vocal, "detect_f0_baseline", failing_detect)
+
+
+class TestTrackPool:
+    """Blocks tracked on the worker pool against the serial per-block loop:
+    bit-identical whatever the worker count, errors raised in the caller
+    with their class, and no thread left behind."""
+
+    @staticmethod
+    def assert_serial(clip):
+        track = pipeline.extract_track(clip)
+        f0, energy, voiced = serial_track(clip, PipelineConfig())
+        assert np.array_equal(track.f0_hz, f0)
+        assert np.array_equal(track.energy_db, energy)
+        assert np.array_equal(track.voiced, voiced)
+
+    @pytest.mark.parametrize("n_frames", [
+        1, FRAME_BLOCK - 1, FRAME_BLOCK, FRAME_BLOCK + 1, LONGEST,
+    ])
+    def test_matches_serial_blocks(self, reference, n_frames):
+        self.assert_serial(AudioClip(
+            samples=reference[0].samples[:(n_frames - 1) * HOP + WIN],
+            sample_rate=SR))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count(self, reference, monkeypatch, workers):
+        monkeypatch.setattr(pipeline, "TRACK_WORKERS", workers)
+        self.assert_serial(reference[0])
+
+    def test_workers_are_bounded(self):
+        assert 1 <= pipeline.TRACK_WORKERS <= 2
+
+    @pytest.mark.parametrize("exc, code", [
+        (DataError("bad block"), 2), (InternalError("broken block"), 3),
+    ], ids=["data-error", "internal-error"])
+    def test_worker_error_exit_code(self, reference, monkeypatch, tmp_path,
+                                    capsys, exc, code):
+        wav = tmp_path / "long.wav"
+        write_wav(reference[0], wav)
+        fail_on_second_block(monkeypatch, exc)
+        assert main(["tracks", "--audio", str(wav),
+                     "--out", str(tmp_path / "t.csv")]) == code
+        assert str(exc) in capsys.readouterr().err
+
+    def test_no_thread_left(self, reference, monkeypatch):
+        before = threading.active_count()
+        pipeline.extract_track(reference[0])
+        assert threading.active_count() == before
+        fail_on_second_block(monkeypatch, DataError("bad block"))
+        with pytest.raises(DataError, match="bad block"):
+            pipeline.extract_track(reference[0])
+        assert threading.active_count() == before
+
+
 class TestSpectrogramLayout:
     @pytest.mark.parametrize("hop_s", [0.01, 0.02])
     def test_oneshot_identity(self, reference, hop_s):
@@ -235,6 +328,16 @@ class TestSpectrogramLayout:
         whole = log_spectrogram(clip, 0.04, 0.01, 1024)
         assert np.array_equal(np.concatenate([b.values for b in blocks],
                                              axis=1), whole.values)
+
+    @pytest.mark.parametrize("rows", [1, 5, FRAME_BLOCK + 1])
+    def test_fft_sub_blocks(self, reference, monkeypatch, rows):
+        # FFT sub-blocks that do not divide the block, and one that holds
+        # more frames than a block
+        monkeypatch.setattr(dsp, "FFT_ROWS", rows)
+        clip = reference[0]
+        spec = log_spectrogram(clip, 0.04, 0.01, 1024)
+        assert np.array_equal(spec.values,
+                              oneshot_values(clip, 0.04, 0.01, 1024))
 
     def test_window_fills_the_dft(self, reference):
         # win == n_dft leaves no zero padding in the reused frame buffer;
@@ -274,6 +377,39 @@ class TestF0Ties:
         expected = loop_detect_f0(spec, cfg)
         assert (expected[:-1] > 0).all() and expected[-1] == 0
         assert np.array_equal(track.f0_hz, expected)
+
+
+class TestCandidateBlocks:
+    """The harmonic sums run vocal.CAND_BLOCK candidates at a time: ties
+    that span blocks and non-finite frames give the sum-matrix oracle's
+    track for any block size."""
+
+    @pytest.fixture(params=[1, 3, 7, vocal.CAND_BLOCK])
+    def cand_block(self, request, monkeypatch):
+        monkeypatch.setattr(vocal, "CAND_BLOCK", request.param)
+
+    def test_ties_across_blocks(self, cand_block):
+        spec = peak_spectrogram(list(range(10, 64)) + [-1])
+        assert np.array_equal(detect_f0_baseline(spec).f0_hz,
+                              loop_detect_f0(spec, PipelineConfig()))
+
+    def test_non_finite_frames(self, cand_block):
+        # NaN or inf samples give frames of NaN, and of inf mixed with NaN:
+        # they stay unvoiced, and the finite frames around them are tracked
+        # as the sum-matrix oracle tracks them
+        spec = peak_spectrogram(list(range(10, 40)))
+        values = spec.values.copy()
+        values[:, 3] = np.nan
+        values[::2, 7] = np.inf
+        values[1::2, 7] = np.nan
+        values[:, 11] = np.inf
+        spec = LogSpectrogram(values=values, bin_hz=spec.bin_hz, hop_s=0.01)
+        with np.errstate(invalid="ignore"):
+            track = detect_f0_baseline(spec)
+            expected = loop_detect_f0(spec, PipelineConfig())
+        assert not track.voiced[[3, 7, 11]].any()
+        assert np.array_equal(track.f0_hz, expected)
+        assert (expected[:3] > 0).all()
 
 
 def test_f0_working_set():
