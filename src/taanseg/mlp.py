@@ -43,9 +43,8 @@ class PosteriorSeq:
 def sigmoid(x):
     """Branch-free stable logistic: with e = exp(-|x|) in [0, 1], the
     numerator max(e, x >= 0) is 1 for x >= 0 and e below. Computed in
-    place on two full-size arrays, e and the result."""
-    e = np.abs(x)
-    np.negative(e, out=e)
+    place on two full-size arrays, e and the result, once |x| is freed."""
+    e = -np.abs(x)
     np.exp(e, out=e)
     num = np.maximum(e, x >= 0)
     e += 1.0
