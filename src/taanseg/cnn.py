@@ -88,7 +88,8 @@ def make_patches(spec, band_stats=None):
         mean, std = (np.asarray(v, dtype=np.float64) for v in band_stats)
         if mean.shape != (PATCH_BINS,) or std.shape != (PATCH_BINS,):
             raise InvalidArgumentError("band statistics need 94 entries each")
-    normed = (spec.values[:PATCH_BINS] - mean[:, None]) / std[:, None]
+    normed = spec.values[:PATCH_BINS] - mean[:, None]
+    normed /= std[:, None]   # in place: one 94 x n_frames array, not two
     step = PATCH_FRAMES
     patches = [SpectrogramPatch(normed[:, k * step : (k + 1) * step], ("", k))
                for k in range(spec.n_frames // step)]

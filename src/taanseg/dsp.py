@@ -41,6 +41,12 @@ class AudioClip:
         )
         if self.samples.ndim != 1:
             raise InvalidArgumentError("AudioClip samples must be 1-D (mono)")
+        # min and max carry any NaN or inf through, with no full-size
+        # temporary (np.isfinite would allocate one)
+        x = self.samples
+        if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+            raise InvalidArgumentError("AudioClip samples must be finite "
+                                       "(NaN or inf found)")
 
     @property
     def duration_s(self):

@@ -2,28 +2,19 @@
 posteriors -> labeled taan timeline.
 """
 
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+import functools
 
 import numpy as np
 
 from . import dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
 from .errors import DataError
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
+from .pool import ordered_map, usable_cpus
 
 # spectrogram blocks tracked at once, one per worker thread: numpy releases
 # the interpreter lock inside the array operations of the F0 search, so two
 # blocks overlap on two cores
-TRACK_WORKERS = min(2, _usable_cpus())
+TRACK_WORKERS = min(2, usable_cpus())
 
 
 def _track_block(spec, cfg):
@@ -46,24 +37,15 @@ def extract_track(clip, cfg=None):
     spectrogram blocks of dsp.FRAME_BLOCK frames: F0 search and harmonic
     energy are frame-local, so the per-block tracks concatenate to the
     whole-spectrogram result while memory stays O(block), not O(length).
-    Blocks are tracked on TRACK_WORKERS threads, with at most that many
-    blocks in flight; the pool is gone when this returns or raises, and a
-    block's exception is raised here as it is.
+    Blocks are tracked on TRACK_WORKERS threads by `pool.ordered_map`,
+    with at most that many blocks in flight.
     """
     cfg = cfg or PipelineConfig()
     clip = dsp.resample(clip, 8000)
     blocks = dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
                                         n_dft=1024)
-    parts, pending = [], deque()
-    pool = ThreadPoolExecutor(max_workers=TRACK_WORKERS)
-    try:
-        for spec in blocks:
-            pending.append(pool.submit(_track_block, spec, cfg))
-            if len(pending) == TRACK_WORKERS:
-                parts.append(pending.popleft().result())
-        parts.extend(future.result() for future in pending)
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    parts = ordered_map(functools.partial(_track_block, cfg=cfg), blocks,
+                        TRACK_WORKERS)
     f0, energy, voiced = zip(*parts)
     return vocal.PitchEnergyTrack(f0_hz=np.concatenate(f0),
                                   energy_db=np.concatenate(energy),

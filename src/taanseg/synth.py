@@ -14,6 +14,7 @@ from .config import fits_type
 from .dsp import AudioClip
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_utf8)
+from .pool import ordered_map, usable_cpus
 from .segmentation import Section, SectionTimeline
 
 STYLES = ("taan", "steady-vocal", "glide-vocal", "instrumental")
@@ -22,7 +23,17 @@ MAX_DURATION_S = 1800.0
 N_HARMONICS = 8
 VOCAL_RMS = 0.1
 DRONE_REL_DB = -10.0     # drone level relative to the voice
+DRONE_PARTIALS = ((110.0, 1.0), (165.0, 0.7), (220.0, 0.5))   # (Hz, amplitude)
 REF_HZ = 55.0
+
+# samples per render step: bounds a worker's temporaries whatever the
+# section's length
+RENDER_CHUNK = 1 << 16
+
+# sections rendered at once, one per worker thread: numpy releases the
+# interpreter lock inside sin, exp, interp and cumsum, so two sections
+# overlap on two cores
+SYNTH_WORKERS = min(2, usable_cpus())
 
 
 @dataclass
@@ -151,49 +162,120 @@ def synth_pitch_contour(section, rng=None):
     return base + section.mod_depth_cents * np.sin(2 * np.pi * rate * t + ph)
 
 
-def _render_voice(cents, section, sr, rng):
-    """8-harmonic source following the contour, 1/h rolloff, optional AM."""
-    n = int(round(section.duration_s * sr))
-    t_c = np.arange(len(cents)) * CONTOUR_HOP_S
-    t = np.arange(n) / sr
-    f0 = REF_HZ * 2.0 ** (np.interp(t, t_c, cents) / 1200.0)
-    phase = 2.0 * np.pi * np.cumsum(f0) / sr
-    x = np.zeros(n)
-    for h in range(1, N_HARMONICS + 1):
-        x += np.sin(h * phase + rng.uniform(0, 2 * np.pi)) / h
-    rms = np.sqrt(np.mean(x**2))
-    x *= VOCAL_RMS / max(rms, 1e-12)
-    if section.style == "taan" and section.am_depth_db > 0:
-        gain_db = section.am_depth_db * np.sin(
-            2 * np.pi * section.mod_rate_hz * t + rng.uniform(0, 2 * np.pi)
-        )
-        x *= 10.0 ** (gain_db / 20.0)
-    return x
+@dataclass
+class SectionDraws:
+    """Every random value one section's render uses (see `_draw_section`)."""
+
+    drone_phases: list
+    bursts: list = field(default_factory=list)   # (start sample, noise)
+    cents: np.ndarray = None                     # contour; None if instrumental
+    harmonic_phases: list = field(default_factory=list)
+    am_phase: float = None                       # taan AM with depth > 0 only
 
 
-def _render_drone(duration_s, sr, rng, percussion=False):
-    """Constant drone triad; noise-burst percussion at 1 Hz when asked."""
-    n = int(round(duration_s * sr))
-    t = np.arange(n) / sr
-    x = np.zeros(n)
-    for f, a in ((110.0, 1.0), (165.0, 0.7), (220.0, 0.5)):
-        x += a * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
-    rms = np.sqrt(np.mean(x**2)) if n else 1.0
-    x *= VOCAL_RMS * 10.0 ** (DRONE_REL_DB / 20.0) / max(rms, 1e-12)
-    if percussion:
+def _draw_section(spec, sr, rng):
+    """Every draw of one section, in this order: the 3 drone phases; for
+    an instrumental section one standard_normal(burst) per percussion
+    onset; otherwise the contour's draws, the 8 harmonic phases, and the
+    AM phase of a taan with am_depth_db > 0. A concert's sections draw
+    one after another from one generator, so this order is what fixes a
+    seed's audio."""
+    draws = SectionDraws(drone_phases=[rng.uniform(0, 2 * np.pi)
+                                       for _ in DRONE_PARTIALS])
+    if spec.style == "instrumental":
+        burst = int(0.05 * sr)
+        draws.bursts = [(int(onset * sr), rng.standard_normal(burst))
+                        for onset in np.arange(0.0, spec.duration_s - 0.06,
+                                               1.0)]
+        return draws
+    draws.cents = synth_pitch_contour(spec, rng)
+    if not len(draws.cents):
+        raise InvalidArgumentError(
+            f"{spec.style} section of {spec.duration_s} s is shorter than "
+            f"one {CONTOUR_HOP_S} s contour step")
+    draws.harmonic_phases = [rng.uniform(0, 2 * np.pi)
+                             for _ in range(N_HARMONICS)]
+    if spec.style == "taan" and spec.am_depth_db > 0:
+        draws.am_phase = rng.uniform(0, 2 * np.pi)
+    return draws
+
+
+def _chunks(x):
+    """(first sample, view) of x in RENDER_CHUNK pieces."""
+    for lo in range(0, len(x), RENDER_CHUNK):
+        yield lo, x[lo : lo + RENDER_CHUNK]
+
+
+def _rms(x, scratch):
+    """sqrt(mean(x**2)), with the squares written into scratch."""
+    sq = np.square(x, out=scratch[: len(x)])
+    return np.sqrt(np.mean(sq))
+
+
+def _render_drone(x, draws, sr, scratch):
+    """Constant drone triad into x; noise-burst percussion at 1 Hz when
+    drawn."""
+    for lo, seg in _chunks(x):
+        t = np.arange(lo, lo + len(seg)) / sr
+        seg[:] = 0.0
+        for (f, a), ph in zip(DRONE_PARTIALS, draws.drone_phases):
+            seg += a * np.sin(2 * np.pi * f * t + ph)
+    x *= VOCAL_RMS * 10.0 ** (DRONE_REL_DB / 20.0) / max(_rms(x, scratch),
+                                                         1e-12)
+    if draws.bursts:
         burst = int(0.05 * sr)
         env = np.exp(-np.arange(burst) / (0.01 * sr))
-        for onset in np.arange(0.0, duration_s - 0.06, 1.0):
-            s = int(onset * sr)
-            x[s : s + burst] += 0.05 * env * rng.standard_normal(burst)
-    return x
+        for s, noise in draws.bursts:
+            x[s : s + burst] += 0.05 * env * noise
+
+
+def _render_voice(x, draws, section, sr, scratch):
+    """8-harmonic source following the contour into x, 1/h rolloff,
+    optional AM. The phase is a running sum of f0 that each chunk carries
+    on from the last."""
+    cents = draws.cents
+    t_c = np.arange(len(cents)) * CONTOUR_HOP_S
+    acc = np.empty(min(len(x), RENDER_CHUNK) + 1)
+    carry = 0.0
+    for lo, seg in _chunks(x):
+        t = np.arange(lo, lo + len(seg)) / sr
+        run = acc[: len(seg) + 1]
+        run[0] = carry
+        run[1:] = REF_HZ * 2.0 ** (np.interp(t, t_c, cents) / 1200.0)
+        np.cumsum(run, out=run)
+        carry = run[-1]
+        phase = 2.0 * np.pi * run[1:] / sr
+        seg[:] = 0.0
+        for h, ph in enumerate(draws.harmonic_phases, start=1):
+            seg += np.sin(h * phase + ph) / h
+    x *= VOCAL_RMS / max(_rms(x, scratch), 1e-12)
+    if draws.am_phase is not None:
+        for lo, seg in _chunks(x):
+            t = np.arange(lo, lo + len(seg)) / sr
+            gain_db = section.am_depth_db * np.sin(
+                2 * np.pi * section.mod_rate_hz * t + draws.am_phase)
+            seg *= 10.0 ** (gain_db / 20.0)
+
+
+def _render_section(job):
+    """Drone plus voice of one section into its slice of the clip; returns
+    the slice's (max, min). Runs on a worker thread."""
+    spec, draws, sr, out, voice, scratch = job
+    _render_drone(out, draws, sr, scratch)
+    if voice is not None:
+        _render_voice(voice, draws, spec, sr, scratch)
+        out += voice
+    return out.max(), out.min()
 
 
 def synth_concert(script):
     """Render a concert; returns (AudioClip, SectionTimeline, frame labels).
 
     Frame labels are per 1 s frame: taan / non-taan / instrumental.
-    Fully deterministic given the script's seed.
+    Fully deterministic given the script's seed: every random value is
+    drawn first, section by section, and the sections are then rendered
+    on SYNTH_WORKERS threads by `pool.ordered_map`, each into its own
+    slice of the clip, so the clip does not depend on the worker count.
     """
     if not script.sections:
         raise InvalidArgumentError("script has no sections")
@@ -206,25 +288,31 @@ def synth_concert(script):
         )
     rng = np.random.default_rng(script.seed)
     sr = script.sample_rate
-    pieces = []
+    draws = [_draw_section(spec, sr, rng) for spec in script.sections]
+    lengths = [int(round(spec.duration_s * sr)) for spec in script.sections]
+    x = np.empty(sum(lengths))
+
+    def jobs():
+        # a job's two section-length buffers are allocated only when
+        # ordered_map draws it, so at most SYNTH_WORKERS jobs hold them
+        lo = 0
+        for spec, d, n in zip(script.sections, draws, lengths):
+            if n:
+                voice = None if spec.style == "instrumental" else np.empty(n)
+                yield spec, d, sr, x[lo : lo + n], voice, np.empty(n)
+            lo += n
+
+    extremes = ordered_map(_render_section, jobs(), SYNTH_WORKERS)
+    peak = max((max(hi, -lo) for hi, lo in extremes), default=0.0)
+    if peak > 0.9:
+        x *= 0.9 / peak
     sections = []
     start = 0.0
     for spec in script.sections:
-        drone = _render_drone(spec.duration_s, sr, rng,
-                              percussion=spec.style == "instrumental")
-        if spec.style == "instrumental":
-            pieces.append(drone)
-            label = "instrumental"
-        else:
-            cents = synth_pitch_contour(spec, rng)
-            pieces.append(_render_voice(cents, spec, sr, rng) + drone)
-            label = "taan" if spec.style == "taan" else "non-taan"
+        label = {"instrumental": "instrumental", "taan": "taan"}.get(
+            spec.style, "non-taan")
         sections.append(Section(start, start + spec.duration_s, label))
         start += spec.duration_s
-    x = np.concatenate(pieces)
-    peak = np.abs(x).max()
-    if peak > 0.9:
-        x *= 0.9 / peak
     timeline = SectionTimeline(sections)
     n_frames = int(np.floor(total))
     labels = []

@@ -2,7 +2,10 @@
 `main(argv)` with small synthetic inputs."""
 
 import json
+import re
+import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -550,3 +553,26 @@ class TestExtensibleWav:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{wav}: " in err and message in err
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+class TestReadme:
+    def test_library_example_runs(self, small_concert, mlp_model, tmp_path,
+                                  monkeypatch, capsys):
+        # the README's only python block, run verbatim next to the two
+        # files it names
+        blocks = re.findall(r"```python\n(.*?)```",
+                            README.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        shutil.copy(small_concert["wav"], tmp_path / "concert.wav")
+        shutil.copy(mlp_model, tmp_path / "mlp.tseg")
+        monkeypatch.chdir(tmp_path)
+        exec(compile(blocks[0], str(README), "exec"), {})
+        rows = [line.split() for line in
+                capsys.readouterr().out.splitlines()]
+        assert rows
+        for row in rows:
+            start, end = map(float, row)
+            assert 0.0 <= start < end <= 100.0

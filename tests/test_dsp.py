@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from taanseg import pipeline
 from taanseg.dsp import (
     AudioClip,
     LOG_FLOOR,
@@ -131,3 +133,21 @@ class TestAudioClip:
     def test_rejects_unknown_rate(self):
         with pytest.raises(InvalidArgumentError):
             AudioClip(samples=np.zeros(10), sample_rate=11025)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("stage", [
+        lambda clip: log_spectrogram(clip, 0.04, 0.01, 1024),
+        pipeline.extract_track,
+    ], ids=["log_spectrogram", "extract_track"])
+    def test_rejects_non_finite_sample(self, value, stage):
+        # one bad sample in 2 s of tone: an error, not a numpy warning and
+        # silently unvoiced frames
+        x = tone(220, 8000, dur=2.0).samples.copy()
+        x[4321] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                stage(AudioClip(samples=x, sample_rate=8000))
+
+    def test_empty_clip_accepted(self):
+        assert AudioClip(samples=np.zeros(0), sample_rate=8000).duration_s == 0

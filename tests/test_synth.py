@@ -1,11 +1,30 @@
-"""Tests for the deterministic synthetic-concert generator."""
+"""Tests for the deterministic synthetic-concert generator.
+
+The oracle below is the one-section-at-a-time renderer that drew and
+rendered each section in turn from one generator, kept as the reference
+the pooled, chunked renderer must match bit for bit.
+"""
+
+import itertools
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from taanseg.errors import InvalidArgumentError, ResourceLimitError
+from taanseg import synth
+from taanseg.cli import main
+from taanseg.errors import (DataError, InternalError, InvalidArgumentError,
+                            ResourceLimitError)
 from taanseg.synth import (
     CONTOUR_HOP_S,
+    DRONE_REL_DB,
+    N_HARMONICS,
+    REF_HZ,
+    RENDER_CHUNK,
+    STYLES,
+    VOCAL_RMS,
     ConcertScript,
     SectionSpec,
     default_test_script,
@@ -14,6 +33,111 @@ from taanseg.synth import (
     synth_concert,
     synth_pitch_contour,
 )
+
+
+def serial_voice(cents, section, sr, rng):
+    n = int(round(section.duration_s * sr))
+    t_c = np.arange(len(cents)) * CONTOUR_HOP_S
+    t = np.arange(n) / sr
+    f0 = REF_HZ * 2.0 ** (np.interp(t, t_c, cents) / 1200.0)
+    phase = 2.0 * np.pi * np.cumsum(f0) / sr
+    x = np.zeros(n)
+    for h in range(1, N_HARMONICS + 1):
+        x += np.sin(h * phase + rng.uniform(0, 2 * np.pi)) / h
+    rms = np.sqrt(np.mean(x**2))
+    x *= VOCAL_RMS / max(rms, 1e-12)
+    if section.style == "taan" and section.am_depth_db > 0:
+        gain_db = section.am_depth_db * np.sin(
+            2 * np.pi * section.mod_rate_hz * t + rng.uniform(0, 2 * np.pi)
+        )
+        x *= 10.0 ** (gain_db / 20.0)
+    return x
+
+
+def serial_drone(duration_s, sr, rng, percussion=False):
+    n = int(round(duration_s * sr))
+    t = np.arange(n) / sr
+    x = np.zeros(n)
+    for f, a in ((110.0, 1.0), (165.0, 0.7), (220.0, 0.5)):
+        x += a * np.sin(2 * np.pi * f * t + rng.uniform(0, 2 * np.pi))
+    rms = np.sqrt(np.mean(x**2)) if n else 1.0
+    x *= VOCAL_RMS * 10.0 ** (DRONE_REL_DB / 20.0) / max(rms, 1e-12)
+    if percussion:
+        burst = int(0.05 * sr)
+        env = np.exp(-np.arange(burst) / (0.01 * sr))
+        for onset in np.arange(0.0, duration_s - 0.06, 1.0):
+            s = int(onset * sr)
+            x[s : s + burst] += 0.05 * env * rng.standard_normal(burst)
+    return x
+
+
+def serial_concert(script):
+    """(samples, [(start, end, label)], frame labels), one section at a
+    time."""
+    rng = np.random.default_rng(script.seed)
+    sr = script.sample_rate
+    pieces, sections, start = [], [], 0.0
+    for spec in script.sections:
+        drone = serial_drone(spec.duration_s, sr, rng,
+                             percussion=spec.style == "instrumental")
+        if spec.style == "instrumental":
+            pieces.append(drone)
+            label = "instrumental"
+        else:
+            cents = synth_pitch_contour(spec, rng)
+            pieces.append(serial_voice(cents, spec, sr, rng) + drone)
+            label = "taan" if spec.style == "taan" else "non-taan"
+        sections.append((start, start + spec.duration_s, label))
+        start += spec.duration_s
+    x = np.concatenate(pieces)
+    peak = np.abs(x).max()
+    if peak > 0.9:
+        x *= 0.9 / peak
+    labels = []
+    for f in range(int(np.floor(script.total_duration()))):
+        mid = f + 0.5
+        labels.append(next((lab for s, e, lab in sections if s <= mid < e),
+                           "instrumental"))
+    return x, sections, labels
+
+
+def assert_matches_serial(script):
+    clip, timeline, labels = synth_concert(script)
+    x, sections, want_labels = serial_concert(script)
+    assert clip.samples.tobytes() == x.tobytes()
+    assert [(s.start_s, s.end_s, s.label) for s in timeline] == sections
+    assert labels == want_labels
+
+
+def all_styles_script(sr, am_depth_db, seed=3):
+    mk = SectionSpec
+    return ConcertScript(seed=seed, sample_rate=sr, sections=[
+        mk("instrumental", 6.3),
+        mk("taan", 9.7, f0_hz=247.0, mod_rate_hz=9.0, am_depth_db=am_depth_db),
+        mk("steady-vocal", 4.1, f0_hz=196.0),
+        mk("glide-vocal", 5.77, mod_rate_hz=0.5, mod_depth_cents=200.0),
+        mk("taan", 7.0, mod_rate_hz=5.0, am_depth_db=am_depth_db),
+        mk("instrumental", 3.05),
+    ])
+
+
+def long_taan_script():
+    """5 minutes at 44.1 kHz, 4 of them one taan section."""
+    mk = SectionSpec
+    return ConcertScript(seed=7, sample_rate=44100, sections=[
+        mk("instrumental", 30.0), mk("taan", 240.0), mk("steady-vocal", 30.0),
+    ])
+
+
+def peak_ratio(script):
+    """tracemalloc peak of synth_concert over the clip's bytes."""
+    tracemalloc.start()
+    try:
+        clip, _, _ = synth_concert(script)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / clip.samples.nbytes
 
 
 class TestSectionSpec:
@@ -167,3 +291,106 @@ class TestScriptIo:
         )
         script = script_from_json(path)
         assert script.seed == 0 and script.sample_rate == 8000
+
+
+class TestSerialOracle:
+    """The pooled renderer against the one-section-at-a-time oracle."""
+
+    @pytest.mark.parametrize("seed", [7, 11, 20, 24])
+    def test_default_script(self, seed):
+        assert_matches_serial(default_test_script(seed))
+
+    @pytest.mark.parametrize("sr", [8000, 44100])
+    @pytest.mark.parametrize("am_depth_db", [0.0, 4.0])
+    def test_all_styles(self, sr, am_depth_db):
+        assert_matches_serial(all_styles_script(sr, am_depth_db))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n", [
+        1, RENDER_CHUNK - 1, RENDER_CHUNK, RENDER_CHUNK + 1,
+        2 * RENDER_CHUNK + 123,
+    ])
+    def test_section_lengths(self, monkeypatch, workers, n):
+        # every section exactly n samples long; a one-sample section is
+        # shorter than a contour step, so only an instrumental one renders
+        monkeypatch.setattr(synth, "SYNTH_WORKERS", workers)
+        sr = 8000
+        styles = STYLES if n > 1 else ("instrumental",)
+        assert_matches_serial(ConcertScript(seed=n, sample_rate=sr, sections=[
+            SectionSpec(style, n / sr, am_depth_db=3.0)
+            for style in styles * 2]))
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        # four workers writing disjoint slices of one clip, switching
+        # threads as often as the interpreter allows
+        monkeypatch.setattr(synth, "SYNTH_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert_matches_serial(all_styles_script(8000, 3.0, seed=9))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_section_shorter_than_half_a_sample(self):
+        # rounds to no samples: the oracle's np.abs(x).max() had nothing
+        # to reduce
+        clip, timeline, labels = synth_concert(
+            ConcertScript([SectionSpec("instrumental", 1e-5)]))
+        assert len(clip.samples) == 0 and labels == []
+        assert timeline.span() == (0.0, 1e-5)
+
+    def test_voice_shorter_than_contour_step(self):
+        script = ConcertScript([SectionSpec("instrumental", 1.0),
+                                SectionSpec("steady-vocal", 1 / 8000)])
+        with pytest.raises(ValueError):
+            serial_concert(script)
+        with pytest.raises(InvalidArgumentError, match="contour step"):
+            synth_concert(script)
+
+
+def fail_on_third_section(monkeypatch, exc):
+    render, calls = synth._render_section, itertools.count(1)
+
+    def failing(job):
+        if next(calls) == 3:
+            raise exc
+        return render(job)
+
+    monkeypatch.setattr(synth, "_render_section", failing)
+
+
+class TestSynthPool:
+    def test_workers_are_bounded(self):
+        assert 1 <= synth.SYNTH_WORKERS <= 2
+
+    def test_no_thread_left(self, monkeypatch):
+        script = all_styles_script(8000, 3.0)
+        before = threading.active_count()
+        synth_concert(script)
+        assert threading.active_count() == before
+        fail_on_third_section(monkeypatch, DataError("bad section"))
+        with pytest.raises(DataError, match="bad section"):
+            synth_concert(script)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("exc, code", [
+        (DataError("bad section"), 2), (InternalError("broken section"), 3),
+    ], ids=["data-error", "internal-error"])
+    def test_worker_error_exit_code(self, monkeypatch, tmp_path, capsys, exc,
+                                    code):
+        script = tmp_path / "script.json"
+        script_to_json(all_styles_script(8000, 3.0), script)
+        fail_on_third_section(monkeypatch, exc)
+        assert main(["synth", "--script", str(script),
+                     "--out-wav", str(tmp_path / "a.wav")]) == code
+        assert str(exc) in capsys.readouterr().err
+
+
+class TestSynthMemory:
+    # the one-section-at-a-time renderer peaked at 3.02x and 6.50x: its
+    # section-length temporaries, the concatenated copy and np.abs(x)
+    def test_default_script(self):
+        assert peak_ratio(default_test_script()) <= 2.5
+
+    def test_long_taan_at_44k(self):
+        assert peak_ratio(long_taan_script()) <= 3.5
