@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, open_utf8
+from .errors import InvalidArgumentError
+from .table import Table, finite
 
 COV_EIG_FLOOR = 1e-8
 LOG_2PI = np.log(2.0 * np.pi)
@@ -31,6 +32,8 @@ class Gmm2:
 def _floor_cov(cov):
     """Symmetrize and floor eigenvalues; flags whether flooring fired."""
     cov = 0.5 * (cov + cov.T)
+    if not np.isfinite(cov).all():
+        raise InvalidArgumentError("covariance overflows: features too large")
     vals, vecs = np.linalg.eigh(cov)
     floored = bool(np.any(vals < COV_EIG_FLOOR))
     vals = np.maximum(vals, COV_EIG_FLOOR)
@@ -121,9 +124,9 @@ def bootstrap_labels(x, seed_labels, max_rounds=50, em_iter=20, tol=1e-6):
     """
     x = np.asarray(x, dtype=np.float64)
     n = len(x)
-    seed_idx = np.array(sorted(seed_labels), dtype=np.int64)
-    if np.any(seed_idx < 0) or np.any(seed_idx >= n):
+    if not all(0 <= i < n for i in seed_labels):
         raise InvalidArgumentError("seed index out of range")
+    seed_idx = np.array(sorted(seed_labels), dtype=np.int64)
     seed_vals = np.array([seed_labels[i] for i in seed_idx], dtype=np.int64)
     for c in (0, 1):
         if np.sum(seed_vals == c) < 2:
@@ -144,29 +147,18 @@ def bootstrap_labels(x, seed_labels, max_rounds=50, em_iter=20, tol=1e-6):
     return labels, max_rounds, False
 
 
+LABEL_TABLE = Table([("time_s", "f8"), ("label", "O")], delimiter="\t",
+                    header=False, check=finite("time_s"))
+
+
 def write_frame_labels(labels, path, frame_s=1.0, names=("non-taan", "taan")):
     """Frame-label TSV: frame_s<TAB>label."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for t, lab in enumerate(labels):
-            name = lab if isinstance(lab, str) else names[int(lab)]
-            fh.write(f"{float(t * frame_s)!r}\t{name}\n")
+    LABEL_TABLE.write(path, (
+        np.arange(len(labels)) * frame_s,
+        [lab if isinstance(lab, str) else names[int(lab)] for lab in labels]))
 
 
 def read_frame_labels(path):
     """Read a frame-label TSV; returns (times, label strings)."""
-    times, labels = [], []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError("expected 2 tab-separated columns",
-                                 path=path, line=lineno)
-            try:
-                times.append(float(parts[0]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            labels.append(parts[1])
-    return np.array(times), labels
+    rows = LABEL_TABLE.read(path)
+    return rows["time_s"].copy(), rows["label"].tolist()

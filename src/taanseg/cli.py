@@ -17,7 +17,10 @@ from . import synth as synth_mod
 from . import vocal as vocal_mod
 from . import wavio
 from .config import load_config
-from .errors import DataError, InternalError, InvalidArgumentError, TaansegError
+from .errors import DataError, InternalError, TaansegError
+from .table import Table
+
+POSTERIOR_TABLE = Table([("frame_s", "f8"), ("p_taan", "f8"), ("vocal", "i8")])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,12 +98,6 @@ def _build_parser():
     return parser
 
 
-def _load_labels_as_targets(path, n_frames):
-    times, labels = bootstrap_mod.read_frame_labels(path)
-    y, vmask = pipeline.labels_to_frame_targets(labels)
-    return y[:n_frames], vmask[:n_frames]
-
-
 def _cnn_patch_spec(path):
     clip = dsp.resample(wavio.read_wav(path), 8000)
     return dsp.log_spectrogram(clip, win_s=0.04, hop_s=0.02, n_dft=1024)
@@ -165,7 +162,8 @@ def _run(args, cfg):
         stats = cnn.spectrogram_band_stats(specs)
         for spec, lpath in zip(specs, args.labels):
             pats, _ = cnn.make_patches(spec, band_stats=stats)
-            y, _ = _load_labels_as_targets(lpath, len(pats))
+            _, labels = bootstrap_mod.read_frame_labels(lpath)
+            y = pipeline.labels_to_frame_targets(labels)[0][:len(pats)]
             patches.extend(pats[: len(y)])
             targets.extend(y)
         model = cnn.cnn_train(patches, targets, stats, epochs=cfg.cnn_epochs,
@@ -191,11 +189,7 @@ def _run(args, cfg):
             seq = features.read_features(args.features)
             posteriors, _ = mlp.classify_frames(model, seq, threshold=thr)
             p, mask = posteriors.p_taan, posteriors.vocal_mask
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("frame_s,p_taan,vocal\n")
-            for t in range(len(p)):
-                val = "nan" if not np.isfinite(p[t]) else repr(float(p[t]))
-                fh.write(f"{float(t)!r},{val},{int(mask[t])}\n")
+        POSTERIOR_TABLE.write(args.out, (np.arange(len(p)), p, mask))
         return 0
 
     if args.command == "segment":
@@ -241,17 +235,14 @@ def _run(args, cfg):
     if args.command == "bootstrap-labels":
         seq = features.read_features(args.features)
         times, labels = bootstrap_mod.read_frame_labels(args.seed_labels)
-        seed = {}
         names = sorted(set(labels))
         if len(names) != 2:
             raise DataError("seed labels must contain exactly 2 classes")
-        for t, lab in zip(times, labels):
-            seed[int(round(t))] = names.index(lab)
+        seed = {int(round(t)): names.index(lab) for t, lab in zip(times, labels)}
         x = seq.features.copy()
         x[~seq.vocal_mask] = 0.0
         out, rounds, converged = bootstrap_mod.bootstrap_labels(x, seed)
-        bootstrap_mod.write_frame_labels(out, args.out,
-                                         names=(names[0], names[1]))
+        bootstrap_mod.write_frame_labels(out, args.out, names=names)
         if not converged:
             print(f"warning: no fixpoint after {rounds} rounds",
                   file=sys.stderr)
@@ -272,7 +263,7 @@ def main(argv=None):
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except (TaansegError, OSError, json.JSONDecodeError) as exc:
+    except (TaansegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

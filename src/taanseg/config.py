@@ -6,6 +6,7 @@ override file values. TAANSEG_CONFIG names a default config file.
 import dataclasses
 import json
 import os
+import sys
 
 from .errors import DataError, open_utf8
 
@@ -42,7 +43,6 @@ class PipelineConfig:
     cnn_halve_every: int = 10
     cnn_batch: int = 32
     cnn_seed: int = 0
-    conv_activation: str = "sigmoid"
     # segmentation
     novelty_half_width_s: float = 5.0
     gaussian_taper: bool = True
@@ -73,8 +73,6 @@ class PipelineConfig:
             raise DataError("feature_gap_frac must be in [0, 1)")
         if not 0.0 <= self.pick_rel_threshold <= 1.0:
             raise DataError("pick_rel_threshold must be in [0, 1]")
-        if self.conv_activation not in ("sigmoid", "tanh", "relu"):
-            raise DataError("conv_activation must be sigmoid/tanh/relu")
         if self.group_vocal_gap_s < 0 or self.group_instr_gap_s < 0:
             raise DataError("grouping gaps must be non-negative")
         return self
@@ -84,28 +82,34 @@ def load_config(path=None):
     """Config from JSON file, the TAANSEG_CONFIG env var, or defaults."""
     if path is None:
         path = os.environ.get(ENV_VAR)
-    cfg = PipelineConfig()
     if path is None:
-        return cfg.validate()
+        return PipelineConfig().validate()
     with open_utf8(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise DataError(f"{path}: config must be a JSON object")
-    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(data) - set(types)
+    fields = dataclasses.fields(PipelineConfig)
+    check_object(path, "config", data, {f.name: f.type for f in fields}, ())
+    return PipelineConfig(**data).validate()
+
+
+def check_object(path, where, obj, types, required):
+    """DataError unless obj is a JSON object with every required key and
+    only keys of `types`, each holding a value of its type: an int also
+    fits a float field, a bool only a bool field, and floats are finite."""
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: {where} must be a JSON object")
+    for key in required:
+        if key not in obj:
+            raise DataError(f"{path}: {where} has no {key!r} key")
+    unknown = set(obj) - set(types)
     if unknown:
-        raise DataError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        if not fits_type(value, types[key]):
-            raise DataError(f"{path}: config value {key}={value!r} is not "
-                            f"of type {types[key].__name__}")
-        setattr(cfg, key, value)
-    return cfg.validate()
-
-
-def fits_type(value, kind):
-    """Whether a JSON value fits a field type: an int also fits a float
-    field, but a bool fits only a bool field."""
-    if isinstance(value, bool) or kind is bool:
-        return isinstance(value, bool) and kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+        raise DataError(f"{path}: unknown {where} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        kind = types[key]
+        fits = (isinstance(value, bool) == (kind is bool) and
+                isinstance(value, (int, float) if kind is float else kind)
+                and (kind is not float or abs(value) <= sys.float_info.max))
+        if not fits:
+            want = ("a finite number" if kind is float
+                    else f"of type {kind.__name__}")
+            raise DataError(f"{path}: {where} key {key!r}: {value!r} is not "
+                            f"{want}")

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and the UTF-8 text
-opener every reader uses so that undecodable bytes are a ParseError.
+"""Exception hierarchy shared across the package, and the UTF-8 text opener
+every reader uses, which makes undecodable bytes and bad JSON a ParseError.
 
 CLI exit-code mapping: UsageError -> 1, DataError (and subclasses) -> 2,
 InternalError -> 3.
 """
 
 import contextlib
+import json
 
 
 class TaansegError(Exception):
@@ -21,11 +22,8 @@ class EmptyInputError(InvalidArgumentError):
 
 
 class DataError(TaansegError):
-    """A data file or payload is malformed or violates an invariant."""
-
-
-class ParseError(DataError):
-    """Malformed file content; carries a location when known."""
+    """A data file or payload is malformed or violates an invariant;
+    carries a location when known."""
 
     def __init__(self, message, path=None, line=None):
         loc = ""
@@ -36,6 +34,10 @@ class ParseError(DataError):
         super().__init__(f"{loc}: {message}" if loc else message)
         self.path = path
         self.line = line
+
+
+class ParseError(DataError):
+    """Malformed file content."""
 
 
 class FormatError(DataError):
@@ -60,11 +62,15 @@ class InternalError(TaansegError):
 
 @contextlib.contextmanager
 def open_utf8(path):
-    """Open a UTF-8 text file for reading. Bytes that do not decode, read
-    anywhere inside the `with` block, raise ParseError naming the path
-    instead of UnicodeDecodeError."""
+    """Open a UTF-8 text file for reading. Bytes that do not decode, or
+    JSON that does not parse, anywhere inside the `with` block raise
+    ParseError naming the path (and the JSON error's line) instead of
+    UnicodeDecodeError or json.JSONDecodeError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON ({exc.msg})", path=path,
+                         line=exc.lineno) from None

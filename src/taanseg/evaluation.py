@@ -3,6 +3,7 @@ section-level matching: exact / over-segmented / under-segmented / missed
 detections and false alarms, with boundary-deviation statistics.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,14 +22,7 @@ class SectionMatchReport:
     boundary_deviations: list = field(default_factory=list)
 
     def as_dict(self):
-        return {
-            "exact": self.exact,
-            "over_segmented": self.over_segmented,
-            "under_segmented": self.under_segmented,
-            "missed": self.missed,
-            "false_alarm": self.false_alarm,
-            "boundary_deviations": [list(d) for d in self.boundary_deviations],
-        }
+        return dataclasses.asdict(self)
 
     def table(self):
         lines = [

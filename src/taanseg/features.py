@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidArgumentError, ParseError, open_utf8
+from .errors import EmptyInputError, InvalidArgumentError, ParseError
+from .table import Table
 
 REF_HZ = 55.0
 WIN_LEN = 100           # 1 s of 10 ms samples
@@ -189,34 +190,31 @@ def extract_features(track, vocal_mask, max_gap_frac=MAX_GAP_FRAC,
     return smooth_and_normalize(feats, valid, smooth_s, var_floor)
 
 
+FEATURE_NAMES = ("mod_rate", "mod_energy", "energy_zcr")
+
+
+def _features(rows):
+    return np.column_stack([rows[name] for name in FEATURE_NAMES])
+
+
+def _vocal_finite(rows, first_line):
+    """The feature CSV's check: features are finite on vocal frames."""
+    return [((rows["vocal"] != 0) & ~np.isfinite(_features(rows)).all(axis=1),
+             ParseError, "vocal frame with a non-finite feature")]
+
+
+FEATURE_TABLE = Table([("frame_s", "f8"), *((n, "f8") for n in FEATURE_NAMES),
+                       ("vocal", "i8")], check=_vocal_finite)
+
+
 def write_features(seq, path):
     """Feature CSV: frame_s,mod_rate,mod_energy,energy_zcr,vocal."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frame_s,mod_rate,mod_energy,energy_zcr,vocal\n")
-        for t in range(len(seq)):
-            f = seq.features[t]
-            vals = ",".join("nan" if not np.isfinite(v) else repr(float(v))
-                            for v in f)
-            fh.write(f"{float(t * seq.frame_s)!r},{vals},{int(seq.vocal_mask[t])}\n")
+    FEATURE_TABLE.write(path, (np.arange(len(seq)) * seq.frame_s,
+                               *seq.features.T, seq.vocal_mask))
 
 
 def read_features(path):
     """Read a feature CSV written by write_features."""
-    rows, mask = [], []
-    with open_utf8(path) as fh:
-        header = fh.readline().strip()
-        if header != "frame_s,mod_rate,mod_energy,energy_zcr,vocal":
-            raise InvalidArgumentError(f"{path}: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise InvalidArgumentError(f"{path}: expected 5 columns")
-            try:
-                rows.append([float(p) for p in parts[1:4]])
-                mask.append(bool(int(parts[4])))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from None
-    return StyleFeatureSeq(
-        features=np.array(rows, dtype=np.float64),
-        vocal_mask=np.array(mask, dtype=bool),
-    )
+    rows = FEATURE_TABLE.read(path)
+    return StyleFeatureSeq(features=_features(rows),
+                           vocal_mask=rows["vocal"] != 0)

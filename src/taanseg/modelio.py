@@ -29,9 +29,16 @@ _CNN_LAYERS = (
     ("band_mean", "stat"), ("band_std", "stat"),
 )
 _KIND_LAYERS = {"mlp": _MLP_LAYERS, "cnn": _CNN_LAYERS}
+_KIND_MODEL = {"mlp": MlpModel, "cnn": CnnModel}
 
 
-def _save(path, kind, layers, arrays, meta):
+def save_model(model, path):
+    kind = next((k for k, cls in _KIND_MODEL.items()
+                 if isinstance(model, cls)), None)
+    if kind is None:
+        raise FormatError(f"cannot serialize {type(model).__name__}")
+    layers = _KIND_LAYERS[kind]
+    arrays = [getattr(model, name) for name, _ in layers]
     header = {
         "kind": kind,
         "layers": [
@@ -47,22 +54,8 @@ def _save(path, kind, layers, arrays, meta):
         for arr in arrays:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     with open(str(path) + ".json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, default=str)
+        json.dump(model.meta, fh, indent=2, default=str)
         fh.write("\n")
-
-
-def save_model(model, path):
-    if isinstance(model, MlpModel):
-        layers = _MLP_LAYERS
-        arrays = [model.w1, model.b1, model.w2, model.b2]
-        kind = "mlp"
-    elif isinstance(model, CnnModel):
-        layers = _CNN_LAYERS
-        arrays = [getattr(model, name) for name, _ in _CNN_LAYERS]
-        kind = "cnn"
-    else:
-        raise FormatError(f"cannot serialize {type(model).__name__}")
-    _save(path, kind, layers, arrays, model.meta)
 
 
 def _layer_shapes(header, path):
@@ -119,11 +112,8 @@ def load_model(path):
     missing = [name for name, _ in _KIND_LAYERS[kind] if name not in arrays]
     if missing:
         raise ParseError(f"{kind} model lacks arrays {missing}", path=path)
-    if kind == "mlp":
-        return MlpModel(arrays["w1"], arrays["b1"], arrays["w2"], arrays["b2"],
-                        meta=meta)
-    return CnnModel(**{name: arrays[name] for name, _ in _CNN_LAYERS},
-                    meta=meta)
+    return _KIND_MODEL[kind](
+        **{name: arrays[name] for name, _ in _KIND_LAYERS[kind]}, meta=meta)
 
 
 def write_pgm(matrix, path):

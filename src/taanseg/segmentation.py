@@ -3,11 +3,13 @@ novelty, boundary picking, majority labeling, and musician-style grouping
 of taan sections.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ParseError, open_utf8
+from .errors import InvalidArgumentError
+from .table import Table, finite
 
 LABELS = ("taan", "non-taan", "instrumental")
 
@@ -30,10 +32,9 @@ class SectionTimeline:
         for s in self.sections:
             if s.label not in LABELS:
                 raise InvalidArgumentError(f"unknown label {s.label!r}")
-            if s.end_s <= s.start_s:
-                raise InvalidArgumentError(
-                    f"section [{s.start_s}, {s.end_s}] has non-positive length"
-                )
+            if not 0 < s.end_s - s.start_s < math.inf:
+                raise InvalidArgumentError(f"section [{s.start_s}, {s.end_s}] "
+                                           "has non-positive or non-finite length")
             if prev_end is not None and s.start_s < prev_end - 1e-9:
                 raise InvalidArgumentError("sections overlap or are unsorted")
             prev_end = s.end_s
@@ -189,27 +190,17 @@ def group_sections(timeline, vocal_gap_s=20.0, instr_gap_s=50.0):
     return SectionTimeline(sections)
 
 
+TIMELINE_TABLE = Table([("start_s", "f8"), ("end_s", "f8"), ("label", "O")],
+                       delimiter="\t", header=False,
+                       check=finite("start_s", "end_s"))
+
+
 def write_timeline(timeline, path):
     """Timeline TSV: start_s<TAB>end_s<TAB>label."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in timeline:
-            fh.write(f"{s.start_s!r}\t{s.end_s!r}\t{s.label}\n")
+    TIMELINE_TABLE.write(path, [[getattr(s, name) for s in timeline]
+                                for name in TIMELINE_TABLE.dtype.names])
 
 
 def read_timeline(path):
-    sections = []
-    with open_utf8(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError("expected 3 tab-separated columns",
-                                 path=path, line=lineno)
-            try:
-                start, end = float(parts[0]), float(parts[1])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=lineno) from exc
-            sections.append(Section(start, end, parts[2]))
-    return SectionTimeline(sections)
+    return SectionTimeline([Section(*row)
+                            for row in TIMELINE_TABLE.read(path).tolist()])

@@ -5,12 +5,11 @@ timelines and 1 s frame labels. Serves as the test corpus.
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import fits_type
+from .config import check_object
 from .dsp import AudioClip
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_utf8)
@@ -69,37 +68,17 @@ class ConcertScript:
 _SCRIPT_TYPES = {"sections": list, "seed": int, "sample_rate": int}
 
 
-def _check_object(path, where, obj, types, required):
-    """DataError unless obj is a JSON object with every required key and
-    only keys of `types`, each holding a value of its type (floats finite)."""
-    if not isinstance(obj, dict):
-        raise DataError(f"{path}: {where} must be a JSON object")
-    for key in required:
-        if key not in obj:
-            raise DataError(f"{path}: {where} has no {key!r} key")
-    for key, value in obj.items():
-        if key not in types:
-            raise DataError(f"{path}: {where} has unknown key {key!r}")
-        kind = types[key]
-        if not fits_type(value, kind) or (kind is float
-                                          and not math.isfinite(value)):
-            want = ("a finite number" if kind is float
-                    else f"of type {kind.__name__}")
-            raise DataError(f"{path}: {where} key {key!r}: {value!r} is not "
-                            f"{want}")
-
-
 def script_from_json(path):
     """Read a concert script. Malformed content raises DataError naming
     the path and the offending key."""
     with open_utf8(path) as fh:
         data = json.load(fh)
-    _check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
+    check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
     types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
     sections = []
     for k, spec in enumerate(data["sections"]):
         where = f"section {k}"
-        _check_object(path, where, spec, types, ("style", "duration_s"))
+        check_object(path, where, spec, types, ("style", "duration_s"))
         try:
             sections.append(SectionSpec(**spec))
         except InvalidArgumentError as exc:
@@ -109,21 +88,8 @@ def script_from_json(path):
 
 
 def script_to_json(script, path):
-    data = {
-        "seed": script.seed,
-        "sample_rate": script.sample_rate,
-        "sections": [
-            {
-                "style": s.style,
-                "duration_s": s.duration_s,
-                "f0_hz": s.f0_hz,
-                "mod_rate_hz": s.mod_rate_hz,
-                "mod_depth_cents": s.mod_depth_cents,
-                "am_depth_db": s.am_depth_db,
-            }
-            for s in script.sections
-        ],
-    }
+    data = {"seed": script.seed, "sample_rate": script.sample_rate,
+            "sections": [dataclasses.asdict(s) for s in script.sections]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp
-from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
+from .errors import FormatError, InvalidArgumentError, ParseError
+from .table import Table
 
 TRACK_HOP_S = 0.01
 UNVOICED_DB = -120.0
@@ -261,67 +262,32 @@ def detect_vocal_activity(track, min_run_s=0.2, max_gap_s=0.1):
     return vocal
 
 
-def write_track(track, path):
-    """Write a track to CSV (header time_s,f0_hz,energy_db,voiced)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("time_s,f0_hz,energy_db,voiced\n")
-        for t in range(len(track)):
-            fh.write(
-                f"{t * track.hop_s:.2f},{float(track.f0_hz[t])!r},"
-                f"{float(track.energy_db[t])!r},{int(track.voiced[t])}\n"
-            )
-
-
-_TRACK_ROW = np.dtype([("time_s", "f8"), ("f0_hz", "f8"),
-                       ("energy_db", "f8"), ("voiced", "i8")])
-
-
-def _checked_rows(path, lines, first_line):
-    """Track CSV body lines (line first_line on) as records parsed in one
-    pass, or None if a line does not parse or is empty. Raises for the first
-    line that fails the voiced flag, 10 ms grid or f0 > 0 iff voiced check."""
-    try:
-        rows = np.loadtxt(lines, dtype=_TRACK_ROW, delimiter=",",
-                          comments=None, ndmin=1)
-    except ValueError:
-        return None
-    if len(rows) != len(lines):
-        return None
+def _track_checks(rows, first_line):
+    """The voiced flag, 10 ms grid and f0 > 0 iff voiced checks, in that
+    order, of track rows from line first_line on."""
     t, f, v = rows["time_s"], rows["f0_hz"], rows["voiced"]
     expected = (first_line - 2 + np.arange(len(rows))) * TRACK_HOP_S
-    bad = np.column_stack(((v != 0) & (v != 1), np.abs(t - expected) > 1e-6,
-                           (f > 0) != (v != 0)))
-    if not bad.any():
-        return rows
-    i, check = divmod(int(np.argmax(bad)), 3)  # first bad line, first check
-    msg = (f"voiced must be 0/1, got {v[i]}",
-           f"time {t[i]} not on 10 ms grid (expected {expected[i]})",
-           f"f0={f[i]} inconsistent with voiced={v[i]}")[check]
-    if check == 1:
-        raise FormatError(f"{path}:{first_line + i}: {msg}")
-    raise ParseError(msg, path=path, line=first_line + i)
+    return [((v != 0) & (v != 1), ParseError, "voiced must be 0/1, got {voiced}"),
+            (~(np.abs(t - expected) <= 1e-6), FormatError,
+             "time {time_s} not on 10 ms grid"),
+            ((f > 0) != (v != 0), ParseError,
+             "f0={f0_hz} inconsistent with voiced={voiced}")]
+
+
+TRACK_TABLE = Table([("time_s", "f8"), ("f0_hz", "f8"), ("energy_db", "f8"),
+                     ("voiced", "i8")], cells=["%.2f", "%s", "%s", "%s"],
+                    check=_track_checks)
+
+
+def write_track(track, path):
+    """Write a track to CSV (header time_s,f0_hz,energy_db,voiced)."""
+    TRACK_TABLE.write(path, (np.arange(len(track)) * track.hop_s,
+                             track.f0_hz, track.energy_db, track.voiced))
 
 
 def ingest_track(path):
-    """Read a pitch-track CSV, validating hop and track invariants; the
-    body is parsed in one pass and trailing empty lines are ignored."""
-    with open_utf8(path) as fh:
-        header = fh.readline().strip()
-        if header != "time_s,f0_hz,energy_db,voiced":
-            raise FormatError(f"{path}: unexpected header {header!r}")
-        body = fh.read().rstrip()
-    lines = body.split("\n") if body else []
-    rows = _checked_rows(path, lines, 2) if lines else np.zeros(0, _TRACK_ROW)
-    if rows is None:
-        # the first bad line; an empty one shifts the next row off the grid
-        blank = None
-        for lineno, line in enumerate(lines, start=2):
-            if not line.strip():
-                blank = blank or lineno
-            elif _checked_rows(path, [line], lineno) is None:
-                raise ParseError(f"not 4 numbers, the last 0 or 1: {line!r}",
-                                 path=path, line=lineno)
-        raise FormatError(f"{path}:{blank}: empty line inside the track")
+    """Read a pitch-track CSV, validating hop and track invariants."""
+    rows = TRACK_TABLE.read(path)
     return PitchEnergyTrack(f0_hz=rows["f0_hz"].copy(),
                             energy_db=rows["energy_db"].copy(),
                             voiced=rows["voiced"] == 1)

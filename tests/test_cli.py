@@ -444,6 +444,50 @@ class TestReaderCrashes:
             assert f"{wav}: non-finite sample" in capsys.readouterr().err
 
 
+class TestNonFiniteInputs:
+    """Non-finite times and config floats, and JSON syntax errors, exit 2
+    with the file's location instead of a traceback."""
+
+    def test_evaluate_nan_end_time(self, small_concert, tmp_path, capsys):
+        truth = tmp_path / "truth.tsv"
+        truth.write_text("0.0\t200.0\tnon-taan\n200.0\tnan\ttaan\n")
+        rc = main(["evaluate", "--detected", str(small_concert["timeline"]),
+                   "--truth", str(truth)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{truth}:2: end_s is not finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("time, message", [
+        ("nan", ":3: time_s is not finite"), ("1e300", "out of range")])
+    def test_bootstrap_seed_time(self, features_csv, tmp_path, capsys, time,
+                                 message):
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text(f"0.0\ttaan\n1.0\ttaan\n{time}\tnon-taan\n"
+                         "3.0\tnon-taan\n4.0\tnon-taan\n")
+        rc = main(["bootstrap-labels", "--features", str(features_csv),
+                   "--seed-labels", str(seeds),
+                   "--out", str(tmp_path / "out.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"f0_grid_cents": NaN}', "'f0_grid_cents': nan is not a finite"),
+        ('{"voicing_factor": NaN}', "'voicing_factor': nan is not a finite"),
+        ('{"conv_activation": "relu"}', "unknown config keys"),
+        ('{"mlp_hidden": 50,\n}', ":2: bad JSON")])
+    def test_config(self, half_second_wav, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        rc = main(["--config", str(cfg), "tracks",
+                   "--audio", str(half_second_wav),
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}" in err and message in err and "Traceback" not in err
+
+
 NOT_UTF8 = b"0.0\t1.0\tta\xffan\n"
 
 

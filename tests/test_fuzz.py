@@ -1,0 +1,121 @@
+"""Property-based fuzzing of the input contract (Hypothesis, MacIver et al.,
+JOSS 2019): on arbitrary bytes and on mutated valid files, every table and
+JSON reader raises only TaansegError, and `cli.main` returns only 0, 1
+or 2."""
+
+import re
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from taanseg.bootstrap import read_frame_labels, write_frame_labels
+from taanseg.cli import main
+from taanseg.config import load_config
+from taanseg.errors import TaansegError
+from taanseg.features import StyleFeatureSeq, read_features, write_features
+from taanseg.mlp import mlp_init
+from taanseg.modelio import save_model
+from taanseg.segmentation import read_timeline
+from taanseg.synth import script_from_json
+from taanseg.vocal import PitchEnergyTrack, ingest_track, write_track
+
+FUZZ = settings(derandomize=True, database=None, deadline=None,
+                max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+
+# cells, delimiters and JSON words that make the likely faults
+TOKENS = [b"nan", b"inf", b"-inf", b"1e300", b"-1", b"0", b"", b"\n", b"\t",
+          b",", b"\xff", b"{", b"]", b'"', b"NaN", b"taan"]
+
+
+@st.composite
+def mutated(draw, valid):
+    """valid split into cells and delimiters, with 1 to 4 of these pieces
+    replaced by a token or a few arbitrary bytes."""
+    pieces = re.split(rb"([,\t\n:{}\[\]])", valid)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, len(pieces) - 1))
+        pieces[k] = draw(st.sampled_from(TOKENS) | st.binary(max_size=4))
+    return b"".join(pieces)
+
+
+def inputs(valid):
+    return st.binary(max_size=200) | mutated(valid)
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A small valid file of every fuzzed format, and a model."""
+    root = tmp_path_factory.mktemp("fuzz")
+    t = np.arange(250) * 0.01
+    f0 = np.where(t < 2.0, 220.0 * 2 ** (np.sin(2 * np.pi * 6 * t) / 12), 0.0)
+    write_track(PitchEnergyTrack(f0, np.where(f0 > 0, -20.0, -120.0), f0 > 0),
+                root / "track")
+    rng = np.random.default_rng(0)
+    x = np.vstack((rng.normal(-1, 0.3, (10, 3)), rng.normal(1, 0.3, (10, 3))))
+    x[[4, 15]] = np.nan
+    write_features(StyleFeatureSeq(x, np.isfinite(x).all(axis=1)),
+                   root / "features")
+    (root / "timeline").write_text(
+        "0.0\t10.0\ttaan\n10.0\t20.0\tinstrumental\n20.0\t30.0\ttaan\n")
+    write_frame_labels(["taan", "taan", "taan"] + ["non-taan"] * 3,
+                       root / "labels", frame_s=3.0)
+    (root / "config").write_text('{"mlp_hidden": 20, "taan_threshold": 0.6, '
+                                 '"class_balance": false}')
+    (root / "script").write_text(
+        '{"seed": 3, "sample_rate": 8000, "sections": [{"style": "taan", '
+        '"duration_s": 5.0, "mod_rate_hz": 6.0}]}')
+    save_model(mlp_init(5, seed=0), root / "model")
+    return root
+
+
+READERS = {"track": ingest_track, "features": read_features,
+           "timeline": read_timeline, "labels": read_frame_labels,
+           "config": load_config, "script": script_from_json}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@FUZZ
+@given(data=st.data())
+def test_reader_raises_only_taanseg_errors(files, kind, data):
+    path = files / "fuzzed"
+    path.write_bytes(data.draw(inputs((files / kind).read_bytes())))
+    try:
+        READERS[kind](path)
+    except TaansegError:
+        pass
+
+
+COMMANDS = {
+    "features-track": ("track", ["features", "--track", "{fuzzed}",
+                                 "--out", "{out}"]),
+    "evaluate": ("timeline", ["evaluate", "--detected", "{fuzzed}",
+                              "--truth", "{fuzzed}"]),
+    "classify-features": ("features", ["classify", "--model", "{model}",
+                                       "--features", "{fuzzed}",
+                                       "--out", "{out}"]),
+    "bootstrap-labels": ("labels", ["bootstrap-labels",
+                                    "--features", "{features}",
+                                    "--seed-labels", "{fuzzed}",
+                                    "--out", "{out}"]),
+    "bootstrap-features": ("features", ["bootstrap-labels",
+                                        "--features", "{fuzzed}",
+                                        "--seed-labels", "{labels}",
+                                        "--out", "{out}"]),
+    "config": ("config", ["--config", "{fuzzed}", "evaluate",
+                          "--detected", "{timeline}",
+                          "--truth", "{timeline}"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+@FUZZ
+@given(data=st.data())
+def test_cli_exit_code(files, name, data):
+    kind, argv = COMMANDS[name]
+    fuzzed = data.draw(inputs((files / kind).read_bytes()))
+    (files / "fuzzed").write_bytes(fuzzed)
+    paths = {k: files / k for k in ("fuzzed", "timeline", "model", "features",
+                                    "labels", "out")}
+    assert main([a.format(**paths) for a in argv]) in (0, 1, 2)

@@ -300,10 +300,10 @@ class TestConfig:
     def test_int_for_float_field(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"f0_min_hz": 100, "taan_threshold": 1, '
-                        '"class_balance": false, "conv_activation": "relu"}')
+                        '"class_balance": false}')
         cfg = load_config(path)
         assert cfg.f0_min_hz == 100 and cfg.taan_threshold == 1
-        assert cfg.class_balance is False and cfg.conv_activation == "relu"
+        assert cfg.class_balance is False
 
     @pytest.mark.parametrize("text", ['{"mlp_hidden": 50.0}',
                                       '{"mlp_epochs": false}',
