@@ -10,7 +10,7 @@ import sys
 
 import numpy as np
 
-from . import cnn, dsp, evaluation, features, modelio, mlp, pipeline
+from . import cnn, evaluation, features, modelio, mlp, pipeline
 from . import bootstrap as bootstrap_mod
 from . import segmentation as seg_mod
 from . import synth as synth_mod
@@ -70,7 +70,6 @@ def _build_parser():
     p.add_argument("--audio")
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--threshold", type=float)
 
     p = sub.add_parser("segment", help="audio -> grouped taan timeline")
     p.add_argument("--audio", required=True)
@@ -96,11 +95,6 @@ def _build_parser():
     p.add_argument("--seed-labels", required=True)
     p.add_argument("--out", required=True)
     return parser
-
-
-def _cnn_patch_spec(path):
-    clip = dsp.resample(wavio.read_wav(path), 8000)
-    return dsp.log_spectrogram(clip, win_s=0.04, hop_s=0.02, n_dft=1024)
 
 
 def _run(args, cfg):
@@ -158,7 +152,7 @@ def _run(args, cfg):
         if len(args.audio) != len(args.labels):
             raise UsageError("--audio and --labels must pair up")
         patches, targets = [], []
-        specs = [_cnn_patch_spec(a) for a in args.audio]
+        specs = [cnn.patch_spectrogram(wavio.read_wav(a)) for a in args.audio]
         stats = cnn.spectrogram_band_stats(specs)
         for spec, lpath in zip(specs, args.labels):
             pats, _ = cnn.make_patches(spec, band_stats=stats)
@@ -173,23 +167,20 @@ def _run(args, cfg):
         return 0
 
     if args.command == "classify":
+        if bool(args.features) == bool(args.audio):
+            raise UsageError("give exactly one of --features / --audio")
         model = modelio.load_model(args.model)
-        thr = cfg.taan_threshold if args.threshold is None else args.threshold
-        if isinstance(model, cnn.CnnModel):
-            if not args.audio:
-                raise UsageError("CNN models classify --audio")
-            spec = _cnn_patch_spec(args.audio)
-            pats, _ = cnn.make_patches(
-                spec, band_stats=(model.band_mean, model.band_std))
-            p = cnn.cnn_posteriors(model, pats)
-            mask = np.ones(len(p), dtype=bool)
+        if args.audio:
+            posteriors, _ = pipeline.classify_audio(
+                wavio.read_wav(args.audio), model, cfg)
+        elif isinstance(model, cnn.CnnModel):
+            raise UsageError("CNN models classify --audio")
         else:
-            if not args.features:
-                raise UsageError("MLP models classify --features")
-            seq = features.read_features(args.features)
-            posteriors, _ = mlp.classify_frames(model, seq, threshold=thr)
-            p, mask = posteriors.p_taan, posteriors.vocal_mask
-        POSTERIOR_TABLE.write(args.out, (np.arange(len(p)), p, mask))
+            posteriors, _ = mlp.classify_frames(
+                model, features.read_features(args.features))
+        p = posteriors.p_taan
+        POSTERIOR_TABLE.write(args.out, (np.arange(len(p)), p,
+                                         posteriors.vocal_mask))
         return 0
 
     if args.command == "segment":
@@ -220,9 +211,8 @@ def _run(args, cfg):
         model = modelio.load_model(args.model)
         if not isinstance(model, cnn.CnnModel):
             raise DataError("inspect-cnn needs a CNN model")
-        spec = _cnn_patch_spec(args.audio)
-        pats, _ = cnn.make_patches(
-            spec, band_stats=(model.band_mean, model.band_std))
+        spec = cnn.patch_spectrogram(wavio.read_wav(args.audio))
+        pats, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
         if not 0 <= args.second < len(pats):
             raise UsageError(f"--second must be in 0..{len(pats) - 1}")
         cmap = cnn.export_channel_maps(model, pats[args.second], args.channel)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import mlp as mlp_mod
+from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import sigmoid, softmax
 
@@ -67,6 +67,13 @@ def spectrogram_band_stats(specs):
     bands = bands[0] if len(bands) == 1 else np.concatenate(bands, axis=1)
     return (bands.mean(axis=1),
             np.sqrt(np.maximum(bands.var(axis=1), BAND_VAR_FLOOR)))
+
+
+def patch_spectrogram(clip):
+    """The log spectrogram patches are cut from: 8 kHz, 40 ms window,
+    20 ms hop, 1024-point DFT."""
+    return dsp.log_spectrogram(dsp.resample(clip, 8000), win_s=0.04,
+                               hop_s=0.02, n_dft=1024)
 
 
 def make_patches(spec, band_stats=None):
@@ -188,24 +195,18 @@ def _features(model, x):
     return flat
 
 
-def _forward(model, xb, return_maps=False):
-    """Posteriors (B, 2) for a patch batch (B,1,94,50); with return_maps
-    also the second pooling layer's channel maps (B, 10, 21, 10)."""
-    flat = _features(model, xb)
-    h = sigmoid(flat @ model.fc_w + model.fc_b)
+def _forward(model, xb):
+    """Posteriors (B, 2) for a patch batch (B,1,94,50)."""
+    h = sigmoid(_features(model, xb) @ model.fc_w + model.fc_b)
     _check_shape(h, SHAPE_CHAIN[6], "fc")
     p = softmax(h @ model.out_w + model.out_b)
     _check_shape(p, SHAPE_CHAIN[7], "out")
-    if return_maps:
-        return p, flat.reshape((-1,) + SHAPE_CHAIN[4])
     return p
 
 
-def cnn_forward(model, patch, return_maps=False):
-    """Posterior 2-vector for one patch; optionally the second pooling
-    layer's 10 channel maps (21x10 each)."""
-    p, maps = _forward(model, patch.values[None, None], return_maps=True)
-    return (p[0], maps[0]) if return_maps else p[0]
+def cnn_forward(model, patch):
+    """Posterior 2-vector for one patch."""
+    return _forward(model, patch.values[None, None])[0]
 
 
 def _stack_patches(patches):
@@ -224,8 +225,8 @@ def export_channel_maps(model, patch, channel):
     """One 21x10 channel map from the second pooling layer."""
     if not 0 <= channel <= 9:
         raise InvalidArgumentError("channel must be in 0..9")
-    _, maps = cnn_forward(model, patch, return_maps=True)
-    return maps[channel]
+    return _features(model, patch.values[None, None]).reshape(
+        SHAPE_CHAIN[4])[channel]
 
 
 def cnn_init(seed):

@@ -62,10 +62,10 @@ class InternalError(TaansegError):
 
 @contextlib.contextmanager
 def open_utf8(path):
-    """Open a UTF-8 text file for reading. Bytes that do not decode, or
-    JSON that does not parse, anywhere inside the `with` block raise
-    ParseError naming the path (and the JSON error's line) instead of
-    UnicodeDecodeError or json.JSONDecodeError."""
+    """Open a UTF-8 text file for reading. Bytes that do not decode, JSON
+    that does not parse, or any ValueError (a JSON integer past Python's
+    digit limit) inside the `with` block raise ParseError naming the path
+    (and the JSON error's line), so the block only reads and decodes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             yield fh
@@ -74,3 +74,5 @@ def open_utf8(path):
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON ({exc.msg})", path=path,
                          line=exc.lineno) from None
+    except ValueError as exc:
+        raise ParseError(f"value out of range ({exc})", path=path) from None

@@ -1,14 +1,13 @@
-"""End-to-end wiring: audio -> vocal attributes -> style features ->
-posteriors -> labeled taan timeline.
+"""End-to-end wiring: audio -> posteriors of an MLP or a CNN model
+(`classify_audio`) -> labeled taan timeline (`segment_posteriors`).
 """
 
 import functools
 
 import numpy as np
 
-from . import dsp, features, mlp, segmentation, vocal
+from . import cnn, dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
-from .errors import DataError
 from .pool import ordered_map, usable_cpus
 
 # spectrogram blocks tracked at once, one per worker thread: numpy releases
@@ -82,18 +81,27 @@ def segment_posteriors(posteriors, decisions, cfg=None):
                                        instr_gap_s=cfg.group_instr_gap_s)
 
 
-def segment_audio(clip, model, cfg=None):
-    """Full MLP-path pipeline on one concert."""
-    if not isinstance(model, mlp.MlpModel):
-        raise DataError(f"segment needs an MLP model, got "
-                        f"{type(model).__name__}; a CNN model classifies "
-                        "audio with `taanseg classify --audio`")
+def classify_audio(clip, model, cfg=None):
+    """(PosteriorSeq, taan decisions) of a concert, the one place that
+    branches on the model kind. MLP: extract_track -> track_features ->
+    classify_frames. CNN: patch_spectrogram -> make_patches under the
+    model's band statistics -> cnn_posteriors, with every patch vocal (the
+    CNN has no vocal detector), so a CNN timeline never has `instrumental`.
+    """
     cfg = cfg or PipelineConfig()
-    track = extract_track(clip, cfg)
-    seq = track_features(track, cfg)
-    posteriors, decisions = mlp.classify_frames(model, seq,
-                                                threshold=cfg.taan_threshold)
-    return segment_posteriors(posteriors, decisions, cfg)
+    if isinstance(model, cnn.CnnModel):
+        spec = cnn.patch_spectrogram(clip)
+        patches, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
+        p = cnn.cnn_posteriors(model, patches)
+        return (mlp.PosteriorSeq(p_taan=p, vocal_mask=np.ones(len(p), bool)),
+                p >= cfg.taan_threshold)
+    seq = track_features(extract_track(clip, cfg), cfg)
+    return mlp.classify_frames(model, seq, threshold=cfg.taan_threshold)
+
+
+def segment_audio(clip, model, cfg=None):
+    """Full pipeline on one concert, with an MLP or a CNN model."""
+    return segment_posteriors(*classify_audio(clip, model, cfg), cfg)
 
 
 def labels_to_frame_targets(labels):

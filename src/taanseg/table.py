@@ -8,7 +8,7 @@ bit-identical; NaN is `nan`. Trailing empty lines are ignored.
 
 import numpy as np
 
-from .errors import FormatError, ParseError, open_utf8
+from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
 
 # rows formatted per write, which bounds the writer's Python objects
 WRITE_CHUNK = 8192
@@ -31,9 +31,15 @@ class Table:
         self.check = check
 
     def write(self, path, columns):
-        """Write equal-length columns, each cast to its column's type."""
+        """Write equal-length columns, each cast to its column's type. A
+        text cell holding the delimiter or a line break, which would not
+        read back, raises InvalidArgumentError before the file opens."""
         cols = [np.asarray(col, dtype=self.dtype[k])
                 for k, col in enumerate(columns)]
+        for cell in (c for col in cols if col.dtype == object for c in col):
+            if any(b in str(cell) for b in (self.delimiter, "\n", "\r")):
+                raise InvalidArgumentError(f"{path}: cell {cell!r} holds the "
+                                           "delimiter or a line break")
         with open(path, "w", encoding="utf-8") as fh:
             if self.header is not None:
                 fh.write(self.header + "\n")

@@ -134,6 +134,35 @@ class TestTrainAndClassify:
         finite = [float(v[1]) for v in vals if v[1] != "nan"]
         assert finite and all(0.0 <= p <= 1.0 for p in finite)
 
+    def test_classify_audio_matches_features_then_classify(
+            self, small_concert, mlp_model, tmp_path):
+        feats = tmp_path / "feat.csv"
+        assert main(["features", "--audio", str(small_concert["wav"]),
+                     "--out", str(feats)]) == 0
+        outs = {}
+        for source, path in (("--features", feats),
+                             ("--audio", small_concert["wav"])):
+            outs[source] = tmp_path / f"post{source}.csv"
+            assert main(["classify", "--model", str(mlp_model), source,
+                         str(path), "--out", str(outs[source])]) == 0
+        assert outs["--audio"].read_bytes() == outs["--features"].read_bytes()
+
+    @pytest.mark.parametrize("kind, sources", [
+        ("mlp", []), ("mlp", ["--features", "--audio"]),
+        ("cnn", ["--features"])])
+    def test_classify_usage(self, small_concert, mlp_model, features_csv,
+                            tmp_path, kind, sources):
+        model = mlp_model
+        if kind == "cnn":
+            model = tmp_path / "cnn.tseg"
+            save_model(cnn_init(seed=0), model)
+        paths = {"--features": features_csv, "--audio": small_concert["wav"]}
+        argv = ["classify", "--model", str(model), "--out",
+                str(tmp_path / "p.csv")]
+        for source in sources:
+            argv += [source, str(paths[source])]
+        assert main(argv) == 1
+
     def test_segment_end_to_end(self, small_concert, mlp_model, tmp_path):
         out = tmp_path / "detected.tsv"
         rc = main(["segment", "--audio", str(small_concert["wav"]),
@@ -272,14 +301,16 @@ class TestExitCodes:
                    "--out-wav", str(tmp_path / "x.wav")])
         assert rc == 2
 
-    def test_segment_with_cnn_model(self, small_concert, tmp_path, capsys):
+    def test_segment_with_cnn_model(self, small_concert, tmp_path):
         model_path = tmp_path / "cnn.tseg"
         save_model(cnn_init(seed=0), model_path)
+        out = tmp_path / "t.tsv"
         rc = main(["segment", "--audio", str(small_concert["wav"]),
-                   "--model", str(model_path),
-                   "--out", str(tmp_path / "t.tsv")])
-        assert rc == 2
-        assert "classify --audio" in capsys.readouterr().err
+                   "--model", str(model_path), "--out", str(out)])
+        assert rc == 0
+        tl = read_timeline(out)
+        assert len(tl) >= 1
+        assert tl.span()[0] == 0.0
 
 
 @pytest.fixture
@@ -476,7 +507,9 @@ class TestNonFiniteInputs:
         ('{"f0_grid_cents": NaN}', "'f0_grid_cents': nan is not a finite"),
         ('{"voicing_factor": NaN}', "'voicing_factor': nan is not a finite"),
         ('{"conv_activation": "relu"}', "unknown config keys"),
-        ('{"mlp_hidden": 50,\n}', ":2: bad JSON")])
+        ('{"mlp_hidden": 50,\n}', ":2: bad JSON"),
+        pytest.param('{"mlp_hidden": ' + "1" * 5000 + '}',
+                     "value out of range", id="int-over-digit-limit")])
     def test_config(self, half_second_wav, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

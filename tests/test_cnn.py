@@ -1,6 +1,6 @@
 """Tests for the spectrogram-patch CNN: patch construction, the forward
 pass against a naive loop oracle, gradients against central differences,
-and the two-stage training entry point.
+the two-stage training entry point, and segmentation with a CNN model.
 """
 
 import numpy as np
@@ -26,8 +26,13 @@ from taanseg.cnn import (
     make_patches,
     spectrogram_band_stats,
 )
-from taanseg.dsp import AudioClip, log_spectrogram
+from taanseg.config import PipelineConfig
+from taanseg.dsp import AudioClip, log_spectrogram, resample
 from taanseg.errors import EmptyInputError, InternalError, InvalidArgumentError
+from taanseg.mlp import PosteriorSeq
+from taanseg.pipeline import (classify_audio, segment_audio,
+                              segment_posteriors)
+from taanseg.synth import ConcertScript, SectionSpec, synth_concert
 
 
 def _tiny_model(seed=0, scale=0.3):
@@ -330,3 +335,37 @@ class TestChannelMaps:
     def test_channel_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             export_channel_maps(_tiny_model(), _rand_patch(), channel=10)
+
+
+class TestSegmentAudio:
+    def test_matches_public_chain(self):
+        """pipeline.classify_audio and segment_audio with a CNN model are
+        the chain of public calls: 20 ms-hop spectrogram, patches under the
+        model's band statistics, batched posteriors, every frame vocal."""
+        clip, _, _ = synth_concert(ConcertScript([
+            SectionSpec("instrumental", 10.0),
+            SectionSpec("taan", 20.0, f0_hz=220.0, mod_rate_hz=6.0),
+            SectionSpec("steady-vocal", 20.0, f0_hz=196.0),
+            SectionSpec("taan", 20.0, f0_hz=247.0, mod_rate_hz=7.0),
+        ], seed=3, sample_rate=16000))
+        spec = log_spectrogram(resample(clip, 8000), win_s=0.04, hop_s=0.02,
+                               n_dft=1024)
+        model = cnn_init(seed=0)
+        # band statistics other than the clip's own, which make_patches
+        # would compute without them
+        mean, std = spectrogram_band_stats([spec])
+        model.band_mean, model.band_std = mean + 1.0, 2.0 * std
+        patches, _ = make_patches(
+            spec, band_stats=(model.band_mean, model.band_std))
+        p = cnn_posteriors(model, patches)
+        # an untrained model's posteriors sit in a narrow band; a median
+        # threshold splits them, so the timeline has several sections
+        cfg = PipelineConfig(taan_threshold=float(np.median(p)))
+        posteriors = PosteriorSeq(p_taan=p, vocal_mask=np.ones(len(p), bool))
+        expected = segment_posteriors(posteriors, p >= cfg.taan_threshold, cfg)
+        got, decisions = classify_audio(clip, model, cfg)
+        np.testing.assert_array_equal(got.p_taan, p)
+        np.testing.assert_array_equal(got.vocal_mask, posteriors.vocal_mask)
+        np.testing.assert_array_equal(decisions, p >= cfg.taan_threshold)
+        assert len(expected) > 1
+        assert segment_audio(clip, model, cfg).sections == expected.sections

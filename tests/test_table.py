@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from taanseg import table
-from taanseg.bootstrap import bootstrap_labels, read_frame_labels
+from taanseg.bootstrap import (bootstrap_labels, read_frame_labels,
+                               write_frame_labels)
 from taanseg.config import load_config
 from taanseg.errors import (DataError, FormatError, InvalidArgumentError,
                             ParseError)
@@ -138,6 +139,14 @@ class TestTsvTables:
     def test_non_finite_label_time(self, tmp_path, time):
         path = write(tmp_path, f"0.0\ttaan\n{time}\tnon-taan\n")
         raises_at(ParseError, path, 2, read_frame_labels)
+
+    @pytest.mark.parametrize("label", ["taan\tx", "taan\nx", "taan\rx"])
+    def test_label_breaking_the_format_is_not_written(self, tmp_path, label):
+        path = tmp_path / "labels.tsv"
+        with pytest.raises(InvalidArgumentError,
+                           match="delimiter or a line break"):
+            write_frame_labels([label, "non-taan"], path)
+        assert not path.exists()
 
     def test_timeline_rejects_non_finite_bounds(self):
         for start, end in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
