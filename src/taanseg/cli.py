@@ -10,14 +10,14 @@ import sys
 
 import numpy as np
 
-from . import cnn, evaluation, features, modelio, mlp, pipeline
+from . import cnn, dsp, evaluation, features, modelio, mlp, pipeline
 from . import bootstrap as bootstrap_mod
 from . import segmentation as seg_mod
 from . import synth as synth_mod
 from . import vocal as vocal_mod
 from . import wavio
 from .config import load_config
-from .errors import DataError, InternalError, TaansegError
+from .errors import DataError, TaansegError
 from .table import Table
 
 POSTERIOR_TABLE = Table([("frame_s", "f8"), ("p_taan", "f8"), ("vocal", "i8")])
@@ -158,9 +158,10 @@ def _run(args, cfg):
             pats, _ = cnn.make_patches(spec, band_stats=stats)
             _, labels = bootstrap_mod.read_frame_labels(lpath)
             y = pipeline.labels_to_frame_targets(labels)[0][:len(pats)]
-            patches.extend(pats[: len(y)])
-            targets.extend(y)
-        model = cnn.cnn_train(patches, targets, stats, epochs=cfg.cnn_epochs,
+            patches.append(pats[: len(y)])
+            targets.append(y)
+        model = cnn.cnn_train(np.concatenate(patches), np.concatenate(targets),
+                              stats, epochs=cfg.cnn_epochs,
                               lr0=cfg.cnn_lr0, halve_every=cfg.cnn_halve_every,
                               batch=cfg.cnn_batch, seed=cfg.cnn_seed)
         modelio.save_model(model, args.out)
@@ -211,11 +212,17 @@ def _run(args, cfg):
         model = modelio.load_model(args.model)
         if not isinstance(model, cnn.CnnModel):
             raise DataError("inspect-cnn needs a CNN model")
-        spec = cnn.patch_spectrogram(wavio.read_wav(args.audio))
+        clip = dsp.resample(wavio.read_wav(args.audio), 8000)
+        win, hop, n_frames = dsp._frame_count(clip, **cnn.PATCH_FRAMING)
+        last = n_frames // cnn.PATCH_FRAMES - 1
+        if not 0 <= args.second <= last:
+            raise UsageError(f"--second must be in 0..{last}")
+        # frame only the second the map reads, as the whole clip frames it
+        t0 = args.second * cnn.PATCH_FRAMES * hop
+        cut = clip.samples[t0 : t0 + (cnn.PATCH_FRAMES - 1) * hop + win]
+        spec = cnn.patch_spectrogram(dsp.AudioClip(cut, 8000))
         pats, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
-        if not 0 <= args.second < len(pats):
-            raise UsageError(f"--second must be in 0..{len(pats) - 1}")
-        cmap = cnn.export_channel_maps(model, pats[args.second], args.channel)
+        cmap = cnn.export_channel_maps(model, pats[0], args.channel)
         if args.out_csv:
             modelio.write_matrix_csv(cmap, args.out_csv)
         if args.out_pgm:
@@ -250,12 +257,12 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
     except (TaansegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:    # a bug, InternalError included: no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

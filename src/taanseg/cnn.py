@@ -16,6 +16,8 @@ PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block of a whole-set forward pass
+# framing of the 8 kHz log spectrogram that patches are cut from
+PATCH_FRAMING = {"win_s": 0.04, "hop_s": 0.02, "n_dft": 1024}
 
 # shape chain for the full forward pass
 SHAPE_CHAIN = (
@@ -28,22 +30,6 @@ SHAPE_CHAIN = (
     (300,),
     (2,),
 )
-
-
-@dataclass
-class SpectrogramPatch:
-    values: np.ndarray            # (94, 50) band-normalized log magnitudes
-    origin: tuple = ("", 0)       # (concert id, start second)
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (PATCH_BINS, PATCH_FRAMES):
-            raise InvalidArgumentError(
-                f"patch must be {PATCH_BINS}x{PATCH_FRAMES}, "
-                f"got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise InvalidArgumentError("patch contains non-finite values")
 
 
 @dataclass
@@ -70,36 +56,39 @@ def spectrogram_band_stats(specs):
 
 
 def patch_spectrogram(clip):
-    """The log spectrogram patches are cut from: 8 kHz, 40 ms window,
-    20 ms hop, 1024-point DFT."""
-    return dsp.log_spectrogram(dsp.resample(clip, 8000), win_s=0.04,
-                               hop_s=0.02, n_dft=1024)
+    """The PATCH_BINS lowest bands of the log spectrogram patches are cut
+    from, PATCH_FRAMING at 8 kHz. Each streamed block's bands are copied
+    out, so no 513-bin block outlives its turn."""
+    blocks = dsp.log_spectrogram_blocks(dsp.resample(clip, 8000),
+                                        **PATCH_FRAMING)
+    bands = [block.values[:PATCH_BINS].copy() for block in blocks]
+    return dsp.LogSpectrogram(values=np.concatenate(bands, axis=1),
+                              bin_hz=8000 / 1024, hop_s=0.02)
 
 
 def make_patches(spec, band_stats=None):
     """Cut a log spectrogram into band-normalized 94x50 patches.
 
     The spectrogram must come from 8 kHz audio with a 1024-point DFT at
-    20 ms hop. Returns (patches, (band_mean, band_std)); statistics are
-    computed from this data when band_stats is None.
+    20 ms hop. Returns (patches, (band_mean, band_std)): patches is one
+    C-contiguous (n, 94, 50) array, patch k holding frames 50k..50k+49;
+    statistics are computed from this data when band_stats is None.
     """
     if abs(spec.bin_hz - 8000.0 / 1024) > 1e-9 or abs(spec.hop_s - 0.02) > 1e-9:
-        raise InvalidArgumentError(
-            "patches require an 8 kHz / 1024-point DFT / 20 ms hop spectrogram"
-        )
+        raise InvalidArgumentError("patches require an 8 kHz / 1024-point DFT"
+                                   " / 20 ms hop spectrogram")
     if spec.n_bins < PATCH_BINS:
         raise InvalidArgumentError("spectrogram has too few bins")
-    if band_stats is None:
-        mean, std = spectrogram_band_stats([spec])
-    else:
-        mean, std = (np.asarray(v, dtype=np.float64) for v in band_stats)
-        if mean.shape != (PATCH_BINS,) or std.shape != (PATCH_BINS,):
-            raise InvalidArgumentError("band statistics need 94 entries each")
-    normed = spec.values[:PATCH_BINS] - mean[:, None]
-    normed /= std[:, None]   # in place: one 94 x n_frames array, not two
-    step = PATCH_FRAMES
-    patches = [SpectrogramPatch(normed[:, k * step : (k + 1) * step], ("", k))
-               for k in range(spec.n_frames // step)]
+    stats = spectrogram_band_stats([spec]) if band_stats is None else band_stats
+    mean, std = (np.asarray(v, dtype=np.float64) for v in stats)
+    if mean.shape != (PATCH_BINS,) or std.shape != (PATCH_BINS,):
+        raise InvalidArgumentError("band statistics need 94 entries each")
+    n = spec.n_frames // PATCH_FRAMES
+    bands = spec.values[:PATCH_BINS, : n * PATCH_FRAMES].reshape(
+        PATCH_BINS, n, PATCH_FRAMES).transpose(1, 0, 2)
+    patches = np.empty((n, PATCH_BINS, PATCH_FRAMES))
+    np.subtract(bands, mean[:, None], out=patches)
+    patches /= std[:, None]   # in place: the patch array is the only copy
     return patches, (mean, std)
 
 
@@ -169,14 +158,12 @@ def _conv_stack_forward(model, xb, keep_cols=False):
     """Shared conv/pool stack; returns intermediates for backprop, with
     keep_cols also both im2col matrices (else each is freed after use)."""
     cols1 = _im2col(xb, *model.conv1_w.shape[2:]) if keep_cols else None
-    z1 = _conv_valid(xb, model.conv1_w, model.conv1_b, cols1)
-    a1 = sigmoid(z1)
+    a1 = sigmoid(_conv_valid(xb, model.conv1_w, model.conv1_b, cols1))
     _check_shape(a1, SHAPE_CHAIN[1], "conv1")
     p1 = _pool2(a1)
     _check_shape(p1, SHAPE_CHAIN[2], "pool1")
     cols2 = _im2col(p1, *model.conv2_w.shape[2:]) if keep_cols else None
-    z2 = _conv_valid(p1, model.conv2_w, model.conv2_b, cols2)
-    a2 = sigmoid(z2)
+    a2 = sigmoid(_conv_valid(p1, model.conv2_w, model.conv2_b, cols2))
     _check_shape(a2, SHAPE_CHAIN[3], "conv2")
     p2 = _pool2(a2)
     _check_shape(p2, SHAPE_CHAIN[4], "pool2")
@@ -204,28 +191,29 @@ def _forward(model, xb):
     return p
 
 
-def cnn_forward(model, patch):
-    """Posterior 2-vector for one patch."""
-    return _forward(model, patch.values[None, None])[0]
-
-
 def _stack_patches(patches):
-    """(n, 1, 94, 50) batch of a patch list; EmptyInputError when empty."""
-    if not patches:
+    """(n, 1, 94, 50) batch view of an (n, 94, 50) patch array, checked here
+    only: EmptyInputError if empty, else InvalidArgumentError if malformed."""
+    x = np.asarray(patches, dtype=np.float64)
+    if x.ndim and len(x) == 0:
         raise EmptyInputError("no 1 s spectrogram patch: audio too short")
-    return np.stack([p.values for p in patches])[:, None]
+    if x.shape[1:] != (PATCH_BINS, PATCH_FRAMES):
+        raise InvalidArgumentError(f"patches must be n x 94 x 50, not {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("patch contains non-finite values")
+    return x[:, None]
 
 
 def cnn_posteriors(model, patches):
-    """Batched taan posteriors (unit 1) for a patch list."""
+    """Batched taan posteriors (unit 1) for an (n, 94, 50) patch array."""
     return _forward(model, _stack_patches(patches))[:, 1]
 
 
 def export_channel_maps(model, patch, channel):
-    """One 21x10 channel map from the second pooling layer."""
+    """One 21x10 channel map of a 94x50 patch from the second pooling layer."""
     if not 0 <= channel <= 9:
         raise InvalidArgumentError("channel must be in 0..9")
-    return _features(model, patch.values[None, None]).reshape(
+    return _features(model, _stack_patches([patch])).reshape(
         SHAPE_CHAIN[4])[channel]
 
 

@@ -170,9 +170,9 @@ def log_spectrogram_blocks(clip, win_s, hop_s, n_dft):
 def log_spectrogram(clip, win_s, hop_s, n_dft):
     """Framed log-magnitude spectrum of the whole clip: one C-contiguous
     [n_bins x n_frames] LogSpectrogram, filled FFT_ROWS frames at a time
-    with the framing and values of `log_spectrogram_blocks`. Pitch tracking
-    (`pipeline.extract_track`) streams the blocks instead, so that its
-    memory does not grow with the clip."""
+    with the framing and values of `log_spectrogram_blocks`. The pipeline
+    streams those blocks instead: pitch tracking to stay O(block), and
+    `cnn.patch_spectrogram` to keep only the 94 bands patches read."""
     win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
     values = np.empty((n_dft // 2 + 1, n_frames))
     for t0, mag in _frame_major_blocks(clip, win, hop, n_frames, n_dft):

@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the package, and the UTF-8 text opener
 every reader uses, which makes undecodable bytes and bad JSON a ParseError.
 
-CLI exit-code mapping: UsageError -> 1, DataError (and subclasses) -> 2,
-InternalError -> 3.
+CLI exit-code mapping: UsageError -> 1, TaansegError (and subclasses) -> 2,
+InternalError and any other exception, which is a bug, -> 3.
 """
 
 import contextlib
@@ -56,8 +56,8 @@ class ResourceLimitError(TaansegError):
     """Request exceeds a documented resource ceiling."""
 
 
-class InternalError(TaansegError):
-    """Invariant violation inside the library; indicates a bug."""
+class InternalError(Exception):
+    """Invariant violation inside the library: a bug, not a TaansegError."""
 
 
 @contextlib.contextmanager

@@ -66,17 +66,23 @@ class _Cursor:
         raise ParseError("unexpected end of file", path=self.path,
                          line=self.pos)
 
-    def expect_number(self, key):
+    def expect_number(self, key, count=False):
+        """The number of a `key = <number>` line; with count, an int, and
+        a ParseError unless it is a finite non-negative integer."""
         line = self.next()
         m = re.match(rf"{re.escape(key)}\s*=\s*([-\d.eE+]+)", line)
         if not m:
             raise ParseError(f"expected `{key} = <number>`, got {line!r}",
                              path=self.path, line=self.pos)
         try:
-            return float(m.group(1))
+            value = float(m.group(1))
         except ValueError as exc:
             raise ParseError(f"malformed number in {line!r}",
                              path=self.path, line=self.pos) from exc
+        if count and (value < 0 or not value.is_integer()):
+            raise ParseError(f"`{key}` is not a count: {value!r}",
+                             path=self.path, line=self.pos)
+        return int(value) if count else value
 
     def expect_string(self, key):
         line = self.next()
@@ -102,7 +108,7 @@ def parse_textgrid(path):
     if not tiers_line.startswith("tiers?"):
         raise ParseError("short-form TextGrid not supported (missing tiers?)",
                          path=path, line=cur.pos)
-    size = int(cur.expect_number("size"))
+    size = cur.expect_number("size", count=True)
     cur.next()  # item []:
     tiers = []
     for _ in range(size):
@@ -112,8 +118,7 @@ def parse_textgrid(path):
         t_xmin = cur.expect_number("xmin")
         t_xmax = cur.expect_number("xmax")
         if klass == "TextTier":
-            n_points = int(cur.expect_number("points: size"))
-            for _ in range(n_points):
+            for _ in range(cur.expect_number("points: size", count=True)):
                 cur.next()
                 cur.expect_number("number")
                 cur.expect_string("mark")
@@ -122,9 +127,8 @@ def parse_textgrid(path):
         if klass != "IntervalTier":
             raise ParseError(f"unsupported tier class {klass!r}",
                              path=path, line=cur.pos)
-        n_iv = int(cur.expect_number("intervals: size"))
         intervals = []
-        for _ in range(n_iv):
+        for _ in range(cur.expect_number("intervals: size", count=True)):
             cur.next()  # intervals [k]:
             ixmin = cur.expect_number("xmin")
             ixmax = cur.expect_number("xmax")

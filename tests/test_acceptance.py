@@ -91,7 +91,7 @@ def _patch_corpus(n_per_class, seed):
             vals[r - 1 : r + 2, fi] += 3.0
             h2 = min(2 * r, cnn_mod.PATCH_BINS - 2)
             vals[h2 - 1 : h2 + 2, fi] += 1.5
-        patches.append(cnn_mod.SpectrogramPatch(vals))
+        patches.append(vals)
         labels.append(taan)
     return patches, np.array(labels)
 
@@ -202,14 +202,12 @@ class TestCriterion3ShapeContract:
             (10, 21, 10), (2100,), (300,), (2,),
         )
         model = cnn_mod.cnn_init(seed=0)
-        patch = cnn_mod.SpectrogramPatch(
-            np.random.default_rng(0).normal(size=(94, 50)))
-        acts = cnn_mod._conv_stack_forward(model,
-                                           patch.values[None, None, :, :])
+        patch = np.random.default_rng(0).normal(size=(94, 50))
+        acts = cnn_mod._conv_stack_forward(model, patch[None, None, :, :])
         h = mlp.sigmoid(acts["flat"] @ model.fc_w + model.fc_b)
         p = mlp.softmax(h @ model.out_w + model.out_b)
         trace = (
-            patch.values.shape, acts["a1"].shape[1:], acts["p1"].shape[1:],
+            patch.shape, acts["a1"].shape[1:], acts["p1"].shape[1:],
             acts["a2"].shape[1:], acts["p2"].shape[1:], acts["flat"].shape[1:],
             h.shape[1:], p.shape[1:],
         )

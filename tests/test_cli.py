@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 
 from taanseg import features as feat_mod
-from taanseg import wavio
+from taanseg import pipeline, wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
-from taanseg.cnn import cnn_init
-from taanseg.dsp import AudioClip
+from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
+                         make_patches)
+from taanseg.dsp import AudioClip, log_spectrogram, resample
 from taanseg.features import StyleFeatureSeq
-from taanseg.modelio import MAGIC, VERSION, load_model, save_model
+from taanseg.modelio import (MAGIC, VERSION, load_model, save_model,
+                             write_matrix_csv)
 from taanseg.segmentation import (Section, SectionTimeline, read_timeline,
                                   write_timeline)
 from taanseg.synth import ConcertScript, SectionSpec, script_to_json
@@ -251,6 +253,43 @@ class TestInspectCnn:
                    "--second", "5000"])
         assert rc == 1
 
+    @pytest.mark.parametrize("rate", [8000, 16000])
+    def test_map_equals_whole_clip_oracle(self, small_concert, tmp_path,
+                                          rate):
+        """Framing only the inspected second gives the map of that patch
+        cut from the whole clip's spectrogram, at the first and the last
+        second; one past the last is a usage error."""
+        wav = small_concert["wav"]
+        if rate != 8000:
+            rng = np.random.default_rng(rate)
+            wav = tmp_path / "noise.wav"
+            wavio.write_wav(AudioClip(rng.uniform(-0.5, 0.5, 12 * rate + 77),
+                                      rate), wav)
+        model = cnn_init(seed=2)
+        rng = np.random.default_rng(3)
+        model.band_mean = rng.normal(-3.0, 1.0, size=PATCH_BINS)
+        model.band_std = rng.uniform(0.5, 2.0, size=PATCH_BINS)
+        model_path = tmp_path / "cnn.tseg"
+        save_model(model, model_path)
+        model = load_model(model_path)
+        spec = log_spectrogram(resample(wavio.read_wav(wav), 8000),
+                               win_s=0.04, hop_s=0.02, n_dft=1024)
+        patches, _ = make_patches(spec, (model.band_mean, model.band_std))
+        for second in (0, len(patches) - 1):
+            for channel in (0, 9):
+                write_matrix_csv(export_channel_maps(
+                    model, patches[second], channel), tmp_path / "want.csv")
+                rc = main(["inspect-cnn", "--model", str(model_path),
+                           "--audio", str(wav), "--second", str(second),
+                           "--channel", str(channel),
+                           "--out-csv", str(tmp_path / "got.csv")])
+                assert rc == 0
+                assert ((tmp_path / "got.csv").read_bytes()
+                        == (tmp_path / "want.csv").read_bytes())
+        assert main(["inspect-cnn", "--model", str(model_path),
+                     "--audio", str(wav),
+                     "--second", str(len(patches))]) == 1
+
     def test_mlp_model_rejected(self, small_concert, mlp_model, tmp_path):
         rc = main(["inspect-cnn", "--model", str(mlp_model),
                    "--audio", str(small_concert["wav"])])
@@ -311,6 +350,22 @@ class TestExitCodes:
         tl = read_timeline(out)
         assert len(tl) >= 1
         assert tl.span()[0] == 0.0
+
+
+    def test_unexpected_exception_is_exit_3(self, small_concert, tmp_path,
+                                            monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pipeline, "segment_audio", broken)
+        model_path = tmp_path / "cnn.tseg"
+        save_model(cnn_init(seed=0), model_path)
+        rc = main(["segment", "--audio", str(small_concert["wav"]),
+                   "--model", str(model_path),
+                   "--out", str(tmp_path / "t.tsv")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err == "internal error: RuntimeError: boom\n"
 
 
 @pytest.fixture

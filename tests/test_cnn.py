@@ -3,6 +3,8 @@ pass against a naive loop oracle, gradients against central differences,
 the two-stage training entry point, and segmentation with a CNN model.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,19 +13,19 @@ from taanseg.cnn import (
     PATCH_FRAMES,
     SHAPE_CHAIN,
     CnnModel,
-    SpectrogramPatch,
     _conv_backward,
     _conv_stack_forward,
     _conv_valid,
+    _forward,
     _pool2,
     _pool2_backward,
     _stage1_grads,
-    cnn_forward,
     cnn_init,
     cnn_posteriors,
     cnn_train,
     export_channel_maps,
     make_patches,
+    patch_spectrogram,
     spectrogram_band_stats,
 )
 from taanseg.config import PipelineConfig
@@ -53,7 +55,7 @@ def _tiny_model(seed=0, scale=0.3):
 
 def _rand_patch(seed=0):
     rng = np.random.default_rng(seed)
-    return SpectrogramPatch(rng.normal(size=(PATCH_BINS, PATCH_FRAMES)))
+    return rng.normal(size=(PATCH_BINS, PATCH_FRAMES))
 
 
 class TestPatches:
@@ -67,8 +69,7 @@ class TestPatches:
         spec = self._spec(seconds=3.0)
         patches, (mean, std) = make_patches(spec)
         assert len(patches) == spec.n_frames // PATCH_FRAMES
-        assert all(p.values.shape == (PATCH_BINS, PATCH_FRAMES)
-                   for p in patches)
+        assert patches.shape == (len(patches), PATCH_BINS, PATCH_FRAMES)
         assert mean.shape == (PATCH_BINS,) and std.shape == (PATCH_BINS,)
 
     def test_band_normalization(self):
@@ -93,7 +94,7 @@ class TestPatches:
         patches, _ = make_patches(
             spec, band_stats=(np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
         )
-        row = np.argmax(patches[0].values.mean(axis=1))
+        row = np.argmax(patches[0].mean(axis=1))
         assert row == 51
 
     def test_rejects_wrong_configuration(self):
@@ -109,19 +110,88 @@ class TestPatches:
         with pytest.raises(InvalidArgumentError):
             make_patches(spec, band_stats=(np.zeros(3), np.ones(3)))
 
+    @pytest.mark.parametrize("given_stats", [False, True])
+    def test_matches_slicing_the_normalized_spectrogram(self, given_stats):
+        # the old construction: normalize all bands at once, then slice
+        # patch k out as frames 50k..50k+49
+        spec = self._spec(seconds=5.3)
+        stats = None
+        if given_stats:
+            rng = np.random.default_rng(1)
+            stats = (rng.normal(size=PATCH_BINS),
+                     rng.uniform(0.5, 2.0, size=PATCH_BINS))
+        patches, (mean, std) = make_patches(spec, band_stats=stats)
+        normed = spec.values[:PATCH_BINS] - mean[:, None]
+        normed /= std[:, None]
+        assert patches.dtype == np.float64 and patches.flags.c_contiguous
+        assert patches.shape == (5, PATCH_BINS, PATCH_FRAMES)
+        for k in range(5):
+            np.testing.assert_array_equal(
+                patches[k], normed[:, PATCH_FRAMES * k : PATCH_FRAMES * (k + 1)])
+
     def test_patch_validation(self):
-        with pytest.raises(InvalidArgumentError):
-            SpectrogramPatch(np.zeros((10, 10)))
-        bad = np.zeros((PATCH_BINS, PATCH_FRAMES))
-        bad[0, 0] = np.nan
-        with pytest.raises(InvalidArgumentError):
-            SpectrogramPatch(bad)
+        # patches are checked once, where cnn_posteriors, cnn_train and
+        # export_channel_maps take them in
+        model = _tiny_model()
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        nan = np.zeros((2, PATCH_BINS, PATCH_FRAMES))
+        nan[1, 3, 4] = np.nan
+        inf = np.zeros((2, PATCH_BINS, PATCH_FRAMES))
+        inf[0, 0, 0] = -np.inf
+        empty = np.zeros((0, PATCH_BINS, PATCH_FRAMES))
+        for bad, error in ((np.zeros((2, 10, 10)), InvalidArgumentError),
+                           (np.zeros(PATCH_BINS * PATCH_FRAMES),
+                            InvalidArgumentError),
+                           (nan, InvalidArgumentError),
+                           (inf, InvalidArgumentError),
+                           (empty, EmptyInputError)):
+            with pytest.raises(error):
+                cnn_posteriors(model, bad)
+            with pytest.raises(error):
+                cnn_train(bad, [0, 1], stats, epochs=1)
+        for patch in (np.zeros((10, 10)), np.zeros((PATCH_BINS, 0)), nan[1],
+                      np.zeros((1, PATCH_BINS, PATCH_FRAMES))):
+            with pytest.raises(InvalidArgumentError):
+                export_channel_maps(model, patch, channel=0)
+
+    def test_too_short_for_a_patch(self):
+        patches, _ = make_patches(self._spec(seconds=0.5))
+        assert patches.shape == (0, PATCH_BINS, PATCH_FRAMES)
+
+
+class TestPatchSpectrogram:
+    @pytest.mark.parametrize("rate", [8000, 44100])
+    def test_lowest_bands_of_the_whole_spectrogram(self, rate):
+        # 70 s at 8 kHz is 3499 frames: one full dsp.FRAME_BLOCK and a
+        # partial one
+        rng = np.random.default_rng(rate)
+        clip = AudioClip(rng.uniform(-0.5, 0.5, size=70 * rate), rate)
+        whole = log_spectrogram(resample(clip, 8000), win_s=0.04, hop_s=0.02,
+                                n_dft=1024)
+        spec = patch_spectrogram(clip)
+        assert spec.values.flags.c_contiguous
+        assert (spec.bin_hz, spec.hop_s) == (whole.bin_hz, whole.hop_s)
+        np.testing.assert_array_equal(spec.values, whole.values[:PATCH_BINS])
+
+    def test_memory_of_ten_minutes(self):
+        # the whole 513-bin spectrogram of 10 minutes is 123 MB; the bands
+        # kept are 22.6 MB, and each 8.4 MB block is freed after its copy
+        clip = AudioClip(np.random.default_rng(0).uniform(
+            -0.5, 0.5, size=600 * 8000), 8000)
+        tracemalloc.start()
+        try:
+            spec = patch_spectrogram(clip)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.values.shape == (PATCH_BINS, 29999)
+        assert peak <= 60 * 2**20
 
 
 class TestForward:
     def test_shape_chain(self):
         model = _tiny_model()
-        xb = _rand_patch().values[None, None, :, :]
+        xb = _rand_patch()[None, None, :, :]
         acts = _conv_stack_forward(model, xb)
         assert acts["a1"].shape[1:] == SHAPE_CHAIN[1]
         assert acts["p1"].shape[1:] == SHAPE_CHAIN[2]
@@ -133,11 +203,11 @@ class TestForward:
         model = _tiny_model()
         model.fc_w = np.zeros((2100, 300))
         model.out_w = np.zeros((300, 2))
-        p = cnn_forward(model, _rand_patch())
+        p = _forward(model, _rand_patch()[None, None])[0]
         assert np.allclose(p, [0.5, 0.5])
 
     def test_posterior_is_distribution(self):
-        p = cnn_forward(_tiny_model(), _rand_patch())
+        p = _forward(_tiny_model(), _rand_patch()[None, None])[0]
         assert p.shape == (2,)
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p >= 0)
@@ -145,8 +215,7 @@ class TestForward:
     def test_naive_loop_oracle(self):
         # Independent convolution implementation: explicit quadruple loop.
         model = _tiny_model(seed=3)
-        patch = _rand_patch(seed=4)
-        x = patch.values
+        x = _rand_patch(seed=4)
 
         def conv_loops(xs, w, b):
             f, c, kh, kw = w.shape
@@ -181,20 +250,22 @@ class TestForward:
         e = np.exp(logits - logits.max())
         oracle = e / e.sum()
 
-        assert np.allclose(cnn_forward(model, patch), oracle, atol=1e-12)
+        assert np.allclose(_forward(model, x[None, None])[0], oracle,
+                           atol=1e-12)
 
     def test_shape_guard(self):
         model = _tiny_model()
         model.conv2_w = np.zeros((10, 10, 5, 5))  # breaks the chain
         with pytest.raises(InternalError):
-            cnn_forward(model, _rand_patch())
+            _forward(model, _rand_patch()[None, None])[0]
 
     def test_batched_matches_single(self):
         model = _tiny_model(seed=1)
         patches = [_rand_patch(seed=i) for i in range(4)]
         batched = cnn_posteriors(model, patches)
         for i, p in enumerate(patches):
-            assert batched[i] == pytest.approx(cnn_forward(model, p)[1])
+            assert batched[i] == pytest.approx(
+                _forward(model, p[None, None])[0, 1])
 
 
 class TestPooling:
@@ -291,7 +362,7 @@ class TestTraining:
             for fi in range(PATCH_FRAMES):
                 r = int(round(row[fi] if taan else base))
                 vals[r - 1 : r + 2, fi] += 3.0
-            patches.append(SpectrogramPatch(vals))
+            patches.append(vals)
             labels.append(taan)
         return patches, np.array(labels)
 

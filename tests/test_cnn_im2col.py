@@ -16,7 +16,6 @@ from taanseg.cnn import (
     FORWARD_BLOCK,
     PATCH_BINS,
     PATCH_FRAMES,
-    SpectrogramPatch,
     _conv_backward,
     _conv_stack_forward,
     _conv_valid,
@@ -26,7 +25,6 @@ from taanseg.cnn import (
     _pool2,
     _pool2_backward,
     _stage1_grads,
-    cnn_forward,
     cnn_init,
     cnn_posteriors,
     cnn_train,
@@ -180,17 +178,18 @@ class TestBlockedForward:
             p2 = _conv_stack_forward(model, x[k : k + 1])["p2"][0]
             for channel in range(len(p2)):
                 np.testing.assert_array_equal(export_channel_maps(
-                    model, SpectrogramPatch(x[k, 0]), channel), p2[channel])
+                    model, x[k, 0], channel), p2[channel])
 
     def test_single_patch_path_matches_batch(self):
         model = cnn_init(seed=4)
         x = _patch_batch(FORWARD_BLOCK + 1, seed=5)
-        patches = [SpectrogramPatch(v[0]) for v in x]
+        patches = [v[0] for v in x]
         batched = cnn_posteriors(model, patches)
         np.testing.assert_array_equal(batched, _forward(model, x)[:, 1])
         for k in (0, FORWARD_BLOCK):
-            np.testing.assert_allclose(cnn_forward(model, patches[k])[1],
-                                       batched[k], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                _forward(model, patches[k][None, None])[0][1],
+                batched[k], rtol=0, atol=1e-15)
 
 
 def _oracle_stage1_grads(model, head_w, head_b, xb, yb, feat_stats):
@@ -248,7 +247,7 @@ def test_training_memory_does_not_grow_with_batch():
     # only how often the weights move; a whole 64-patch batch would hold a
     # ~97 MB conv1 im2col matrix
     rng = np.random.default_rng(0)
-    patches = [SpectrogramPatch(rng.normal(size=(PATCH_BINS, PATCH_FRAMES)))
+    patches = [rng.normal(size=(PATCH_BINS, PATCH_FRAMES))
                for _ in range(599)]
     labels = rng.integers(0, 2, size=599)
     peak32 = _train_peak(patches, labels, 32)
@@ -308,7 +307,7 @@ def test_posteriors_memory_is_bounded():
     # 599 patches is one 10-minute concert. One unblocked forward pass
     # would hold a ~900 MB conv1 im2col buffer; blocks keep it small.
     rng = np.random.default_rng(0)
-    patches = [SpectrogramPatch(rng.normal(size=(PATCH_BINS, PATCH_FRAMES)))
+    patches = [rng.normal(size=(PATCH_BINS, PATCH_FRAMES))
                for _ in range(599)]
     model = cnn_init(seed=0)
     tracemalloc.start()

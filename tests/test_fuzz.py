@@ -1,7 +1,7 @@
 """Property-based fuzzing of the input contract (Hypothesis, MacIver et al.,
-JOSS 2019): on arbitrary bytes and on mutated valid files, every table and
-JSON reader raises only TaansegError, and `cli.main` returns only 0, 1
-or 2."""
+JOSS 2019): on arbitrary bytes and on mutated valid files, every table,
+JSON and TextGrid reader raises only TaansegError, and `cli.main` returns
+only 0, 1 or 2."""
 
 import re
 
@@ -19,6 +19,8 @@ from taanseg.mlp import mlp_init
 from taanseg.modelio import save_model
 from taanseg.segmentation import read_timeline
 from taanseg.synth import script_from_json
+from taanseg.textgrid import (emit_textgrid, parse_textgrid, tier_to_timeline,
+                              timeline_to_doc)
 from taanseg.vocal import PitchEnergyTrack, ingest_track, write_track
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -59,6 +61,8 @@ def files(tmp_path_factory):
                    root / "features")
     (root / "timeline").write_text(
         "0.0\t10.0\ttaan\n10.0\t20.0\tinstrumental\n20.0\t30.0\ttaan\n")
+    emit_textgrid(timeline_to_doc(read_timeline(root / "timeline")),
+                  root / "textgrid")
     write_frame_labels(["taan", "taan", "taan"] + ["non-taan"] * 3,
                        root / "labels", frame_s=3.0)
     (root / "config").write_text('{"mlp_hidden": 20, "taan_threshold": 0.6, '
@@ -83,6 +87,34 @@ def test_reader_raises_only_taanseg_errors(files, kind, data):
     path.write_bytes(data.draw(inputs((files / kind).read_bytes())))
     try:
         READERS[kind](path)
+    except TaansegError:
+        pass
+
+
+# numbers a TextGrid may hold where a time or a count belongs
+NUMBERS = [b"1e9992", b"-1e9992", b"1e300", b"-1", b"-0", b"1.5", b"0", b"."]
+
+
+@st.composite
+def renumbered(draw, valid):
+    """valid with 1 to 4 of its numbers replaced by one of NUMBERS."""
+    pieces = re.split(rb"(\d[\d.eE+-]*)", valid)
+    for _ in range(draw(st.integers(1, 4))):
+        k = 2 * draw(st.integers(0, len(pieces) // 2 - 1)) + 1
+        pieces[k] = draw(st.sampled_from(NUMBERS))
+    return b"".join(pieces)
+
+
+# 200 examples: the first 60 never put a bad count where a count belongs
+@settings(FUZZ, max_examples=200)
+@given(data=st.data())
+def test_textgrid_raises_only_taanseg_errors(files, data):
+    valid = (files / "textgrid").read_bytes()
+    path = files / "fuzzed"
+    path.write_bytes(data.draw(inputs(valid) | renumbered(valid)))
+    try:
+        for tier in parse_textgrid(path).tiers:
+            tier_to_timeline(tier)
     except TaansegError:
         pass
 

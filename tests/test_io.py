@@ -139,11 +139,12 @@ class TestTextGrid:
         path16.write_bytes(path8.read_text("utf-8").encode("utf-16"))
         assert parse_textgrid(path16) == _doc()
 
-    def test_point_tier_skipped_with_warning(self, tmp_path):
+    @staticmethod
+    def _with_point_tier(tmp_path):
         path = tmp_path / "points.TextGrid"
         emit_textgrid(_doc(), path)
-        text = path.read_text("utf-8").replace("size = 1", "size = 2")
-        text += "\n".join([
+        text = path.read_text("utf-8").replace("size = 1", "size = 2", 1)
+        return text + "\n".join([
             "    item [2]:",
             '        class = "TextTier"',
             '        name = "beats"',
@@ -155,10 +156,28 @@ class TestTextGrid:
             '            mark = "sam"',
             "",
         ])
-        path.write_text(text, encoding="utf-8")
+
+    def test_point_tier_skipped_with_warning(self, tmp_path):
+        path = tmp_path / "points.TextGrid"
+        path.write_text(self._with_point_tier(tmp_path), encoding="utf-8")
         with pytest.warns(UserWarning, match="point tier"):
             doc = parse_textgrid(path)
         assert len(doc.tiers) == 1
+
+    @pytest.mark.parametrize("key,line", [("size", 7),
+                                          ("intervals: size", 14),
+                                          ("points: size", 32)])
+    @pytest.mark.parametrize("count", ["1e9992", "-1", "1.5", "-1e9992"])
+    def test_count_that_is_not_a_count(self, tmp_path, key, line, count):
+        # 1e9992 reads as infinity, which int() cannot convert
+        text = self._with_point_tier(tmp_path).splitlines()
+        assert text[line - 1].strip().startswith(f"{key} = ")
+        text[line - 1] = f"{key} = {count}"
+        path = tmp_path / "count.TextGrid"
+        path.write_text("\n".join(text), encoding="utf-8")
+        with pytest.raises(ParseError, match="not a count") as info:
+            parse_textgrid(path)
+        assert (info.value.path, info.value.line) == (path, line)
 
     def test_overlapping_intervals_rejected(self, tmp_path):
         doc = _doc()
