@@ -6,6 +6,7 @@ violation.
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ from . import bootstrap as bootstrap_mod
 from . import segmentation as seg_mod
 from . import synth as synth_mod
 from . import vocal as vocal_mod
-from . import wavio
+from . import textgrid, wavio
 from .config import load_config
 from .errors import DataError, TaansegError
 from .table import Table
@@ -97,6 +98,12 @@ def _build_parser():
     return parser
 
 
+def _frame_labels(path, n_frames):
+    """The 1 s frame labels of a truth file up to its end, n_frames at most."""
+    timeline = textgrid.read_sections(path)
+    return timeline.frame_labels(min(math.floor(timeline.span()[1]), n_frames))
+
+
 def _run(args, cfg):
     if args.command == "synth":
         script = (synth_mod.script_from_json(args.script) if args.script
@@ -131,15 +138,12 @@ def _run(args, cfg):
     if args.command == "train-mlp":
         if len(args.features) != len(args.labels):
             raise UsageError("--features and --labels must pair up")
-        xs, ys = [], []
+        sets = []
         for fpath, lpath in zip(args.features, args.labels):
             seq = features.read_features(fpath)
-            _, labels = bootstrap_mod.read_frame_labels(lpath)
-            x, y = pipeline.training_set(seq, labels)
-            xs.append(x)
-            ys.append(y)
-        x = np.concatenate(xs)
-        y = np.concatenate(ys)
+            sets.append(pipeline.training_set(seq, _frame_labels(lpath,
+                                                                 len(seq))))
+        x, y = (np.concatenate(part) for part in zip(*sets))
         model = mlp.mlp_init(cfg.mlp_hidden, seed=cfg.mlp_seed)
         model, _ = mlp.mlp_train(model, x, y, lr=cfg.mlp_lr,
                                  epochs=cfg.mlp_epochs, batch=cfg.mlp_batch,
@@ -151,16 +155,17 @@ def _run(args, cfg):
     if args.command == "train-cnn":
         if len(args.audio) != len(args.labels):
             raise UsageError("--audio and --labels must pair up")
-        patches, targets = [], []
         specs = [cnn.patch_spectrogram(wavio.read_wav(a)) for a in args.audio]
         stats = cnn.spectrogram_band_stats(specs)
-        for spec, lpath in zip(specs, args.labels):
-            pats, _ = cnn.make_patches(spec, band_stats=stats)
-            _, labels = bootstrap_mod.read_frame_labels(lpath)
-            y = pipeline.labels_to_frame_targets(labels)[0][:len(pats)]
-            patches.append(pats[: len(y)])
-            targets.append(y)
-        model = cnn.cnn_train(np.concatenate(patches), np.concatenate(targets),
+        patches, targets = [], []
+        for lpath in args.labels:   # a spectrogram is dropped once it is cut
+            pats = cnn.make_patches(specs.pop(0), band_stats=stats)[0]
+            targets.append(pipeline.labels_to_frame_targets(
+                _frame_labels(lpath, len(pats)))[0])
+            patches.append(pats[: len(targets[-1])])
+        del pats    # the concatenated patches alone go into training
+        patches = np.concatenate(patches)
+        model = cnn.cnn_train(patches, np.concatenate(targets),
                               stats, epochs=cfg.cnn_epochs,
                               lr0=cfg.cnn_lr0, halve_every=cfg.cnn_halve_every,
                               batch=cfg.cnn_batch, seed=cfg.cnn_seed)
@@ -192,8 +197,8 @@ def _run(args, cfg):
         return 0
 
     if args.command == "evaluate":
-        detected = seg_mod.read_timeline(args.detected)
-        truth = seg_mod.read_timeline(args.truth)
+        detected = textgrid.read_sections(args.detected)
+        truth = textgrid.read_sections(args.truth)
         report = evaluation.match_sections(detected, truth)
         dev = evaluation.boundary_deviation(report)
         if args.json:

@@ -194,7 +194,10 @@ def _forward(model, xb):
 def _stack_patches(patches):
     """(n, 1, 94, 50) batch view of an (n, 94, 50) patch array, checked here
     only: EmptyInputError if empty, else InvalidArgumentError if malformed."""
-    x = np.asarray(patches, dtype=np.float64)
+    try:
+        x = np.asarray(patches, dtype=np.float64)
+    except ValueError as exc:   # a ragged list of patches
+        raise InvalidArgumentError(f"patches not one array: {exc}") from None
     if x.ndim and len(x) == 0:
         raise EmptyInputError("no 1 s spectrogram patch: audio too short")
     if x.shape[1:] != (PATCH_BINS, PATCH_FRAMES):

@@ -106,9 +106,8 @@ def segment_audio(clip, model, cfg=None):
 
 def labels_to_frame_targets(labels):
     """Frame-label strings -> (binary taan targets, vocal mask)."""
-    y = np.array([1 if lab == "taan" else 0 for lab in labels], dtype=np.int64)
-    vocal_mask = np.array([lab != "instrumental" for lab in labels], dtype=bool)
-    return y, vocal_mask
+    labels = np.asarray(labels, dtype=object)
+    return (labels == "taan").astype(np.int64), labels != "instrumental"
 
 
 def training_set(seq, labels):

@@ -51,6 +51,16 @@ class SectionTimeline:
     def span(self):
         return self.sections[0].start_s, self.sections[-1].end_s
 
+    def frame_labels(self, n, frame_s=1.0):
+        """Labels of n frames of frame_s s at their midpoints: the first
+        section holding one (sections paint last to first), or instrumental."""
+        mid = (np.arange(n) + 0.5) * frame_s
+        labels = np.full(len(mid), "instrumental", dtype=object)
+        for s in reversed(self.sections):
+            lo, hi = np.searchsorted(mid, [s.start_s, s.end_s])
+            labels[lo:hi] = s.label
+        return labels.tolist()
+
 
 def posterior_sdm(posteriors):
     """Euclidean self-distance matrix over (p_taan, 1 - p_taan) vectors;

@@ -4,6 +4,7 @@ timelines and 1 s frame labels. Serves as the test corpus.
 """
 
 import dataclasses
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -272,25 +273,14 @@ def synth_concert(script):
     peak = max((max(hi, -lo) for hi, lo in extremes), default=0.0)
     if peak > 0.9:
         x *= 0.9 / peak
-    sections = []
-    start = 0.0
-    for spec in script.sections:
-        label = {"instrumental": "instrumental", "taan": "taan"}.get(
-            spec.style, "non-taan")
-        sections.append(Section(start, start + spec.duration_s, label))
-        start += spec.duration_s
-    timeline = SectionTimeline(sections)
-    n_frames = int(np.floor(total))
-    labels = []
-    for f in range(n_frames):
-        mid = f + 0.5
-        for s in timeline:
-            if s.start_s <= mid < s.end_s:
-                labels.append(s.label)
-                break
-        else:
-            labels.append("instrumental")
-    return AudioClip(samples=x, sample_rate=sr), timeline, labels
+    bounds = list(itertools.accumulate(
+        (spec.duration_s for spec in script.sections), initial=0.0))
+    timeline = SectionTimeline([
+        Section(a, b, spec.style if spec.style in ("taan", "instrumental")
+                else "non-taan")
+        for spec, a, b in zip(script.sections, bounds, bounds[1:])])
+    return (AudioClip(samples=x, sample_rate=sr), timeline,
+            timeline.frame_labels(int(np.floor(total))))
 
 
 def default_test_script(seed=7):

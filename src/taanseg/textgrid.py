@@ -1,17 +1,18 @@
-"""Long-form PRAAT TextGrid parsing and emission (interval tiers only).
-
-Point tiers are skipped with a warning; short-form files are rejected.
-Round-trip parse(emit(doc)) reproduces the document exactly.
+"""Long-form PRAAT TextGrid parsing and emission (interval tiers only),
+and `read_sections`, the one reader of truth files. Point tiers are
+skipped with a warning; short-form files are rejected. Round-trip
+parse(emit(doc)) reproduces the document exactly.
 """
 
 import re
 import warnings
 from dataclasses import dataclass, field
 
-import numpy as np
+from .bootstrap import LABEL_TABLE
+from .errors import DataError, InvalidArgumentError, ParseError
+from .segmentation import LABELS, TIMELINE_TABLE, Section, SectionTimeline
 
-from .errors import DataError, ParseError
-from .segmentation import Section, SectionTimeline
+BOMS = (b"\xff\xfe", b"\xfe\xff", b"\xef\xbb\xbf")
 
 TAAN_LABELS = {"taan", "akar taan", "akartaan"}
 
@@ -42,11 +43,8 @@ def _read_text(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        if raw.startswith(b"\xff\xfe") or raw.startswith(b"\xfe\xff"):
-            return raw.decode("utf-16")
-        if raw.startswith(b"\xef\xbb\xbf"):
-            return raw.decode("utf-8-sig")
-        return raw.decode("utf-8")
+        return raw.decode("utf-16" if raw.startswith(BOMS[:2]) else
+                          "utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"undecodable text ({exc.reason})", path=path) from None
 
@@ -215,3 +213,38 @@ def timeline_to_doc(timeline, tier_name="sections"):
         intervals=[Interval(s.start_s, s.end_s, s.label) for s in timeline],
     )
     return TextGridDoc(xmin=xmin, xmax=xmax, tiers=[tier])
+
+
+def read_sections(path):
+    """The timeline of a truth file, by content: a TextGrid (a byte-order
+    mark, or `ooTextFile` on line 1) gives its only interval tier; 3
+    columns on line 1 make a timeline TSV; else row k of a frame-label TSV
+    is [k, k+1), equal neighbours merged. Bad TSV labels, invalid or empty
+    timelines raise DataError."""
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    try:
+        if first.startswith(BOMS) or b"ooTextFile" in first:
+            tiers = parse_textgrid(path).tiers
+            if len(tiers) != 1:
+                raise DataError(f"{len(tiers)} interval tiers, not one",
+                                path=path)
+            timeline = tier_to_timeline(tiers[0])
+        else:
+            table = TIMELINE_TABLE if first.count(b"\t") == 2 else LABEL_TABLE
+            rows = table.read(path).tolist()
+            for line, row in enumerate(rows, start=1):
+                if row[-1] not in LABELS:
+                    raise DataError(f"unknown label {row[-1]!r}", path=path,
+                                    line=line)
+            if table is LABEL_TABLE:
+                runs = [k for k in range(len(rows))
+                        if k == 0 or rows[k][1] != rows[k - 1][1]]
+                rows = [(float(a), float(b), rows[a][1])
+                        for a, b in zip(runs, runs[1:] + [len(rows)])]
+            timeline = SectionTimeline([Section(*row) for row in rows])
+    except InvalidArgumentError as exc:
+        raise DataError(str(exc), path=path) from None
+    if not len(timeline):
+        raise DataError("no sections", path=path)
+    return timeline

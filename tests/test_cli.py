@@ -5,11 +5,13 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from taanseg import cnn
 from taanseg import features as feat_mod
 from taanseg import pipeline, wavio
 from taanseg.bootstrap import read_frame_labels
@@ -22,7 +24,9 @@ from taanseg.modelio import (MAGIC, VERSION, load_model, save_model,
                              write_matrix_csv)
 from taanseg.segmentation import (Section, SectionTimeline, read_timeline,
                                   write_timeline)
-from taanseg.synth import ConcertScript, SectionSpec, script_to_json
+from taanseg.synth import (ConcertScript, SectionSpec, script_to_json,
+                           synth_concert)
+from taanseg.textgrid import emit_textgrid, timeline_to_doc
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,169 @@ class TestEvaluate:
         assert main(args + ["--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["boundary_deviation"] == {"empty": True}
+
+
+@pytest.fixture(scope="module")
+def truth_files(small_concert):
+    """The small concert's truth in every format the truth reader takes."""
+    root = small_concert["root"]
+    grid = root / "truth.TextGrid"
+    emit_textgrid(timeline_to_doc(read_timeline(small_concert["timeline"])),
+                  grid)
+    utf16 = root / "truth16.TextGrid"
+    utf16.write_bytes(grid.read_text("utf-8").encode("utf-16"))
+    return {"timeline": small_concert["timeline"],
+            "labels": small_concert["labels"], "textgrid": grid,
+            "utf16": utf16}
+
+
+def tiers_grid(truth_files, tmp_path, tiers):
+    """The truth TextGrid with its one interval tier written `tiers` times."""
+    text = truth_files["textgrid"].read_text("utf-8")
+    head, _, body = text.partition("item []:\n")
+    path = tmp_path / f"{tiers}.TextGrid"
+    path.write_text(head.replace("size = 1", f"size = {tiers}", 1)
+                    + "item []:\n" + body * tiers, encoding="utf-8")
+    return path
+
+
+class TestTruthFormats:
+    """Training and evaluation read a timeline TSV, a frame-label TSV or a
+    long-form TextGrid through one reader."""
+
+    FORMATS = ["timeline", "textgrid", "utf16"]
+
+    @pytest.mark.parametrize("command, config", [
+        ("train-mlp", '{"mlp_epochs": 20, "mlp_hidden": 20}'),
+        ("train-cnn", '{"cnn_epochs": 1}')])
+    def test_same_model_from_every_format(self, small_concert, features_csv,
+                                          truth_files, tmp_path, command,
+                                          config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(config)
+        source = (["--features", str(features_csv)] if command == "train-mlp"
+                  else ["--audio", str(small_concert["wav"])])
+
+        def train(kind):
+            out = tmp_path / f"{kind}.tseg"
+            assert main(["--config", str(cfg), command, *source, "--labels",
+                         str(truth_files[kind]), "--out", str(out)]) == 0
+            return out.read_bytes(), Path(f"{out}.json").read_bytes()
+
+        want = train("labels")
+        for kind in self.FORMATS:
+            assert train(kind) == want, kind
+
+    @pytest.mark.parametrize("flag", ["--json", None])
+    def test_evaluate_prints_the_same_report(self, small_concert,
+                                             truth_files, capsys, flag):
+        detected = small_concert["root"] / "truth.tsv"
+        reports = []
+        for kind in [*self.FORMATS, "labels"]:
+            argv = ["evaluate", "--detected", str(detected),
+                    "--truth", str(truth_files[kind])]
+            assert main(argv + ([flag] if flag else [])) == 0
+            reports.append(capsys.readouterr().out)
+        assert ('"exact": 2' if flag else "Exact detection     2") in reports[0]
+        assert reports == [reports[0]] * len(reports)
+
+    def test_textgrid_as_detected(self, truth_files, capsys):
+        assert main(["evaluate", "--detected", str(truth_files["utf16"]),
+                     "--truth", str(truth_files["timeline"]), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["exact"] == 2
+
+    @pytest.mark.parametrize("tiers", [0, 2])
+    def test_textgrid_needs_one_interval_tier(self, truth_files, features_csv,
+                                              tmp_path, capsys, tiers):
+        grid = tiers_grid(truth_files, tmp_path, tiers)
+        for argv in (["evaluate", "--detected", str(truth_files["timeline"]),
+                      "--truth", str(grid)],
+                     ["train-mlp", "--features", str(features_csv),
+                      "--labels", str(grid), "--out", str(tmp_path / "m")]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert f"{grid}: {tiers} interval tiers, not one" in err
+
+    @pytest.mark.parametrize("label", ["Taan", "taan ", "akar taan", ""])
+    def test_unknown_frame_label(self, small_concert, features_csv, tmp_path,
+                                 capsys, label):
+        lines = small_concert["labels"].read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if line.endswith("\ttaan"))
+        lines[k] = lines[k].split("\t")[0] + "\t" + label
+        bad = tmp_path / "labels.tsv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = main(["train-mlp", "--features", str(features_csv),
+                   "--labels", str(bad), "--out", str(tmp_path / "m.tseg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{k + 1}: unknown label {label!r}" in err
+        assert not (tmp_path / "m.tseg").exists()
+
+    def test_unknown_timeline_label(self, small_concert, tmp_path, capsys):
+        bad = tmp_path / "truth.tsv"
+        bad.write_text("0.0\t10.0\ttaan\n10.0\t20.0\talap\n")
+        rc = main(["evaluate", "--detected", str(small_concert["timeline"]),
+                   "--truth", str(bad)])
+        assert rc == 2
+        assert f"{bad}:2: unknown label 'alap'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train-mlp", "train-cnn", "evaluate"])
+    def test_empty_truth_file(self, small_concert, features_csv, tmp_path,
+                              capsys, command):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        argv = {"train-mlp": ["--features", str(features_csv), "--labels"],
+                "train-cnn": ["--audio", str(small_concert["wav"]),
+                              "--labels"],
+                "evaluate": ["--detected", str(small_concert["timeline"]),
+                             "--truth"]}[command]
+        out = [] if command == "evaluate" else ["--out", str(tmp_path / "m")]
+        assert main([command, *argv, str(empty), *out]) == 2
+        err = capsys.readouterr().err
+        assert f"{empty}: no sections" in err and "internal" not in err
+
+    def test_overlapping_timeline_names_the_file(self, small_concert,
+                                                 tmp_path, capsys):
+        bad = tmp_path / "truth.tsv"
+        bad.write_text("0.0\t10.0\ttaan\n5.0\t20.0\tnon-taan\n")
+        rc = main(["evaluate", "--detected", str(small_concert["timeline"]),
+                   "--truth", str(bad)])
+        assert rc == 2
+        assert f"{bad}: sections overlap" in capsys.readouterr().err
+
+
+class TestTrainCnnMemory:
+    def test_only_the_training_patches_stay_alive(self, small_concert,
+                                                  tmp_path, monkeypatch):
+        """When training starts, each concert's spectrogram and patch array
+        are gone: what is traced is the concatenated patches, not two
+        spectrograms, two patch arrays and their concatenation."""
+        clip, _, labels = synth_concert(ConcertScript(
+            [SectionSpec("taan", 30.0), SectionSpec("steady-vocal", 30.0)],
+            seed=2))
+        wavio.write_wav(clip, tmp_path / "b.wav")
+        (tmp_path / "b.tsv").write_text(
+            "".join(f"{k}.0\t{lab}\n" for k, lab in enumerate(labels)))
+        seen = {}
+
+        def train(patches, labels, band_stats, **kwargs):
+            seen["traced"] = tracemalloc.get_traced_memory()[0]
+            seen["patches"] = patches.nbytes
+            return cnn.cnn_init(0)
+
+        monkeypatch.setattr(cnn, "cnn_train", train)
+        tracemalloc.start()
+        try:
+            rc = main(["train-cnn", "--audio", str(small_concert["wav"]),
+                       "--labels", str(small_concert["labels"]),
+                       "--audio", str(tmp_path / "b.wav"),
+                       "--labels", str(tmp_path / "b.tsv"),
+                       "--out", str(tmp_path / "cnn.tseg")])
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert seen["patches"] == (99 + 59) * PATCH_BINS * 50 * 8
+        assert seen["traced"] < 1.25 * seen["patches"]
 
 
 class TestInspectCnn:

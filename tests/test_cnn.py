@@ -139,7 +139,9 @@ class TestPatches:
         inf = np.zeros((2, PATCH_BINS, PATCH_FRAMES))
         inf[0, 0, 0] = -np.inf
         empty = np.zeros((0, PATCH_BINS, PATCH_FRAMES))
+        ragged = [np.zeros((PATCH_BINS, PATCH_FRAMES)), np.zeros((10, 10))]
         for bad, error in ((np.zeros((2, 10, 10)), InvalidArgumentError),
+                           (ragged, InvalidArgumentError),
                            (np.zeros(PATCH_BINS * PATCH_FRAMES),
                             InvalidArgumentError),
                            (nan, InvalidArgumentError),
@@ -150,7 +152,8 @@ class TestPatches:
             with pytest.raises(error):
                 cnn_train(bad, [0, 1], stats, epochs=1)
         for patch in (np.zeros((10, 10)), np.zeros((PATCH_BINS, 0)), nan[1],
-                      np.zeros((1, PATCH_BINS, PATCH_FRAMES))):
+                      np.zeros((1, PATCH_BINS, PATCH_FRAMES)),
+                      [np.zeros(PATCH_FRAMES), np.zeros(10)]):
             with pytest.raises(InvalidArgumentError):
                 export_channel_maps(model, patch, channel=0)
 

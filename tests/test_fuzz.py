@@ -1,7 +1,7 @@
 """Property-based fuzzing of the input contract (Hypothesis, MacIver et al.,
 JOSS 2019): on arbitrary bytes and on mutated valid files, every table,
-JSON and TextGrid reader raises only TaansegError, and `cli.main` returns
-only 0, 1 or 2."""
+JSON and TextGrid reader, and the truth reader, raises only TaansegError,
+and `cli.main` returns only 0, 1 or 2."""
 
 import re
 
@@ -19,8 +19,8 @@ from taanseg.mlp import mlp_init
 from taanseg.modelio import save_model
 from taanseg.segmentation import read_timeline
 from taanseg.synth import script_from_json
-from taanseg.textgrid import (emit_textgrid, parse_textgrid, tier_to_timeline,
-                              timeline_to_doc)
+from taanseg.textgrid import (emit_textgrid, parse_textgrid, read_sections,
+                              tier_to_timeline, timeline_to_doc)
 from taanseg.vocal import PitchEnergyTrack, ingest_track, write_track
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
@@ -119,6 +119,19 @@ def test_textgrid_raises_only_taanseg_errors(files, data):
         pass
 
 
+@pytest.mark.parametrize("kind", ["textgrid", "timeline", "labels"])
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_truth_reader_raises_only_taanseg_errors(files, kind, data):
+    valid = (files / kind).read_bytes()
+    path = files / "fuzzed"
+    path.write_bytes(data.draw(inputs(valid) | renumbered(valid)))
+    try:
+        read_sections(path)
+    except TaansegError:
+        pass
+
+
 COMMANDS = {
     "features-track": ("track", ["features", "--track", "{fuzzed}",
                                  "--out", "{out}"]),
@@ -131,6 +144,8 @@ COMMANDS = {
                                     "--features", "{features}",
                                     "--seed-labels", "{fuzzed}",
                                     "--out", "{out}"]),
+    "train-mlp-truth": ("textgrid", ["train-mlp", "--features", "{features}",
+                                     "--labels", "{fuzzed}", "--out", "{out}"]),
     "bootstrap-features": ("features", ["bootstrap-labels",
                                         "--features", "{fuzzed}",
                                         "--seed-labels", "{labels}",

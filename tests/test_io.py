@@ -25,6 +25,7 @@ from taanseg.textgrid import (
     TextGridDoc,
     emit_textgrid,
     parse_textgrid,
+    read_sections,
     tier_to_timeline,
     timeline_to_doc,
 )
@@ -220,6 +221,39 @@ class TestTextGrid:
         ])
         back = tier_to_timeline(timeline_to_doc(tl).tiers[0])
         assert back.sections == tl.sections
+
+
+class TestReadSections:
+    """The truth reader tells a TextGrid, a timeline TSV and a frame-label
+    TSV apart by content, whatever the file is called."""
+
+    def test_frame_labels_merge_into_sections(self, tmp_path):
+        path = tmp_path / "truth.TextGrid"
+        path.write_text("0.0\tinstrumental\n1.0\ttaan\n2.0\ttaan\n"
+                        "3.0\tnon-taan\n")
+        assert read_sections(path).sections == [
+            Section(0.0, 1.0, "instrumental"), Section(1.0, 3.0, "taan"),
+            Section(3.0, 4.0, "non-taan")]
+
+    def test_timeline(self, tmp_path):
+        path = tmp_path / "truth.TextGrid"
+        path.write_text("0.5\t20.25\ttaan\n30.0\t40.0\tnon-taan\n")
+        assert read_sections(path).sections == [
+            Section(0.5, 20.25, "taan"), Section(30.0, 40.0, "non-taan")]
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_textgrid(self, tmp_path, encoding):
+        path8 = tmp_path / "grid"
+        emit_textgrid(_doc(), path8)
+        path = tmp_path / "truth.tsv"
+        path.write_bytes(path8.read_text("utf-8").encode(encoding))
+        assert read_sections(path) == tier_to_timeline(_doc().tiers[0])
+
+    def test_not_utf8_tsv_keeps_its_message(self, tmp_path):
+        path = tmp_path / "truth.tsv"
+        path.write_bytes(b"0.0\t1.0\tta\xffan\n")
+        with pytest.raises(ParseError, match="not UTF-8 text"):
+            read_sections(path)
 
 
 class TestModelContainer:

@@ -12,11 +12,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taanseg import synth
 from taanseg.cli import main
 from taanseg.errors import (DataError, InternalError, InvalidArgumentError,
                             ResourceLimitError)
+from taanseg.segmentation import LABELS, Section, SectionTimeline
 from taanseg.synth import (
     CONTOUR_HOP_S,
     DRONE_REL_DB,
@@ -93,12 +96,19 @@ def serial_concert(script):
     peak = np.abs(x).max()
     if peak > 0.9:
         x *= 0.9 / peak
+    return x, sections, serial_frame_labels(
+        sections, int(np.floor(script.total_duration())))
+
+
+def serial_frame_labels(sections, n, frame_s=1.0):
+    """The label of each of n frames at its midpoint: the first of the
+    (start, end, label) sections holding it, else instrumental."""
     labels = []
-    for f in range(int(np.floor(script.total_duration()))):
-        mid = f + 0.5
+    for f in range(n):
+        mid = (f + 0.5) * frame_s
         labels.append(next((lab for s, e, lab in sections if s <= mid < e),
                            "instrumental"))
-    return x, sections, labels
+    return labels
 
 
 def assert_matches_serial(script):
@@ -346,6 +356,56 @@ class TestSerialOracle:
             serial_concert(script)
         with pytest.raises(InvalidArgumentError, match="contour step"):
             synth_concert(script)
+
+
+# bounds on the half-second grid put frame midpoints exactly on section
+# edges; a -1e-10 gap overlaps two sections within the timeline's
+# tolerance (a midpoint inside such an overlap is tested on its own below)
+EDGES = st.sampled_from([0.0, 0.5, 1.0, 2.5, -1e-10]) | st.floats(0.0, 3.0)
+LENGTHS = (st.sampled_from([0.5, 1.0, 1.5, 3.0, 1.0 + 1e-10])
+           | st.floats(1e-3, 5.0))
+
+
+@st.composite
+def timelines(draw):
+    """(start, end, label) sections in order, with gaps and overlaps."""
+    sections = []
+    end = draw(st.sampled_from([0.0, 0.5, 2.0]) | st.floats(-2.0, 2.0))
+    for _ in range(draw(st.integers(0, 6))):
+        start = end + draw(EDGES) if sections else end
+        end = start + draw(LENGTHS)
+        sections.append((start, end, draw(st.sampled_from(LABELS))))
+    return sections
+
+
+class TestFrameLabels:
+    """SectionTimeline.frame_labels, the one timeline -> frame-label rule,
+    against the serial loop synth_concert used to run."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(sections=timelines(), extra=st.integers(0, 4),
+           frame_s=st.sampled_from([1.0, 0.5, 0.25, 0.3]))
+    def test_matches_serial_oracle(self, sections, extra, frame_s):
+        timeline = SectionTimeline([Section(*s) for s in sections])
+        end = sections[-1][1] if sections else 0.0
+        n = max(int(np.ceil(end / frame_s)), 0) + extra    # past the end
+        assert (timeline.frame_labels(n, frame_s)
+                == serial_frame_labels(sections, n, frame_s))
+
+    def test_midpoint_on_a_boundary(self):
+        timeline = SectionTimeline([Section(0.5, 1.5, "taan"),
+                                    Section(2.5, 3.0, "non-taan")])
+        assert timeline.frame_labels(4) == ["taan", "instrumental",
+                                            "non-taan", "instrumental"]
+        assert timeline.frame_labels(0) == []
+        # a truth that ends before 0 s has no frames
+        assert timeline.frame_labels(-1) == []
+
+    def test_first_of_two_overlapping_sections_wins(self):
+        timeline = SectionTimeline([Section(0.0, 1.5 + 1e-10, "taan"),
+                                    Section(1.5, 3.0, "non-taan")])
+        assert timeline.frame_labels(3) == ["taan", "taan", "non-taan"]
 
 
 def fail_on_third_section(monkeypatch, exc):
