@@ -4,6 +4,7 @@ with a direct softmax head first, then a 300-unit fully connected head
 trained on the frozen 2100-d pooling features).
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,11 +12,22 @@ import numpy as np
 from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import sigmoid, softmax
+from .pool import usable_cpus
 
 PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block of a whole-set forward pass
+# blocks computed at once, one per worker thread: numpy and OpenBLAS release
+# the interpreter lock, so two blocks overlap on two cores
+CNN_WORKERS = min(2, usable_cpus())
+# OpenBLAS runs a GEMM of m*n*k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on
+# the calling thread and starts its own threads for a bigger one, which
+# would oversubscribe the cores the block workers already use
+GEMM_SLAB = 262_144
+# patches, and every array of the conv stack, are float32; the model keeps
+# its weights in float64 and the stack casts them on every call
+PATCH_DTYPE = np.float32
 # framing of the 8 kHz log spectrogram that patches are cut from
 PATCH_FRAMING = {"win_s": 0.04, "hop_s": 0.02, "n_dft": 1024}
 
@@ -48,11 +60,22 @@ class CnnModel:
 
 
 def spectrogram_band_stats(specs):
-    """Mean and floored std of the PATCH_BINS lowest bands over specs."""
+    """Mean and floored std of the PATCH_BINS lowest bands over specs.
+
+    Several spectrograms pool each one's frame count, mean and sum of
+    squared deviations (Chan, Golub and LeVeque, 1979), so no concatenated
+    copy of the bands is made; one is read with numpy's mean and var."""
     bands = [s.values[:PATCH_BINS] for s in specs]
-    bands = bands[0] if len(bands) == 1 else np.concatenate(bands, axis=1)
-    return (bands.mean(axis=1),
-            np.sqrt(np.maximum(bands.var(axis=1), BAND_VAR_FLOOR)))
+    bands = [b for b in bands if b.shape[1]] or bands[:1]
+    if len(bands) == 1:
+        mean, var = bands[0].mean(axis=1), bands[0].var(axis=1)
+    else:
+        counts = np.array([b.shape[1] for b in bands], dtype=np.float64)
+        means = np.array([b.mean(axis=1) for b in bands])
+        sq_dev = counts @ np.array([b.var(axis=1) for b in bands])
+        mean = counts @ means / counts.sum()
+        var = (sq_dev + counts @ (means - mean) ** 2) / counts.sum()
+    return mean, np.sqrt(np.maximum(var, BAND_VAR_FLOOR))
 
 
 def patch_spectrogram(clip):
@@ -71,8 +94,9 @@ def make_patches(spec, band_stats=None):
 
     The spectrogram must come from 8 kHz audio with a 1024-point DFT at
     20 ms hop. Returns (patches, (band_mean, band_std)): patches is one
-    C-contiguous (n, 94, 50) array, patch k holding frames 50k..50k+49;
-    statistics are computed from this data when band_stats is None.
+    C-contiguous (n, 94, 50) PATCH_DTYPE array, patch k holding frames
+    50k..50k+49, normalized in float64 and rounded once; statistics are
+    computed from this data when band_stats is None.
     """
     if abs(spec.bin_hz - 8000.0 / 1024) > 1e-9 or abs(spec.hop_s - 0.02) > 1e-9:
         raise InvalidArgumentError("patches require an 8 kHz / 1024-point DFT"
@@ -86,9 +110,11 @@ def make_patches(spec, band_stats=None):
     n = spec.n_frames // PATCH_FRAMES
     bands = spec.values[:PATCH_BINS, : n * PATCH_FRAMES].reshape(
         PATCH_BINS, n, PATCH_FRAMES).transpose(1, 0, 2)
-    patches = np.empty((n, PATCH_BINS, PATCH_FRAMES))
-    np.subtract(bands, mean[:, None], out=patches)
-    patches /= std[:, None]   # in place: the patch array is the only copy
+    patches = np.empty((n, PATCH_BINS, PATCH_FRAMES), dtype=PATCH_DTYPE)
+    for s in range(0, n, FORWARD_BLOCK):  # float64 one block at a time
+        chunk = bands[s : s + FORWARD_BLOCK] - mean[:, None]
+        chunk /= std[:, None]
+        patches[s : s + FORWARD_BLOCK] = chunk
     return patches, (mean, std)
 
 
@@ -102,16 +128,39 @@ def _im2col(x, kh, kw):
         -1, kh * kw * x.shape[1])
 
 
+def _mm(a, b, run):
+    """a @ b in row slabs of a, each GEMM at most GEMM_SLAB m*n*k. Every
+    run of `run` rows (one image's) is cut the same way, so an image's
+    result does not depend on the images beside it."""
+    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
+    step = max(1, GEMM_SLAB // (a.shape[1] * b.shape[1]))
+    for r in range(0, len(a), run):
+        for s in range(r, r + run, step):
+            e = min(s + step, r + run)
+            np.matmul(a[s:e], b, out=out[s:e])
+    return out
+
+
+def _mm_t(a, b):
+    """a.T @ b summed over row slabs of a and b, as _mm bounds its GEMMs."""
+    step = max(1, GEMM_SLAB // (a.shape[1] * b.shape[1]))
+    out = a[:step].T @ b[:step]
+    for s in range(step, len(a), step):
+        out += a[s : s + step].T @ b[s : s + step]
+    return out
+
+
 def _conv_valid(x, w, b, cols=None):
-    """Valid cross-correlation as im2col + one matmul. x (B,C,H,W),
-    w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last memory.
-    cols, when given, is x's im2col matrix, built once by the caller."""
+    """Valid cross-correlation as im2col + one matmul, in x's dtype. x
+    (B,C,H,W), w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last
+    memory. cols, when given, is x's im2col matrix, built by the caller."""
     f, _, kh, kw = w.shape
     bsz, _, h, wd = x.shape
     if cols is None:
         cols = _im2col(x, kh, kw)
-    z = cols @ w.transpose(0, 2, 3, 1).reshape(f, -1).T
-    z += b
+    z = _mm(cols, w.transpose(0, 2, 3, 1).reshape(f, -1).T.astype(cols.dtype),
+            (h - kh + 1) * (wd - kw + 1))
+    z += np.asarray(b, dtype=z.dtype)
     return z.reshape(bsz, h - kh + 1, wd - kw + 1, f).transpose(0, 3, 1, 2)
 
 
@@ -123,7 +172,7 @@ def _conv_backward(x, w, d_out, input_grad=True, cols=None):
     if cols is None:
         cols = _im2col(x, kh, kw)
     d = d_out.transpose(0, 2, 3, 1).reshape(-1, f)
-    gw = (d.T @ cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
+    gw = _mm_t(d, cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     gb = d.sum(axis=0)
     if not input_grad:
         return gw, gb, None
@@ -142,7 +191,7 @@ def _pool2(x):
 def _pool2_backward(d_out, in_shape):
     """Spread each pooled gradient evenly over its 2x2 block."""
     b, f, h, w = in_shape
-    up = np.empty((b, h, w, f)).transpose(0, 3, 1, 2)
+    up = np.empty((b, h, w, f), dtype=d_out.dtype).transpose(0, 3, 1, 2)
     q = d_out / 4.0
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         up[:, :, i::2, j::2] = q
@@ -172,13 +221,29 @@ def _conv_stack_forward(model, xb, keep_cols=False):
             "p2": p2, "flat": flat}
 
 
-def _features(model, x):
-    """Flattened pooling features (N, 2100) of a whole patch set, computed
-    FORWARD_BLOCK patches at a time so the im2col buffers stay bounded."""
-    flat = np.empty((len(x),) + SHAPE_CHAIN[5])
-    for s in range(0, len(x), FORWARD_BLOCK):
+def _map_blocks(fn, n, pool=None):
+    """[fn(s) for each FORWARD_BLOCK start s of n patches], on pool, or on
+    a pool of CNN_WORKERS threads of this call's own. Every block is queued
+    at once (a start index costs nothing), so a worker never idles behind
+    a slower one's block; results come back in block order."""
+    starts = range(0, n, FORWARD_BLOCK)
+    if pool is None:
+        with ThreadPoolExecutor(CNN_WORKERS) as own:
+            return list(own.map(fn, starts))
+    return list(pool.map(fn, starts))
+
+
+def _features(model, x, pool=None):
+    """Flattened pooling features (N, 2100) of a whole patch set in x's
+    dtype, computed FORWARD_BLOCK patches at a time so the im2col buffers
+    stay bounded; the worker threads each write their blocks' rows."""
+    flat = np.empty((len(x),) + SHAPE_CHAIN[5], dtype=x.dtype)
+
+    def block(s):
         flat[s : s + FORWARD_BLOCK] = _conv_stack_forward(
             model, x[s : s + FORWARD_BLOCK])["flat"]
+
+    _map_blocks(block, len(x), pool)
     return flat
 
 
@@ -192,10 +257,11 @@ def _forward(model, xb):
 
 
 def _stack_patches(patches):
-    """(n, 1, 94, 50) batch view of an (n, 94, 50) patch array, checked here
-    only: EmptyInputError if empty, else InvalidArgumentError if malformed."""
+    """(n, 1, 94, 50) PATCH_DTYPE batch view of an (n, 94, 50) patch array,
+    checked here only: EmptyInputError if empty, else InvalidArgumentError
+    if malformed."""
     try:
-        x = np.asarray(patches, dtype=np.float64)
+        x = np.asarray(patches, dtype=PATCH_DTYPE)
     except ValueError as exc:   # a ragged list of patches
         raise InvalidArgumentError(f"patches not one array: {exc}") from None
     if x.ndim and len(x) == 0:
@@ -261,28 +327,36 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
     g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
                                  cols=acts["cols1"])
-    nll = float(np.sum(-np.log(np.maximum(p[rows, yb], 1e-300))))
+    nll = float(np.sum(-np.log(np.maximum(p[rows, yb].astype(np.float64),
+                                          1e-300))))
     return (g1w, g1b, g2w, g2b, feat.T @ delta, delta.sum(axis=0)), nll
 
 
-def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None):
+def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None, pool=None):
     """Gradients for conv stack + direct softmax head on one batch, and its
-    summed NLL, FORWARD_BLOCK patches at a time (all is row-wise up to the
-    batch sums, so blocking changes only their order). feat_stats, if
-    given, is a fixed (mean, std) z-scoring the 2100-d pooling vectors
-    before the head, which preconditions it without changing the stack."""
+    summed NLL, in xb's dtype, FORWARD_BLOCK patches at a time on the
+    worker threads (all is row-wise up to the batch sums, which add the
+    blocks in order, so the worker count changes nothing and blocking only
+    the order of those sums). feat_stats, if given, is a fixed (mean, std)
+    z-scoring the 2100-d pooling vectors before the head, which
+    preconditions it without changing the stack."""
     mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
-    blocks = [_stage1_block_grads(model, head_w, head_b,
-                                  xb[s : s + FORWARD_BLOCK],
-                                  yb[s : s + FORWARD_BLOCK], mu, 1.0 / sd)
-              for s in range(0, len(xb), FORWARD_BLOCK)]
+    head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype)
+                                  for v in (head_w, head_b, mu, 1.0 / sd))
+    blocks = _map_blocks(
+        lambda s: _stage1_block_grads(model, head_w, head_b,
+                                      xb[s : s + FORWARD_BLOCK],
+                                      yb[s : s + FORWARD_BLOCK], mu, inv_sd),
+        len(xb), pool)
     grads = tuple(sum(g) for g in zip(*(g for g, _ in blocks)))
     return grads, sum(nll for _, nll in blocks)
 
 
 def _feature_stats(feats):
-    """Per-column mean and std (floored at 1e-6) of pooling features."""
-    return feats.mean(axis=0), np.maximum(feats.std(axis=0), 1e-6)
+    """Per-column float64 mean and std (floored at 1e-6) of pooling
+    features."""
+    return (feats.mean(axis=0, dtype=np.float64),
+            np.maximum(feats.std(axis=0, dtype=np.float64), 1e-6))
 
 
 def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
@@ -306,26 +380,30 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     head_w = rng.uniform(-r, r, size=(2100, 2))
     head_b = np.zeros(2)
 
-    # fixed preconditioning statistics from the untrained stack; the
-    # sqrt(D) factor keeps the softmax-head step size independent of the
-    # 2100-d feature width
-    mu0, sd0 = _feature_stats(_features(model, x))
-    s1_stats = (mu0, sd0 * np.sqrt(SHAPE_CHAIN[5][0]))
+    # every batch's blocks run on the same worker threads: a new pool per
+    # batch would leave malloc more arenas, each caching a block's memory
+    with ThreadPoolExecutor(CNN_WORKERS) as pool:
+        # fixed preconditioning statistics from the untrained stack; the
+        # sqrt(D) factor keeps the softmax-head step size independent of
+        # the 2100-d feature width
+        mu0, sd0 = _feature_stats(_features(model, x, pool))
+        s1_stats = (mu0, sd0 * np.sqrt(SHAPE_CHAIN[5][0]))
 
-    # conv gradients sum over every output position, so scale their steps
-    # by the map size to keep updates comparable across layers
-    n1, n2 = (SHAPE_CHAIN[k][1] * SHAPE_CHAIN[k][2] for k in (1, 3))
-    stage1_loss = list(mlp_mod.sgd_epochs(
-        (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
-         head_w, head_b), (n1, n1, n2, n2, 1, 1),
-        lambda xb, yb, _: _stage1_grads(model, head_w, head_b, xb, yb,
-                                        s1_stats),
-        x, labels, np.ones(len(x)), rng, lr0, epochs, batch, halve_every))
+        # conv gradients sum over every output position, so scale their
+        # steps by the map size to keep updates comparable across layers
+        n1, n2 = (SHAPE_CHAIN[k][1] * SHAPE_CHAIN[k][2] for k in (1, 3))
+        stage1_loss = list(mlp_mod.sgd_epochs(
+            (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
+             head_w, head_b), (n1, n1, n2, n2, 1, 1),
+            lambda xb, yb, _: _stage1_grads(model, head_w, head_b, xb, yb,
+                                            s1_stats, pool),
+            x, labels, np.ones(len(x)), rng, lr0, epochs, batch,
+            halve_every))
+        feats = _features(model, x, pool)
 
     # stage 2: frozen conv stack, train the fully connected head on
     # z-scored pooling vectors; the affine transform folds exactly into
     # the stored weights afterwards, so inference sees raw features.
-    feats = _features(model, x)
     mu, sd = _feature_stats(feats)
     head = mlp_mod.mlp_init(hidden=300, seed=seed, n_in=2100, n_out=2)
     head, stage2_loss = mlp_mod.mlp_train(

@@ -29,6 +29,13 @@ _CNN_LAYERS = (
     ("band_mean", "stat"), ("band_std", "stat"),
 )
 _KIND_LAYERS = {"mlp": _MLP_LAYERS, "cnn": _CNN_LAYERS}
+# the shapes of cnn.cnn_init's arrays, the only ones the CNN runs with
+_CNN_SHAPES = {
+    "conv1_w": (10, 1, 7, 7), "conv1_b": (10,),
+    "conv2_w": (10, 10, 3, 3), "conv2_b": (10,),
+    "fc_w": (2100, 300), "fc_b": (300,), "out_w": (300, 2), "out_b": (2,),
+    "band_mean": (94,), "band_std": (94,),
+}
 _KIND_MODEL = {"mlp": MlpModel, "cnn": CnnModel}
 
 
@@ -77,6 +84,24 @@ def _layer_shapes(header, path):
     return shapes
 
 
+def _check_shapes(kind, arrays, path):
+    """ParseError unless the arrays fit together as a model of kind: a CNN
+    has _CNN_SHAPES, an MLP (n_in, h), (h,), (h, 2) and (2,) for some n_in
+    and h."""
+    if kind == "cnn":
+        want = _CNN_SHAPES
+    else:
+        n_in, hidden = (arrays["w1"].shape if arrays["w1"].ndim == 2
+                        else (None, None))
+        want = {"w1": (n_in, hidden), "b1": (hidden,), "w2": (hidden, 2),
+                "b2": (2,)}
+    bad = [f"{name} {arrays[name].shape}" for name, shape in want.items()
+           if arrays[name].shape != shape]
+    if bad:
+        raise ParseError(f"{kind} model arrays of the wrong shape: "
+                         + ", ".join(bad), path=path)
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -112,6 +137,7 @@ def load_model(path):
     missing = [name for name, _ in _KIND_LAYERS[kind] if name not in arrays]
     if missing:
         raise ParseError(f"{kind} model lacks arrays {missing}", path=path)
+    _check_shapes(kind, arrays, path)
     return _KIND_MODEL[kind](
         **{name: arrays[name] for name, _ in _KIND_LAYERS[kind]}, meta=meta)
 

@@ -5,6 +5,7 @@ import json
 import re
 import shutil
 import struct
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from taanseg.cli import main
 from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
                          make_patches)
 from taanseg.dsp import AudioClip, log_spectrogram, resample
+from taanseg.errors import InternalError
 from taanseg.features import StyleFeatureSeq
 from taanseg.modelio import (MAGIC, VERSION, load_model, save_model,
                              write_matrix_csv)
@@ -393,8 +395,36 @@ class TestTrainCnnMemory:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert seen["patches"] == (99 + 59) * PATCH_BINS * 50 * 8
+        assert seen["patches"] == (99 + 59) * PATCH_BINS * 50 * 4   # float32
         assert seen["traced"] < 1.25 * seen["patches"]
+
+
+class TestTrainCnnBlockFailure:
+    @pytest.mark.parametrize("stage", ["_conv_stack_forward",
+                                       "_stage1_block_grads"])
+    def test_internal_error_in_one_block_is_exit_3(
+            self, small_concert, tmp_path, monkeypatch, capsys, stage):
+        """A block that fails on a worker thread fails the command with
+        exit 3, and no worker thread is left behind."""
+        real, calls = getattr(cnn, stage), []
+
+        def second_block_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InternalError("block 2")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cnn, stage, second_block_fails)
+        monkeypatch.setattr(cnn, "CNN_WORKERS", 2)
+        before = threading.active_count()
+        rc = main(["train-cnn", "--audio", str(small_concert["wav"]),
+                   "--labels", str(small_concert["labels"]),
+                   "--out", str(tmp_path / "cnn.tseg")])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "internal error: InternalError: block 2\n")
+        assert threading.active_count() == before
+        assert not (tmp_path / "cnn.tseg").exists()
 
 
 class TestInspectCnn:

@@ -29,7 +29,7 @@ from taanseg.cnn import (
     spectrogram_band_stats,
 )
 from taanseg.config import PipelineConfig
-from taanseg.dsp import AudioClip, log_spectrogram, resample
+from taanseg.dsp import AudioClip, LogSpectrogram, log_spectrogram, resample
 from taanseg.errors import EmptyInputError, InternalError, InvalidArgumentError
 from taanseg.mlp import PosteriorSeq
 from taanseg.pipeline import (classify_audio, segment_audio,
@@ -80,12 +80,42 @@ class TestPatches:
         assert np.allclose(normed.mean(axis=1), 0.0, atol=1e-7)
 
     def test_band_stats_pool_every_spectrogram(self):
-        specs = [self._spec(3.0, 400.0), self._spec(2.0, 700.0)]
+        # pooled from per-spectrogram counts, means and squared deviations:
+        # within 1e-12 relative of the statistics of the concatenation
+        specs = [self._spec(3.0, 400.0), self._spec(2.0, 700.0),
+                 self._spec(0.05, 300.0), self._spec(1.3, 1000.0)]
         bands = np.concatenate([s.values[:PATCH_BINS] for s in specs], axis=1)
         mean, std = spectrogram_band_stats(specs)
-        np.testing.assert_array_equal(mean, bands.mean(axis=1))
-        np.testing.assert_array_equal(
-            std, np.sqrt(np.maximum(bands.var(axis=1), 1e-12)))
+        np.testing.assert_allclose(mean, bands.mean(axis=1), rtol=1e-12)
+        np.testing.assert_allclose(
+            std, np.sqrt(np.maximum(bands.var(axis=1), 1e-12)), rtol=1e-12)
+
+    def test_band_stats_of_one_spectrogram_are_numpys(self):
+        # bit for bit numpy's mean and var, also beside frameless ones
+        spec = self._spec(3.0, 400.0)
+        bands = spec.values[:PATCH_BINS]
+        frameless = LogSpectrogram(np.zeros((PATCH_BINS, 0)), spec.bin_hz,
+                                   spec.hop_s)
+        for specs in ([spec], [frameless, spec, frameless]):
+            mean, std = spectrogram_band_stats(specs)
+            np.testing.assert_array_equal(mean, bands.mean(axis=1))
+            np.testing.assert_array_equal(
+                std, np.sqrt(np.maximum(bands.var(axis=1), 1e-12)))
+
+    def test_band_stats_make_no_concatenated_copy(self):
+        # two concerts' bands (2 x 2.2 MB); a concatenation would hold both
+        # again, and its var a same-size temporary
+        rng = np.random.default_rng(0)
+        specs = [LogSpectrogram(rng.normal(size=(PATCH_BINS, n)), 8000 / 1024,
+                                0.02) for n in (3000, 2900)]
+        size = sum(s.values.nbytes for s in specs)
+        tracemalloc.start()
+        try:
+            spectrogram_band_stats(specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * size
 
     def test_tone_row_with_unit_stats(self):
         # With identity band stats the 400 Hz ridge sits at bin
@@ -112,9 +142,10 @@ class TestPatches:
 
     @pytest.mark.parametrize("given_stats", [False, True])
     def test_matches_slicing_the_normalized_spectrogram(self, given_stats):
-        # the old construction: normalize all bands at once, then slice
-        # patch k out as frames 50k..50k+49
-        spec = self._spec(seconds=5.3)
+        # the old construction: normalize all bands at once in float64, then
+        # slice patch k out as frames 50k..50k+49; float32 patches are those
+        # values rounded once (21 patches: two normalizing chunks and a part)
+        spec = self._spec(seconds=21.3)
         stats = None
         if given_stats:
             rng = np.random.default_rng(1)
@@ -123,11 +154,12 @@ class TestPatches:
         patches, (mean, std) = make_patches(spec, band_stats=stats)
         normed = spec.values[:PATCH_BINS] - mean[:, None]
         normed /= std[:, None]
-        assert patches.dtype == np.float64 and patches.flags.c_contiguous
-        assert patches.shape == (5, PATCH_BINS, PATCH_FRAMES)
-        for k in range(5):
+        assert patches.dtype == np.float32 and patches.flags.c_contiguous
+        assert patches.shape == (21, PATCH_BINS, PATCH_FRAMES)
+        for k in range(21):
             np.testing.assert_array_equal(
-                patches[k], normed[:, PATCH_FRAMES * k : PATCH_FRAMES * (k + 1)])
+                patches[k], normed[:, PATCH_FRAMES * k : PATCH_FRAMES * (k + 1)]
+                .astype(np.float32))
 
     def test_patch_validation(self):
         # patches are checked once, where cnn_posteriors, cnn_train and

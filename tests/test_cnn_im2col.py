@@ -1,5 +1,6 @@
 """Equivalence tests for the im2col convolution, the blocked whole-set
-forward pass, the blocked stage-1 gradients and the branch-free sigmoid.
+forward pass, the blocked stage-1 gradients and the branch-free sigmoid;
+the float32 path against float64, and every pass at 1, 2 and 3 workers.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
@@ -7,11 +8,14 @@ reshape-mean pooling, the batch-at-once stage-1 gradients, the
 boolean-mask sigmoid and the out-of-place branch-free sigmoid.
 """
 
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from taanseg import cnn
 from taanseg.cnn import (
     FORWARD_BLOCK,
     PATCH_BINS,
@@ -30,6 +34,7 @@ from taanseg.cnn import (
     cnn_train,
     export_channel_maps,
 )
+from taanseg.errors import InternalError
 from taanseg.mlp import sigmoid, softmax
 
 
@@ -152,6 +157,12 @@ class TestPoolingAgainstReshapeOracle:
         np.testing.assert_array_equal(got, ref)
 
 
+# float32 against float64 on an untrained model: the features (in (0, 1))
+# were measured within 1.4e-7, the posteriors within 1e-8
+FEATURE_ATOL = 1e-6
+POSTERIOR_ATOL = 1e-6
+
+
 def _patch_batch(n, seed=0):
     rng = np.random.default_rng(seed)
     return rng.normal(size=(n, 1, PATCH_BINS, PATCH_FRAMES))
@@ -161,10 +172,19 @@ class TestBlockedForward:
     @pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK,
                                    FORWARD_BLOCK + 1, 2 * FORWARD_BLOCK + 3])
     def test_bit_identical_to_one_stack_call(self, n):
+        # in float64 and in float32 alike, since _mm cuts every patch's
+        # rows the same way; float32 features are within FEATURE_ATOL of
+        # the float64 ones (pooled sigmoids, so in (0, 1))
         model = cnn_init(seed=2)
         x = _patch_batch(n, seed=n)
-        np.testing.assert_array_equal(_features(model, x),
-                                      _conv_stack_forward(model, x)["flat"])
+        ref = _conv_stack_forward(model, x)["flat"]
+        np.testing.assert_array_equal(_features(model, x), ref)
+        x32 = x.astype(np.float32)
+        got = _features(model, x32)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got,
+                                      _conv_stack_forward(model, x32)["flat"])
+        np.testing.assert_allclose(got, ref, rtol=0, atol=FEATURE_ATOL)
 
     def test_activations_stay_channels_last(self):
         acts = _conv_stack_forward(cnn_init(seed=0), _patch_batch(3))
@@ -172,24 +192,35 @@ class TestBlockedForward:
             assert _channels_last(acts[name]), name
 
     def test_maps_are_second_pooling_layer(self):
+        # bit for bit the float32 stack's second pooling layer, and within
+        # FEATURE_ATOL of the float64 one
         model = cnn_init(seed=1)
         x = _patch_batch(3, seed=3)
         for k in range(len(x)):
             p2 = _conv_stack_forward(model, x[k : k + 1])["p2"][0]
+            p2_32 = _conv_stack_forward(
+                model, x[k : k + 1].astype(np.float32))["p2"][0]
             for channel in range(len(p2)):
-                np.testing.assert_array_equal(export_channel_maps(
-                    model, x[k, 0], channel), p2[channel])
+                cmap = export_channel_maps(model, x[k, 0], channel)
+                np.testing.assert_array_equal(cmap, p2_32[channel])
+                np.testing.assert_allclose(cmap, p2[channel], rtol=0,
+                                           atol=FEATURE_ATOL)
 
     def test_single_patch_path_matches_batch(self):
+        # cnn_posteriors is _forward on float32 patches, and within
+        # POSTERIOR_ATOL of _forward on the float64 ones
         model = cnn_init(seed=4)
         x = _patch_batch(FORWARD_BLOCK + 1, seed=5)
         patches = [v[0] for v in x]
         batched = cnn_posteriors(model, patches)
-        np.testing.assert_array_equal(batched, _forward(model, x)[:, 1])
+        np.testing.assert_array_equal(
+            batched, _forward(model, x.astype(np.float32))[:, 1])
+        np.testing.assert_allclose(batched, _forward(model, x)[:, 1],
+                                   rtol=0, atol=POSTERIOR_ATOL)
         for k in (0, FORWARD_BLOCK):
             np.testing.assert_allclose(
-                _forward(model, patches[k][None, None])[0][1],
-                batched[k], rtol=0, atol=1e-15)
+                _forward(model, patches[k][None, None].astype(np.float32))
+                [0][1], batched[k], rtol=0, atol=1e-15)
 
 
 def _oracle_stage1_grads(model, head_w, head_b, xb, yb, feat_stats):
@@ -229,6 +260,135 @@ class TestBlockedStage1Grads:
         for got, want in zip(grads, ref):
             _assert_close(got, want)
         assert abs(nll - ref_nll) <= 1e-12 * max(1.0, abs(ref_nll))
+
+
+SIZES = [1, FORWARD_BLOCK - 1, FORWARD_BLOCK, FORWARD_BLOCK + 1,
+         2 * FORWARD_BLOCK + 3]
+
+
+def _at_each_worker_count(monkeypatch, run):
+    """run() with cnn.CNN_WORKERS at 1, 2 and 3, the threads switching
+    every 10 us so that blocks interleave as much as they can."""
+    results, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(cnn, "CNN_WORKERS", workers)
+            results.append(run())
+    finally:
+        sys.setswitchinterval(interval)
+    return results
+
+
+def _assert_all_equal(results):
+    first, *rest = results
+    for other in rest:
+        for got, want in zip(other, first):
+            np.testing.assert_array_equal(got, want)
+
+
+def _stage1_inputs(n):
+    rng = np.random.default_rng(n)
+    head_w = rng.normal(scale=0.05, size=(2100, 2))
+    head_b = rng.normal(scale=0.1, size=2)
+    stats = (rng.normal(scale=0.1, size=2100),
+             rng.uniform(0.5, 2.0, size=2100))
+    x = _patch_batch(n, seed=n).astype(np.float32)
+    return head_w, head_b, x, rng.integers(0, 2, size=n), stats
+
+
+class TestWorkerCount:
+    """Blocks run CNN_WORKERS at a time and their sums add in block order,
+    so every pass gives the same bits at any worker count."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_features(self, monkeypatch, n):
+        model = cnn_init(seed=n)
+        x = _patch_batch(n, seed=n).astype(np.float32)
+        _assert_all_equal(_at_each_worker_count(
+            monkeypatch, lambda: [_features(model, x)]))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_stage1_grads(self, monkeypatch, n):
+        model = cnn_init(seed=n)
+        head_w, head_b, x, y, stats = _stage1_inputs(n)
+
+        def run():
+            grads, nll = _stage1_grads(model, head_w, head_b, x, y, stats)
+            return [*grads, nll]
+
+        _assert_all_equal(_at_each_worker_count(monkeypatch, run))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_posteriors(self, monkeypatch, n):
+        model = cnn_init(seed=n)
+        x = _patch_batch(n, seed=n)[:, 0]
+        _assert_all_equal(_at_each_worker_count(
+            monkeypatch, lambda: [cnn_posteriors(model, x)]))
+
+    # training needs both classes, so at least two patches
+    @pytest.mark.parametrize("n", SIZES[1:])
+    def test_train(self, monkeypatch, n):
+        x = _patch_batch(n, seed=n)[:, 0]
+        y = np.arange(n) % 2
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+
+        def run():
+            m = cnn_train(x, y, stats, epochs=2, head_epochs=1,
+                          batch=2 * FORWARD_BLOCK + 3, seed=n)
+            return [m.conv1_w, m.conv1_b, m.conv2_w, m.conv2_b, m.fc_w,
+                    m.fc_b, m.out_w, m.out_b, m.meta["stage1_loss"],
+                    m.meta["stage2_loss"]]
+
+        _assert_all_equal(_at_each_worker_count(monkeypatch, run))
+
+    def test_no_worker_thread_outlives_a_run(self, monkeypatch):
+        monkeypatch.setattr(cnn, "CNN_WORKERS", 2)
+        x = _patch_batch(2 * FORWARD_BLOCK + 3, seed=1)[:, 0]
+        y = np.arange(len(x)) % 2
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        before = threading.active_count()
+        cnn_train(x, y, stats, epochs=1, head_epochs=1)
+        assert threading.active_count() == before
+
+        real, calls = cnn._stage1_block_grads, []
+
+        def second_block_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InternalError("block 2")
+            return real(*args)
+
+        monkeypatch.setattr(cnn, "_stage1_block_grads", second_block_fails)
+        with pytest.raises(InternalError, match="block 2"):
+            cnn_train(x, y, stats, epochs=1, head_epochs=1)
+        assert threading.active_count() == before
+
+
+class TestFloat32AgainstFloat64:
+    """cnn_train and cnn_posteriors in float32 against the same code run in
+    float64 (PATCH_DTYPE set to float64). The model's weights are float64
+    in both, and float32 is only what the conv stack computes in."""
+
+    def test_training_losses_and_posteriors(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(40, PATCH_BINS, PATCH_FRAMES))
+        x[1::2, 30:33] += 3.0       # a ridge tells the classes apart
+        y = np.arange(40) % 2
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+
+        def run():
+            m = cnn_train(x, y, stats, epochs=2, head_epochs=2, batch=8)
+            return m, cnn_posteriors(m, x)
+
+        m32, p32 = run()
+        monkeypatch.setattr(cnn, "PATCH_DTYPE", np.float64)
+        m64, p64 = run()
+        assert m32.conv1_w.dtype == np.float64 and p32.dtype == np.float64
+        for stage in ("stage1_loss", "stage2_loss"):
+            np.testing.assert_allclose(m32.meta[stage], m64.meta[stage],
+                                       rtol=1e-5)
+        np.testing.assert_allclose(p32, p64, rtol=0, atol=1e-4)
 
 
 def _train_peak(patches, labels, batch):

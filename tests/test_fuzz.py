@@ -1,9 +1,11 @@
 """Property-based fuzzing of the input contract (Hypothesis, MacIver et al.,
 JOSS 2019): on arbitrary bytes and on mutated valid files, every table,
-JSON and TextGrid reader, and the truth reader, raises only TaansegError,
-and `cli.main` returns only 0, 1 or 2."""
+JSON and TextGrid reader, the truth reader, the model reader (binary and
+sidecar) and the WAV reader raise only TaansegError, and `cli.main`
+returns only 0, 1 or 2."""
 
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -12,16 +14,19 @@ from hypothesis import strategies as st
 
 from taanseg.bootstrap import read_frame_labels, write_frame_labels
 from taanseg.cli import main
+from taanseg.cnn import cnn_init
 from taanseg.config import load_config
+from taanseg.dsp import AudioClip
 from taanseg.errors import TaansegError
 from taanseg.features import StyleFeatureSeq, read_features, write_features
 from taanseg.mlp import mlp_init
-from taanseg.modelio import save_model
+from taanseg.modelio import load_model, save_model
 from taanseg.segmentation import read_timeline
 from taanseg.synth import script_from_json
 from taanseg.textgrid import (emit_textgrid, parse_textgrid, read_sections,
                               tier_to_timeline, timeline_to_doc)
 from taanseg.vocal import PitchEnergyTrack, ingest_track, write_track
+from taanseg.wavio import read_wav, write_wav
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=60, suppress_health_check=[HealthCheck.too_slow])
@@ -44,6 +49,19 @@ def mutated(draw, valid):
 
 def inputs(valid):
     return st.binary(max_size=200) | mutated(valid)
+
+
+@st.composite
+def spliced(draw, valid, head):
+    """valid with 1 to 4 spans of up to 8 bytes replaced by a token or a few
+    arbitrary bytes, each starting in the first `head` bytes (where the
+    headers are) or anywhere; for files too big to split into cells."""
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(0, head) | st.integers(0, len(data)))
+        data[k : k + draw(st.integers(0, 8))] = draw(
+            st.sampled_from(TOKENS) | st.binary(max_size=8))
+    return bytes(data)
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +89,23 @@ def files(tmp_path_factory):
         '{"seed": 3, "sample_rate": 8000, "sections": [{"style": "taan", '
         '"duration_s": 5.0, "mod_rate_hz": 6.0}]}')
     save_model(mlp_init(5, seed=0), root / "model")
+    save_model(cnn_init(seed=0), root / "cnn")
+    (root / "cnn.json").rename(root / "sidecar")
+    t = np.arange(9600) / 8000     # 1.2 s: one 1 s CNN patch
+    write_wav(AudioClip(0.3 * np.sin(2 * np.pi * 220 * t), 8000),
+              root / "wav")
     return root
+
+
+def binary_inputs(files, kind):
+    """A fuzzed CNN model binary (its JSON header, then 5 MB of arrays) or
+    WAV file."""
+    valid = (files / kind).read_bytes()
+    if kind == "wav":
+        return st.binary(max_size=200) | spliced(valid, 44)
+    end = 10 + int.from_bytes(valid[6:10], "little")   # magic, version, size
+    return st.binary(max_size=200) | spliced(valid, end) | renumbered(
+        valid[:end]).map(lambda header: header + valid[end:])
 
 
 READERS = {"track": ingest_track, "features": read_features,
@@ -115,6 +149,40 @@ def test_textgrid_raises_only_taanseg_errors(files, data):
     try:
         for tier in parse_textgrid(path).tiers:
             tier_to_timeline(tier)
+    except TaansegError:
+        pass
+
+
+# a CNN model's arrays take ~5 ms to read, so fewer examples than the rest
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_model_binary_raises_only_taanseg_errors(files, data):
+    (files / "fuzzed_model").write_bytes(data.draw(binary_inputs(files, "cnn")))
+    (files / "fuzzed_model.json").write_bytes((files / "sidecar").read_bytes())
+    try:
+        load_model(files / "fuzzed_model")
+    except TaansegError:
+        pass
+
+
+@settings(FUZZ, max_examples=40)
+@given(data=st.data())
+def test_model_sidecar_raises_only_taanseg_errors(files, data):
+    shutil.copyfile(files / "cnn", files / "fuzzed_model")
+    (files / "fuzzed_model.json").write_bytes(
+        data.draw(inputs((files / "sidecar").read_bytes())))
+    try:
+        load_model(files / "fuzzed_model")
+    except TaansegError:
+        pass
+
+
+@FUZZ
+@given(data=st.data())
+def test_wav_raises_only_taanseg_errors(files, data):
+    (files / "fuzzed").write_bytes(data.draw(binary_inputs(files, "wav")))
+    try:
+        read_wav(files / "fuzzed")
     except TaansegError:
         pass
 
@@ -166,3 +234,18 @@ def test_cli_exit_code(files, name, data):
     paths = {k: files / k for k in ("fuzzed", "timeline", "model", "features",
                                     "labels", "out")}
     assert main([a.format(**paths) for a in argv]) in (0, 1, 2)
+
+
+# `classify --audio` with a fuzzed CNN model and the valid WAV, or with a
+# fuzzed WAV and the valid CNN model
+@pytest.mark.parametrize("kind", ["cnn", "wav"])
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_classify_audio_exit_code(files, kind, data):
+    paths = {"cnn": files / "cnn", "wav": files / "wav"}
+    paths[kind] = files / "fuzzed_classify"
+    paths[kind].write_bytes(data.draw(binary_inputs(files, kind)))
+    if kind == "cnn":
+        shutil.copyfile(files / "sidecar", str(paths[kind]) + ".json")
+    assert main(["classify", "--audio", str(paths["wav"]), "--model",
+                 str(paths["cnn"]), "--out", str(files / "out")]) in (0, 1, 2)

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from taanseg.cnn import cnn_init
+from taanseg.cnn import (PATCH_BINS, PATCH_FRAMES, cnn_init, cnn_posteriors,
+                         cnn_train)
 from taanseg.config import ENV_VAR, PipelineConfig, load_config
 from taanseg.dsp import AudioClip
 from taanseg.errors import (
@@ -276,6 +277,37 @@ class TestModelContainer:
                      "fc_w", "fc_b", "out_w", "out_b",
                      "band_mean", "band_std"):
             assert np.array_equal(getattr(back, name), getattr(model, name))
+
+    def test_cnn_posteriors_survive_the_round_trip(self, tmp_path):
+        # a trained model keeps float64 weights, stored as <f8; the float32
+        # conv stack casts the same weights before and after the file
+        rng = np.random.default_rng(3)
+        patches = rng.normal(size=(12, PATCH_BINS, PATCH_FRAMES))
+        stats = (rng.normal(size=PATCH_BINS),
+                 rng.uniform(0.5, 2.0, size=PATCH_BINS))
+        model = cnn_train(patches, np.arange(12) % 2, stats, epochs=1,
+                          batch=4)
+        assert all(getattr(model, name).dtype == np.float64
+                   for name in ("conv1_w", "conv2_w", "fc_w", "out_w"))
+        path = tmp_path / "cnn.tseg"
+        save_model(model, path)
+        np.testing.assert_array_equal(cnn_posteriors(load_model(path), patches),
+                                      cnn_posteriors(model, patches))
+
+    @pytest.mark.parametrize("kind,name,shape", [
+        ("cnn", "conv1_w", (10, 1, 5, 5)), ("cnn", "fc_w", (2100, 299)),
+        ("cnn", "band_std", (93,)), ("mlp", "b1", (4,)),
+        ("mlp", "w1", (3, 5, 1)), ("mlp", "w2", (5, 3)), ("mlp", "b2", (3,))])
+    def test_arrays_that_do_not_fit_together(self, tmp_path, kind, name,
+                                             shape):
+        # found by fuzzing: such a file loaded, and classifying with it
+        # failed inside the model (exit 3), not at the file (exit 2)
+        model = cnn_init(seed=0) if kind == "cnn" else mlp_init(5, seed=0)
+        setattr(model, name, np.zeros(shape))
+        path = tmp_path / "m.tseg"
+        save_model(model, path)
+        with pytest.raises(ParseError, match=f"wrong shape: .*{name}"):
+            load_model(path)
 
     def test_magic_and_sidecar(self, tmp_path):
         path = tmp_path / "m.tseg"
