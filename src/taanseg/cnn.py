@@ -4,7 +4,6 @@ with a direct softmax head first, then a 300-unit fully connected head
 trained on the frozen 2100-d pooling features).
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -12,18 +11,15 @@ import numpy as np
 from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import sigmoid, softmax
-from .pool import usable_cpus
+from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
-FORWARD_BLOCK = 8       # patches per block of a whole-set forward pass
-# blocks computed at once, one per worker thread: numpy and OpenBLAS release
-# the interpreter lock, so two blocks overlap on two cores
-CNN_WORKERS = min(2, usable_cpus())
+FORWARD_BLOCK = 8       # patches per block, one block per pool work item
 # OpenBLAS runs a GEMM of m*n*k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on
 # the calling thread and starts its own threads for a bigger one, which
-# would oversubscribe the cores the block workers already use
+# would oversubscribe the cores the pool's workers already use
 GEMM_SLAB = 262_144
 # patches, and every array of the conv stack, are float32; the model keeps
 # its weights in float64 and the stack casts them on every call
@@ -221,29 +217,18 @@ def _conv_stack_forward(model, xb, keep_cols=False):
             "p2": p2, "flat": flat}
 
 
-def _map_blocks(fn, n, pool=None):
-    """[fn(s) for each FORWARD_BLOCK start s of n patches], on pool, or on
-    a pool of CNN_WORKERS threads of this call's own. Every block is queued
-    at once (a start index costs nothing), so a worker never idles behind
-    a slower one's block; results come back in block order."""
-    starts = range(0, n, FORWARD_BLOCK)
-    if pool is None:
-        with ThreadPoolExecutor(CNN_WORKERS) as own:
-            return list(own.map(fn, starts))
-    return list(pool.map(fn, starts))
-
-
-def _features(model, x, pool=None):
+def _features(model, x, run=ordered_map):
     """Flattened pooling features (N, 2100) of a whole patch set in x's
     dtype, computed FORWARD_BLOCK patches at a time so the im2col buffers
-    stay bounded; the worker threads each write their blocks' rows."""
+    stay bounded; `run` (a `pool.workers` map) computes the blocks, each
+    writing its own rows."""
     flat = np.empty((len(x),) + SHAPE_CHAIN[5], dtype=x.dtype)
 
     def block(s):
         flat[s : s + FORWARD_BLOCK] = _conv_stack_forward(
             model, x[s : s + FORWARD_BLOCK])["flat"]
 
-    _map_blocks(block, len(x), pool)
+    run(block, range(0, len(x), FORWARD_BLOCK))
     return flat
 
 
@@ -332,9 +317,10 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
     return (g1w, g1b, g2w, g2b, feat.T @ delta, delta.sum(axis=0)), nll
 
 
-def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None, pool=None):
+def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None,
+                  run=ordered_map):
     """Gradients for conv stack + direct softmax head on one batch, and its
-    summed NLL, in xb's dtype, FORWARD_BLOCK patches at a time on the
+    summed NLL, in xb's dtype, FORWARD_BLOCK patches at a time on `run`'s
     worker threads (all is row-wise up to the batch sums, which add the
     blocks in order, so the worker count changes nothing and blocking only
     the order of those sums). feat_stats, if given, is a fixed (mean, std)
@@ -343,11 +329,11 @@ def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None, pool=None):
     mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
     head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype)
                                   for v in (head_w, head_b, mu, 1.0 / sd))
-    blocks = _map_blocks(
+    blocks = run(
         lambda s: _stage1_block_grads(model, head_w, head_b,
                                       xb[s : s + FORWARD_BLOCK],
                                       yb[s : s + FORWARD_BLOCK], mu, inv_sd),
-        len(xb), pool)
+        range(0, len(xb), FORWARD_BLOCK))
     grads = tuple(sum(g) for g in zip(*(g for g, _ in blocks)))
     return grads, sum(nll for _, nll in blocks)
 
@@ -382,11 +368,11 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
 
     # every batch's blocks run on the same worker threads: a new pool per
     # batch would leave malloc more arenas, each caching a block's memory
-    with ThreadPoolExecutor(CNN_WORKERS) as pool:
+    with workers() as run:
         # fixed preconditioning statistics from the untrained stack; the
         # sqrt(D) factor keeps the softmax-head step size independent of
         # the 2100-d feature width
-        mu0, sd0 = _feature_stats(_features(model, x, pool))
+        mu0, sd0 = _feature_stats(_features(model, x, run))
         s1_stats = (mu0, sd0 * np.sqrt(SHAPE_CHAIN[5][0]))
 
         # conv gradients sum over every output position, so scale their
@@ -396,10 +382,10 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
             (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
              head_w, head_b), (n1, n1, n2, n2, 1, 1),
             lambda xb, yb, _: _stage1_grads(model, head_w, head_b, xb, yb,
-                                            s1_stats, pool),
+                                            s1_stats, run),
             x, labels, np.ones(len(x)), rng, lr0, epochs, batch,
             halve_every))
-        feats = _features(model, x, pool)
+        feats = _features(model, x, run)
 
     # stage 2: frozen conv stack, train the fully connected head on
     # z-scored pooling vectors; the affine transform folds exactly into

@@ -1,6 +1,6 @@
 """Pipeline configuration: every tunable of the processing chain with its
-documented default. Loadable from JSON (unknown keys rejected); CLI flags
-override file values. TAANSEG_CONFIG names a default config file.
+documented default. Loadable from JSON (unknown keys rejected): the
+`--config` file, else the file TAANSEG_CONFIG names, else the defaults.
 """
 
 import dataclasses

@@ -37,6 +37,8 @@ _CNN_SHAPES = {
     "band_mean": (94,), "band_std": (94,),
 }
 _KIND_MODEL = {"mlp": MlpModel, "cnn": CnnModel}
+# arrays the CNN's float32 conv stack casts to float32 on every call
+_CNN_FLOAT32 = ("conv1_w", "conv1_b", "conv2_w", "conv2_b")
 
 
 def save_model(model, path):
@@ -102,6 +104,24 @@ def _check_shapes(kind, arrays, path):
                          + ", ".join(bad), path=path)
 
 
+def _check_values(kind, arrays, path):
+    """ParseError unless the model's arrays are finite, and a CNN's
+    band_std is positive and its conv arrays within float32's range."""
+    bad = [name for name, _ in _KIND_LAYERS[kind]
+           if not np.isfinite(arrays[name]).all()]
+    if bad:
+        raise ParseError(f"non-finite values in {', '.join(bad)}", path=path)
+    if kind != "cnn":
+        return
+    if not (arrays["band_std"] > 0).all():
+        raise ParseError("band_std entries must be positive", path=path)
+    bad = [name for name in _CNN_FLOAT32
+           if (np.abs(arrays[name]) > np.finfo(np.float32).max).any()]
+    if bad:
+        raise ParseError(f"{', '.join(bad)} beyond float32's range",
+                         path=path)
+
+
 def load_model(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -138,6 +158,7 @@ def load_model(path):
     if missing:
         raise ParseError(f"{kind} model lacks arrays {missing}", path=path)
     _check_shapes(kind, arrays, path)
+    _check_values(kind, arrays, path)
     return _KIND_MODEL[kind](
         **{name: arrays[name] for name, _ in _KIND_LAYERS[kind]}, meta=meta)
 

@@ -8,12 +8,7 @@ import numpy as np
 
 from . import cnn, dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
-from .pool import ordered_map, usable_cpus
-
-# spectrogram blocks tracked at once, one per worker thread: numpy releases
-# the interpreter lock inside the array operations of the F0 search, so two
-# blocks overlap on two cores
-TRACK_WORKERS = min(2, usable_cpus())
+from .pool import ordered_map
 
 
 def _track_block(spec, cfg):
@@ -36,15 +31,14 @@ def extract_track(clip, cfg=None):
     spectrogram blocks of dsp.FRAME_BLOCK frames: F0 search and harmonic
     energy are frame-local, so the per-block tracks concatenate to the
     whole-spectrogram result while memory stays O(block), not O(length).
-    Blocks are tracked on TRACK_WORKERS threads by `pool.ordered_map`,
-    with at most that many blocks in flight.
+    Blocks are tracked on `pool.ordered_map`'s threads, with at most
+    pool.WORKERS blocks in flight.
     """
     cfg = cfg or PipelineConfig()
     clip = dsp.resample(clip, 8000)
     blocks = dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
                                         n_dft=1024)
-    parts = ordered_map(functools.partial(_track_block, cfg=cfg), blocks,
-                        TRACK_WORKERS)
+    parts = ordered_map(functools.partial(_track_block, cfg=cfg), blocks)
     f0, energy, voiced = zip(*parts)
     return vocal.PitchEnergyTrack(f0_hz=np.concatenate(f0),
                                   energy_db=np.concatenate(energy),

@@ -1,11 +1,13 @@
-"""The one worker-thread pool that streamed tracking and concert synthesis
-share: numpy releases the interpreter lock inside its array operations,
-so work items that are mostly numpy overlap on the machine's cores.
+"""The one worker-thread pool, which streamed tracking, concert synthesis
+and the CNN share: numpy and OpenBLAS release the interpreter lock inside
+their array operations, so work items that are mostly numpy overlap on
+the machine's cores. No other module starts a thread.
 """
 
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 
 def usable_cpus():
@@ -16,24 +18,38 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
-def ordered_map(fn, items, workers):
-    """[fn(item) for item in items], computed on `workers` threads.
+WORKERS = min(2, usable_cpus())     # worker threads, items in flight
 
-    At most `workers` items are in flight: once that many are pending,
-    the next is drawn from `items` only after the oldest result is
-    collected, so an iterator that builds its items lazily holds no more
-    than that many at once.
-    Results come back in item order. The pool is gone when this returns
-    or raises, and an item's exception is raised here as it is.
+
+@contextmanager
+def workers():
+    """Keep WORKERS threads for a `with` block; it gets run(fn, items),
+    which is [fn(item) for item in items] computed on them.
+
+    At most WORKERS items are in flight: once that many are pending, the
+    next is drawn from `items` only after the oldest result is collected,
+    so an iterator that builds its items lazily holds no more than that
+    many at once. Results come back in item order, and an item's
+    exception is raised from run as it is. The threads are gone when the
+    block ends, normally or by an exception.
     """
-    results, pending = [], deque()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
+    n, executor = WORKERS, ThreadPoolExecutor(max_workers=WORKERS)
+
+    def run(fn, items):
+        results, pending = [], deque()
         for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) == workers:
+            pending.append(executor.submit(fn, item))
+            if len(pending) == n:
                 results.append(pending.popleft().result())
-        results.extend(future.result() for future in pending)
+        return results + [future.result() for future in pending]
+
+    try:
+        yield run
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-    return results
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def ordered_map(fn, items):
+    """run(fn, items) of `workers`, on threads of this call's own."""
+    with workers() as run:
+        return run(fn, items)

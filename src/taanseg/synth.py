@@ -14,7 +14,7 @@ from .config import check_object
 from .dsp import AudioClip
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_utf8)
-from .pool import ordered_map, usable_cpus
+from .pool import ordered_map
 from .segmentation import Section, SectionTimeline
 
 STYLES = ("taan", "steady-vocal", "glide-vocal", "instrumental")
@@ -29,11 +29,6 @@ REF_HZ = 55.0
 # samples per render step: bounds a worker's temporaries whatever the
 # section's length
 RENDER_CHUNK = 1 << 16
-
-# sections rendered at once, one per worker thread: numpy releases the
-# interpreter lock inside sin, exp, interp and cumsum, so two sections
-# overlap on two cores
-SYNTH_WORKERS = min(2, usable_cpus())
 
 
 @dataclass
@@ -241,8 +236,8 @@ def synth_concert(script):
     Frame labels are per 1 s frame: taan / non-taan / instrumental.
     Fully deterministic given the script's seed: every random value is
     drawn first, section by section, and the sections are then rendered
-    on SYNTH_WORKERS threads by `pool.ordered_map`, each into its own
-    slice of the clip, so the clip does not depend on the worker count.
+    on `pool.ordered_map`'s threads, each into its own slice of the clip,
+    so the clip does not depend on the worker count.
     """
     if not script.sections:
         raise InvalidArgumentError("script has no sections")
@@ -261,7 +256,7 @@ def synth_concert(script):
 
     def jobs():
         # a job's two section-length buffers are allocated only when
-        # ordered_map draws it, so at most SYNTH_WORKERS jobs hold them
+        # ordered_map draws it, so at most pool.WORKERS jobs hold them
         lo = 0
         for spec, d, n in zip(script.sections, draws, lengths):
             if n:
@@ -269,7 +264,7 @@ def synth_concert(script):
                 yield spec, d, sr, x[lo : lo + n], voice, np.empty(n)
             lo += n
 
-    extremes = ordered_map(_render_section, jobs(), SYNTH_WORKERS)
+    extremes = ordered_map(_render_section, jobs())
     peak = max((max(hi, -lo) for hi, lo in extremes), default=0.0)
     if peak > 0.9:
         x *= 0.9 / peak

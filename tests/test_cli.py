@@ -14,7 +14,7 @@ import pytest
 
 from taanseg import cnn
 from taanseg import features as feat_mod
-from taanseg import pipeline, wavio
+from taanseg import pipeline, pool, wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
 from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
@@ -415,7 +415,7 @@ class TestTrainCnnBlockFailure:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(cnn, stage, second_block_fails)
-        monkeypatch.setattr(cnn, "CNN_WORKERS", 2)
+        monkeypatch.setattr(pool, "WORKERS", 2)
         before = threading.active_count()
         rc = main(["train-cnn", "--audio", str(small_concert["wav"]),
                    "--labels", str(small_concert["labels"]),
@@ -772,6 +772,25 @@ class TestNonFiniteInputs:
         err = capsys.readouterr().err
         assert f"{cfg}" in err and message in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, index, value", [
+        ("fc_w", (0, 0), np.nan), ("band_std", (5,), 0.0),
+        ("conv1_w", (0, 0, 3, 3), 1e300)],
+        ids=["nan-fc_w", "zero-band_std", "conv1_w-over-float32"])
+    def test_classify_audio_with_broken_cnn(self, small_concert, tmp_path,
+                                            capsys, name, index, value):
+        # such a model loaded and classify exited 0 with NaN posteriors
+        model = cnn_init(seed=0)
+        getattr(model, name)[index] = value
+        model_path = tmp_path / "cnn.tseg"
+        save_model(model, model_path)
+        rc = main(["classify", "--audio", str(small_concert["wav"]),
+                   "--model", str(model_path),
+                   "--out", str(tmp_path / "p.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{model_path}" in err and name in err
+        assert not (tmp_path / "p.csv").exists()
 
 NOT_UTF8 = b"0.0\t1.0\tta\xffan\n"
 

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taanseg import cnn
+from taanseg import cnn, pool
 from taanseg.cnn import (
     FORWARD_BLOCK,
     PATCH_BINS,
@@ -267,13 +267,13 @@ SIZES = [1, FORWARD_BLOCK - 1, FORWARD_BLOCK, FORWARD_BLOCK + 1,
 
 
 def _at_each_worker_count(monkeypatch, run):
-    """run() with cnn.CNN_WORKERS at 1, 2 and 3, the threads switching
+    """run() with pool.WORKERS at 1, 2 and 3, the threads switching
     every 10 us so that blocks interleave as much as they can."""
     results, interval = [], sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         for workers in (1, 2, 3):
-            monkeypatch.setattr(cnn, "CNN_WORKERS", workers)
+            monkeypatch.setattr(pool, "WORKERS", workers)
             results.append(run())
     finally:
         sys.setswitchinterval(interval)
@@ -298,7 +298,7 @@ def _stage1_inputs(n):
 
 
 class TestWorkerCount:
-    """Blocks run CNN_WORKERS at a time and their sums add in block order,
+    """Blocks run pool.WORKERS at a time and their sums add in block order,
     so every pass gives the same bits at any worker count."""
 
     @pytest.mark.parametrize("n", SIZES)
@@ -343,7 +343,7 @@ class TestWorkerCount:
         _assert_all_equal(_at_each_worker_count(monkeypatch, run))
 
     def test_no_worker_thread_outlives_a_run(self, monkeypatch):
-        monkeypatch.setattr(cnn, "CNN_WORKERS", 2)
+        monkeypatch.setattr(pool, "WORKERS", 2)
         x = _patch_batch(2 * FORWARD_BLOCK + 3, seed=1)[:, 0]
         y = np.arange(len(x)) % 2
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))

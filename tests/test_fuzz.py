@@ -154,6 +154,7 @@ def test_textgrid_raises_only_taanseg_errors(files, data):
 
 
 # a CNN model's arrays take ~5 ms to read, so fewer examples than the rest
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(FUZZ, max_examples=40)
 @given(data=st.data())
 def test_model_binary_raises_only_taanseg_errors(files, data):
@@ -165,6 +166,7 @@ def test_model_binary_raises_only_taanseg_errors(files, data):
         pass
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(FUZZ, max_examples=40)
 @given(data=st.data())
 def test_model_sidecar_raises_only_taanseg_errors(files, data):
@@ -238,6 +240,7 @@ def test_cli_exit_code(files, name, data):
 
 # `classify --audio` with a fuzzed CNN model and the valid WAV, or with a
 # fuzzed WAV and the valid CNN model
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("kind", ["cnn", "wav"])
 @settings(FUZZ, max_examples=30)
 @given(data=st.data())

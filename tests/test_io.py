@@ -309,6 +309,34 @@ class TestModelContainer:
         with pytest.raises(ParseError, match=f"wrong shape: .*{name}"):
             load_model(path)
 
+    @pytest.mark.parametrize("kind, name, index, value, message", [
+        ("cnn", "fc_w", (0, 0), np.nan, "non-finite values in fc_w"),
+        ("cnn", "conv1_b", (3,), np.inf, "non-finite values in conv1_b"),
+        ("mlp", "w2", (0, 1), -np.inf, "non-finite values in w2"),
+        ("cnn", "band_std", (5,), 0.0, "band_std entries must be positive"),
+        ("cnn", "band_std", (0,), -1.0, "band_std entries must be positive"),
+        ("cnn", "conv1_w", (0, 0, 3, 3), 1e300, "conv1_w beyond float32"),
+        ("cnn", "conv2_b", (9,), -1e39, "conv2_b beyond float32"),
+    ], ids=["nan-fc_w", "inf-conv1_b", "inf-mlp-w2", "zero-band_std",
+            "negative-band_std", "conv1_w-over-float32", "conv2_b-over-float32"])
+    def test_values_the_model_cannot_run_with(self, tmp_path, kind, name,
+                                              index, value, message):
+        # such a file loaded, and the model gave NaN posteriors or numpy
+        # warnings (a float32 cast to inf, a division by zero)
+        model = cnn_init(seed=0) if kind == "cnn" else mlp_init(5, seed=0)
+        getattr(model, name)[index] = value
+        path = tmp_path / "m.tseg"
+        save_model(model, path)
+        with pytest.raises(ParseError, match=message):
+            load_model(path)
+
+    def test_float32_max_conv_weight_loads(self, tmp_path):
+        model = cnn_init(seed=0)
+        model.conv1_w[0, 0, 0, 0] = np.finfo(np.float32).max
+        path = tmp_path / "m.tseg"
+        save_model(model, path)
+        assert load_model(path).conv1_w[0, 0, 0, 0] == model.conv1_w[0, 0, 0, 0]
+
     def test_magic_and_sidecar(self, tmp_path):
         path = tmp_path / "m.tseg"
         save_model(mlp_init(4, seed=0), path)

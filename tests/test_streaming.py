@@ -7,12 +7,13 @@ verbatim in their scalar form as references.
 """
 
 import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from taanseg import dsp, pipeline, vocal
+from taanseg import dsp, pipeline, pool, vocal
 from taanseg.cli import main
 from taanseg.config import PipelineConfig
 from taanseg.dsp import (
@@ -260,6 +261,25 @@ def fail_on_second_block(monkeypatch, exc):
     monkeypatch.setattr(vocal, "detect_f0_baseline", failing_detect)
 
 
+def count_concurrent(fn, busy):
+    """fn, which appends to `busy` how many of its calls are running each
+    time one starts; every call overlaps the others for a moment."""
+    lock, running = threading.Lock(), [0]
+
+    def counted(*args, **kwargs):
+        with lock:
+            running[0] += 1
+            busy.append(running[0])
+        try:
+            time.sleep(0.005)
+            return fn(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    return counted
+
+
 class TestTrackPool:
     """Blocks tracked on the worker pool against the serial per-block loop:
     bit-identical whatever the worker count, errors raised in the caller
@@ -283,11 +303,16 @@ class TestTrackPool:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_worker_count(self, reference, monkeypatch, workers):
-        monkeypatch.setattr(pipeline, "TRACK_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         self.assert_serial(reference[0])
 
-    def test_workers_are_bounded(self):
-        assert 1 <= pipeline.TRACK_WORKERS <= 2
+    def test_workers_are_bounded(self, reference, monkeypatch):
+        assert 1 <= pool.WORKERS <= 2
+        busy = []
+        monkeypatch.setattr(vocal, "detect_f0_baseline",
+                            count_concurrent(vocal.detect_f0_baseline, busy))
+        self.assert_serial(reference[0])
+        assert 1 <= max(busy) <= pool.WORKERS
 
     @pytest.mark.parametrize("exc, code", [
         (DataError("bad block"), 2), (InternalError("broken block"), 3),

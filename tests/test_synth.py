@@ -8,6 +8,7 @@ the pooled, chunked renderer must match bit for bit.
 import itertools
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taanseg import synth
+from taanseg import pool, synth
 from taanseg.cli import main
 from taanseg.errors import (DataError, InternalError, InvalidArgumentError,
                             ResourceLimitError)
@@ -323,7 +324,7 @@ class TestSerialOracle:
     def test_section_lengths(self, monkeypatch, workers, n):
         # every section exactly n samples long; a one-sample section is
         # shorter than a contour step, so only an instrumental one renders
-        monkeypatch.setattr(synth, "SYNTH_WORKERS", workers)
+        monkeypatch.setattr(pool, "WORKERS", workers)
         sr = 8000
         styles = STYLES if n > 1 else ("instrumental",)
         assert_matches_serial(ConcertScript(seed=n, sample_rate=sr, sections=[
@@ -333,7 +334,7 @@ class TestSerialOracle:
     def test_more_workers_than_cores(self, monkeypatch):
         # four workers writing disjoint slices of one clip, switching
         # threads as often as the interpreter allows
-        monkeypatch.setattr(synth, "SYNTH_WORKERS", 4)
+        monkeypatch.setattr(pool, "WORKERS", 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -420,8 +421,25 @@ def fail_on_third_section(monkeypatch, exc):
 
 
 class TestSynthPool:
-    def test_workers_are_bounded(self):
-        assert 1 <= synth.SYNTH_WORKERS <= 2
+    def test_workers_are_bounded(self, monkeypatch):
+        assert 1 <= pool.WORKERS <= 2
+        lock, running, busy = threading.Lock(), [0], []
+        render = synth._render_section
+
+        def counted(job):
+            with lock:
+                running[0] += 1
+                busy.append(running[0])
+            try:
+                time.sleep(0.005)
+                return render(job)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(synth, "_render_section", counted)
+        synth_concert(all_styles_script(8000, 3.0))
+        assert 1 <= max(busy) <= pool.WORKERS
 
     def test_no_thread_left(self, monkeypatch):
         script = all_styles_script(8000, 3.0)
