@@ -18,7 +18,7 @@ from . import synth as synth_mod
 from . import vocal as vocal_mod
 from . import textgrid, wavio
 from .config import load_config
-from .errors import DataError, TaansegError
+from .errors import DataError, EmptyInputError, TaansegError
 from .table import Table
 
 POSTERIOR_TABLE = Table([("frame_s", "f8"), ("p_taan", "f8"), ("vocal", "i8")])
@@ -87,7 +87,8 @@ def _build_parser():
     p.add_argument("--audio", required=True)
     p.add_argument("--second", type=int, default=0,
                    help="patch start second (1 s grid)")
-    p.add_argument("--channel", type=int, default=9)
+    p.add_argument("--channel", type=int, default=9,
+                   choices=range(cnn.SHAPE_CHAIN[4][0]))
     p.add_argument("--out-csv")
     p.add_argument("--out-pgm")
 
@@ -220,6 +221,8 @@ def _run(args, cfg):
         clip = dsp.resample(wavio.read_wav(args.audio), 8000)
         win, hop, n_frames = dsp._frame_count(clip, **cnn.PATCH_FRAMING)
         last = n_frames // cnn.PATCH_FRAMES - 1
+        if last < 0:
+            raise EmptyInputError("no 1 s spectrogram patch: audio too short")
         if not 0 <= args.second <= last:
             raise UsageError(f"--second must be in 0..{last}")
         # frame only the second the map reads, as the whole clip frames it

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
-from .mlp import sigmoid, softmax
+from .mlp import check_arrays, glorot_uniform, sigmoid, softmax
 from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
@@ -40,19 +40,41 @@ SHAPE_CHAIN = (
 )
 
 
+# the shape of each CnnModel array, in field order; cnn_init builds these
+SHAPES = {
+    "conv1_w": (10, 1, 7, 7), "conv1_b": (10,),
+    "conv2_w": (10, 10, 3, 3), "conv2_b": (10,),
+    "fc_w": (2100, 300), "fc_b": (300,), "out_w": (300, 2), "out_b": (2,),
+    "band_mean": (PATCH_BINS,), "band_std": (PATCH_BINS,),
+}
+
+
 @dataclass
 class CnnModel:
-    conv1_w: np.ndarray           # (10, 1, 7, 7)
-    conv1_b: np.ndarray           # (10,)
-    conv2_w: np.ndarray           # (10, 10, 3, 3)
-    conv2_b: np.ndarray           # (10,)
-    fc_w: np.ndarray              # (2100, 300)
-    fc_b: np.ndarray              # (300,)
-    out_w: np.ndarray             # (300, 2)
-    out_b: np.ndarray             # (2,)
-    band_mean: np.ndarray         # (94,)
-    band_std: np.ndarray          # (94,)
+    """Checked on construction: SHAPES, finite, band_std positive, and the
+    conv arrays (the float32 stack casts them) within float32's range."""
+
+    conv1_w: np.ndarray
+    conv1_b: np.ndarray
+    conv2_w: np.ndarray
+    conv2_b: np.ndarray
+    fc_w: np.ndarray
+    fc_b: np.ndarray
+    out_w: np.ndarray
+    out_b: np.ndarray
+    band_mean: np.ndarray
+    band_std: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        check_arrays(self, "cnn", SHAPES)
+        if not (self.band_std > 0).all():
+            raise InvalidArgumentError("band_std entries must be positive")
+        bad = [name for name in SHAPES if name.startswith("conv") and (
+            np.abs(getattr(self, name)) > np.finfo(np.float32).max).any()]
+        if bad:
+            raise InvalidArgumentError(f"{', '.join(bad)} beyond float32's "
+                                       "range")
 
 
 def spectrogram_band_stats(specs):
@@ -274,24 +296,10 @@ def export_channel_maps(model, patch, channel):
 def cnn_init(seed):
     """Glorot-uniform conv/linear weights, zero biases, unit band stats."""
     rng = np.random.default_rng(seed)
-
-    def glorot(shape, fan_in, fan_out):
-        r = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-r, r, size=shape)
-
-    return CnnModel(
-        conv1_w=glorot((10, 1, 7, 7), 49, 10 * 49),
-        conv1_b=np.zeros(10),
-        conv2_w=glorot((10, 10, 3, 3), 90, 10 * 9),
-        conv2_b=np.zeros(10),
-        fc_w=glorot((2100, 300), 2100, 300),
-        fc_b=np.zeros(300),
-        out_w=glorot((300, 2), 300, 2),
-        out_b=np.zeros(2),
-        band_mean=np.zeros(PATCH_BINS),
-        band_std=np.ones(PATCH_BINS),
-        meta={"seed": seed},
-    )
+    arrays = {name: glorot_uniform(rng, shape) if name.endswith("_w")
+              else np.zeros(shape) for name, shape in SHAPES.items()}
+    arrays["band_std"] = np.ones(PATCH_BINS)
+    return CnnModel(**arrays, meta={"seed": seed})
 
 
 def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
@@ -362,8 +370,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     model.band_mean, model.band_std = band_stats
 
     rng = np.random.default_rng(seed)
-    r = np.sqrt(6.0 / (2100 + 2))
-    head_w = rng.uniform(-r, r, size=(2100, 2))
+    head_w = glorot_uniform(rng, (SHAPE_CHAIN[5][0], 2))
     head_b = np.zeros(2)
 
     # every batch's blocks run on the same worker threads: a new pool per
@@ -391,7 +398,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     # z-scored pooling vectors; the affine transform folds exactly into
     # the stored weights afterwards, so inference sees raw features.
     mu, sd = _feature_stats(feats)
-    head = mlp_mod.mlp_init(hidden=300, seed=seed, n_in=2100, n_out=2)
+    head = mlp_mod.mlp_init(hidden=300, seed=seed, n_in=2100)
     head, stage2_loss = mlp_mod.mlp_train(
         head, (feats - mu) / sd, labels, lr=lr0,
         epochs=epochs if head_epochs is None else head_epochs,

@@ -11,13 +11,43 @@ import numpy as np
 from .errors import InvalidArgumentError
 
 
+def check_arrays(model, kind, shapes):
+    """InvalidArgumentError naming the arrays of model that differ from
+    shapes (name -> shape, in field order), else those not all finite."""
+    bad = [f"{name} {getattr(model, name).shape}"
+           for name, shape in shapes.items()
+           if getattr(model, name).shape != shape]
+    if bad:
+        raise InvalidArgumentError(f"{kind} model arrays of the wrong shape: "
+                                   + ", ".join(bad))
+    bad = [name for name in shapes
+           if not np.isfinite(getattr(model, name)).all()]
+    if bad:
+        raise InvalidArgumentError(f"non-finite values in {', '.join(bad)}")
+
+
+def glorot_uniform(rng, shape):
+    """U(-r, r) draws, r = sqrt(6 / (fan_in + fan_out)), for a dense (n_in,
+    n_out) or a conv (out, in, kh, kw) weight, whose fans span the kernel."""
+    fan_in, fan_out = shape if len(shape) == 2 else (
+        shape[1] * shape[2] * shape[3], shape[0] * shape[2] * shape[3])
+    r = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-r, r, size=shape)
+
+
 @dataclass
 class MlpModel:
-    w1: np.ndarray          # (n_in, hidden)
-    b1: np.ndarray          # (hidden,)
-    w2: np.ndarray          # (hidden, n_out)
-    b2: np.ndarray          # (n_out,)
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        n_in, hidden = (self.w1.shape if self.w1.ndim == 2
+                        else (None, None))
+        check_arrays(self, "mlp", {"w1": (n_in, hidden), "b1": (hidden,),
+                                   "w2": (hidden, 2), "b2": (2,)})
 
     @property
     def n_in(self):
@@ -58,18 +88,16 @@ def softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def mlp_init(hidden, seed, n_in=3, n_out=2):
+def mlp_init(hidden, seed, n_in=3):
     """Glorot-uniform weights, zero biases; deterministic given seed."""
     if hidden < 1:
         raise InvalidArgumentError("hidden layer needs at least one unit")
     rng = np.random.default_rng(seed)
-    r1 = np.sqrt(6.0 / (n_in + hidden))
-    r2 = np.sqrt(6.0 / (hidden + n_out))
     return MlpModel(
-        w1=rng.uniform(-r1, r1, size=(n_in, hidden)),
+        w1=glorot_uniform(rng, (n_in, hidden)),
         b1=np.zeros(hidden),
-        w2=rng.uniform(-r2, r2, size=(hidden, n_out)),
-        b2=np.zeros(n_out),
+        w2=glorot_uniform(rng, (hidden, 2)),
+        b2=np.zeros(2),
         meta={"seed": seed},
     )
 

@@ -1,9 +1,11 @@
-"""Versioned binary model container (magic `TSEG`) for the MLP and CNN,
-with a JSON metadata sidecar. Serialization is bit-exact on round-trip:
-arrays are stored as little-endian 64-bit floats after a JSON header
-describing layer names, type tags and shapes.
+"""Versioned binary model container (magic `TSEG`) and its JSON metadata
+sidecar, the container format only: a model's array fields, in field order,
+as little-endian 64-bit floats (bit-exact on round-trip) after a JSON header
+of their names, type tags and shapes. `MlpModel` and `CnnModel` check that
+the arrays make a valid model when `load_model` builds one.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -12,49 +14,37 @@ import struct
 import numpy as np
 
 from .cnn import CnnModel
-from .errors import FormatError, ParseError, open_utf8
+from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
 from .mlp import MlpModel
 
 MAGIC = b"TSEG"
 VERSION = 1
 
-_MLP_LAYERS = (
-    ("w1", "dense"), ("b1", "bias"), ("w2", "dense"), ("b2", "bias"),
-)
-_CNN_LAYERS = (
-    ("conv1_w", "conv"), ("conv1_b", "bias"),
-    ("conv2_w", "conv"), ("conv2_b", "bias"),
-    ("fc_w", "dense"), ("fc_b", "bias"),
-    ("out_w", "dense"), ("out_b", "bias"),
-    ("band_mean", "stat"), ("band_std", "stat"),
-)
-_KIND_LAYERS = {"mlp": _MLP_LAYERS, "cnn": _CNN_LAYERS}
-# the shapes of cnn.cnn_init's arrays, the only ones the CNN runs with
-_CNN_SHAPES = {
-    "conv1_w": (10, 1, 7, 7), "conv1_b": (10,),
-    "conv2_w": (10, 10, 3, 3), "conv2_b": (10,),
-    "fc_w": (2100, 300), "fc_b": (300,), "out_w": (300, 2), "out_b": (2,),
-    "band_mean": (94,), "band_std": (94,),
-}
-_KIND_MODEL = {"mlp": MlpModel, "cnn": CnnModel}
-# arrays the CNN's float32 conv stack casts to float32 on every call
-_CNN_FLOAT32 = ("conv1_w", "conv1_b", "conv2_w", "conv2_b")
+_MODELS = {"mlp": MlpModel, "cnn": CnnModel}
+
+
+def _array_names(model):
+    """Array field names of a model class or model, in field order."""
+    return [f.name for f in dataclasses.fields(model) if f.name != "meta"]
+
+
+def _type_tag(name, arr):
+    """Header type tag: `stat` for band statistics, else by rank."""
+    if name.startswith("band_"):
+        return "stat"
+    return {4: "conv", 2: "dense"}.get(arr.ndim, "bias")
 
 
 def save_model(model, path):
-    kind = next((k for k, cls in _KIND_MODEL.items()
-                 if isinstance(model, cls)), None)
+    kind = next((k for k, cls in _MODELS.items() if isinstance(model, cls)),
+                None)
     if kind is None:
         raise FormatError(f"cannot serialize {type(model).__name__}")
-    layers = _KIND_LAYERS[kind]
-    arrays = [getattr(model, name) for name, _ in layers]
-    header = {
-        "kind": kind,
-        "layers": [
-            {"name": name, "type": tag, "shape": list(arr.shape)}
-            for (name, tag), arr in zip(layers, arrays)
-        ],
-    }
+    names = _array_names(model)
+    arrays = [getattr(model, name) for name in names]
+    header = {"kind": kind, "layers": [
+        {"name": name, "type": _type_tag(name, arr), "shape": list(arr.shape)}
+        for name, arr in zip(names, arrays)]}
     blob = json.dumps(header).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -84,42 +74,6 @@ def _layer_shapes(header, path):
             raise ParseError(f"malformed layer entry {layer!r}", path=path)
         shapes.append((name, tuple(shape)))
     return shapes
-
-
-def _check_shapes(kind, arrays, path):
-    """ParseError unless the arrays fit together as a model of kind: a CNN
-    has _CNN_SHAPES, an MLP (n_in, h), (h,), (h, 2) and (2,) for some n_in
-    and h."""
-    if kind == "cnn":
-        want = _CNN_SHAPES
-    else:
-        n_in, hidden = (arrays["w1"].shape if arrays["w1"].ndim == 2
-                        else (None, None))
-        want = {"w1": (n_in, hidden), "b1": (hidden,), "w2": (hidden, 2),
-                "b2": (2,)}
-    bad = [f"{name} {arrays[name].shape}" for name, shape in want.items()
-           if arrays[name].shape != shape]
-    if bad:
-        raise ParseError(f"{kind} model arrays of the wrong shape: "
-                         + ", ".join(bad), path=path)
-
-
-def _check_values(kind, arrays, path):
-    """ParseError unless the model's arrays are finite, and a CNN's
-    band_std is positive and its conv arrays within float32's range."""
-    bad = [name for name, _ in _KIND_LAYERS[kind]
-           if not np.isfinite(arrays[name]).all()]
-    if bad:
-        raise ParseError(f"non-finite values in {', '.join(bad)}", path=path)
-    if kind != "cnn":
-        return
-    if not (arrays["band_std"] > 0).all():
-        raise ParseError("band_std entries must be positive", path=path)
-    bad = [name for name in _CNN_FLOAT32
-           if (np.abs(arrays[name]) > np.finfo(np.float32).max).any()]
-    if bad:
-        raise ParseError(f"{', '.join(bad)} beyond float32's range",
-                         path=path)
 
 
 def load_model(path):
@@ -152,15 +106,17 @@ def load_model(path):
     except FileNotFoundError:
         pass
     kind = header["kind"]
-    if kind not in _KIND_LAYERS:
+    if kind not in _MODELS:
         raise FormatError(f"{path}: unknown model kind {kind!r}")
-    missing = [name for name, _ in _KIND_LAYERS[kind] if name not in arrays]
+    names = _array_names(_MODELS[kind])
+    missing = [name for name in names if name not in arrays]
     if missing:
         raise ParseError(f"{kind} model lacks arrays {missing}", path=path)
-    _check_shapes(kind, arrays, path)
-    _check_values(kind, arrays, path)
-    return _KIND_MODEL[kind](
-        **{name: arrays[name] for name, _ in _KIND_LAYERS[kind]}, meta=meta)
+    try:
+        return _MODELS[kind](**{name: arrays[name] for name in names},
+                             meta=meta)
+    except InvalidArgumentError as exc:
+        raise ParseError(str(exc), path=path) from None
 
 
 def write_pgm(matrix, path):

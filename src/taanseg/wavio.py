@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 
-from .dsp import AudioClip
+from .dsp import ACCEPTED_RATES, AudioClip
 from .errors import ParseError, UnsupportedFormatError
 
 WAVE_FORMAT_EXTENSIBLE = 0xFFFE
@@ -62,6 +62,10 @@ def read_wav(path):
     audio_format, channels, sample_rate, _, _, bits = fmt
     if channels == 0:
         raise ParseError("fmt chunk declares 0 channels", path=path)
+    if sample_rate not in ACCEPTED_RATES:
+        raise UnsupportedFormatError(f"sample rate {sample_rate} Hz not in "
+                                     f"the accepted set {ACCEPTED_RATES}",
+                                     path=path)
     if audio_format == 1 and bits == 16:
         dtype = "<i2"
     elif audio_format == 3 and bits == 32:

@@ -492,6 +492,30 @@ class TestInspectCnn:
                    "--audio", str(small_concert["wav"])])
         assert rc == 2
 
+    def test_audio_shorter_than_a_patch(self, half_second_wav, tmp_path,
+                                        capsys):
+        # bad data, with `classify --audio`'s message, not a usage error
+        # naming the empty range 0..-1
+        model_path = tmp_path / "cnn.tseg"
+        save_model(cnn_init(seed=0), model_path)
+        rc = main(["inspect-cnn", "--model", str(model_path),
+                   "--audio", str(half_second_wav)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: no 1 s spectrogram patch: audio too short\n")
+
+    @pytest.mark.parametrize("channel", ["-1", "10", "12"])
+    def test_channel_out_of_range(self, small_concert, tmp_path, capsys,
+                                  channel):
+        # a usage error, as an out-of-range --second is
+        model_path = tmp_path / "cnn.tseg"
+        save_model(cnn_init(seed=0), model_path)
+        rc = main(["inspect-cnn", "--model", str(model_path),
+                   "--audio", str(small_concert["wav"]),
+                   "--channel", channel])
+        assert rc == 1
+        assert "usage error: argument --channel" in capsys.readouterr().err
+
 
 class TestBootstrapLabels:
     def test_recovers_clusters(self, tmp_path):

@@ -2,7 +2,8 @@
 JOSS 2019): on arbitrary bytes and on mutated valid files, every table,
 JSON and TextGrid reader, the truth reader, the model reader (binary and
 sidecar) and the WAV reader raise only TaansegError, and `cli.main`
-returns only 0, 1 or 2."""
+returns only 0, 1 or 2, also when `classify`, `tracks`, `segment` and
+`inspect-cnn` read a fuzzed WAV or model."""
 
 import re
 import shutil
@@ -252,3 +253,30 @@ def test_classify_audio_exit_code(files, kind, data):
         shutil.copyfile(files / "sidecar", str(paths[kind]) + ".json")
     assert main(["classify", "--audio", str(paths["wav"]), "--model",
                  str(paths["cnn"]), "--out", str(files / "out")]) in (0, 1, 2)
+
+
+# `tracks` and `segment` (with the MLP model) over a fuzzed WAV, and
+# `inspect-cnn` over a fuzzed WAV or a fuzzed CNN model
+AUDIO_COMMANDS = {
+    "tracks": ("wav", ["tracks", "--audio", "{wav}", "--out", "{out}"]),
+    "segment": ("wav", ["segment", "--audio", "{wav}", "--model", "{model}",
+                        "--out", "{out}"]),
+    "inspect-cnn-wav": ("wav", ["inspect-cnn", "--audio", "{wav}", "--model",
+                                "{cnn}", "--out-csv", "{out}"]),
+    "inspect-cnn-model": ("cnn", ["inspect-cnn", "--audio", "{wav}",
+                                  "--model", "{cnn}", "--out-csv", "{out}"]),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(AUDIO_COMMANDS))
+@settings(FUZZ, max_examples=15)
+@given(data=st.data())
+def test_audio_command_exit_code(files, name, data):
+    kind, argv = AUDIO_COMMANDS[name]
+    paths = {k: files / k for k in ("wav", "cnn", "model", "out")}
+    paths[kind] = files / "fuzzed_audio"
+    paths[kind].write_bytes(data.draw(binary_inputs(files, kind)))
+    if kind == "cnn":
+        shutil.copyfile(files / "sidecar", str(paths[kind]) + ".json")
+    assert main([a.format(**paths) for a in argv]) in (0, 1, 2)

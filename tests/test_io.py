@@ -1,7 +1,9 @@
 """Tests for WAV reading/writing, TextGrid parsing/emission, the binary
 model container, matrix exports, and pipeline configuration loading."""
 
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -14,6 +16,7 @@ from taanseg.dsp import AudioClip
 from taanseg.errors import (
     DataError,
     FormatError,
+    InvalidArgumentError,
     ParseError,
     UnsupportedFormatError,
 )
@@ -97,6 +100,16 @@ class TestWav:
             fh.write(b"data")
             fh.write(struct.pack("<I", 0))
         with pytest.raises(UnsupportedFormatError):
+            read_wav(path)
+
+    def test_unsupported_sample_rate_names_the_file(self, tmp_path):
+        path = tmp_path / "odd_rate.wav"
+        write_wav(AudioClip(np.zeros(100), 8000), path)
+        raw = bytearray(path.read_bytes())
+        raw[24:28] = struct.pack("<I", 12345)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UnsupportedFormatError,
+                           match=f"^{re.escape(str(path))}: sample rate 12345"):
             read_wav(path)
 
     def test_not_riff(self, tmp_path):
@@ -308,6 +321,10 @@ class TestModelContainer:
         save_model(model, path)
         with pytest.raises(ParseError, match=f"wrong shape: .*{name}"):
             load_model(path)
+        # the model class itself rejects the same arrays
+        with pytest.raises(InvalidArgumentError,
+                           match=f"wrong shape: .*{name}"):
+            dataclasses.replace(model)
 
     @pytest.mark.parametrize("kind, name, index, value, message", [
         ("cnn", "fc_w", (0, 0), np.nan, "non-finite values in fc_w"),
@@ -327,8 +344,32 @@ class TestModelContainer:
         getattr(model, name)[index] = value
         path = tmp_path / "m.tseg"
         save_model(model, path)
-        with pytest.raises(ParseError, match=message):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "
+                           + message):
             load_model(path)
+        # the model class itself rejects the same arrays
+        with pytest.raises(InvalidArgumentError, match=f"^{message}"):
+            dataclasses.replace(model)
+
+    @pytest.mark.parametrize("kind, layers", [
+        ("mlp", [("w1", "dense", [3, 5]), ("b1", "bias", [5]),
+                 ("w2", "dense", [5, 2]), ("b2", "bias", [2])]),
+        ("cnn", [("conv1_w", "conv", [10, 1, 7, 7]), ("conv1_b", "bias", [10]),
+                 ("conv2_w", "conv", [10, 10, 3, 3]), ("conv2_b", "bias", [10]),
+                 ("fc_w", "dense", [2100, 300]), ("fc_b", "bias", [300]),
+                 ("out_w", "dense", [300, 2]), ("out_b", "bias", [2]),
+                 ("band_mean", "stat", [94]), ("band_std", "stat", [94])]),
+    ])
+    def test_header_names_types_and_shapes(self, tmp_path, kind, layers):
+        path = tmp_path / "m.tseg"
+        save_model(cnn_init(seed=0) if kind == "cnn" else mlp_init(5, seed=0),
+                   path)
+        raw = path.read_bytes()
+        hlen = struct.unpack("<I", raw[6:10])[0]
+        header = json.loads(raw[10 : 10 + hlen])
+        assert header["kind"] == kind
+        assert [(layer["name"], layer["type"], layer["shape"])
+                for layer in header["layers"]] == layers
 
     def test_float32_max_conv_weight_loads(self, tmp_path):
         model = cnn_init(seed=0)
