@@ -6,7 +6,6 @@ violation.
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -99,12 +98,6 @@ def _build_parser():
     return parser
 
 
-def _frame_labels(path, n_frames):
-    """The 1 s frame labels of a truth file up to its end, n_frames at most."""
-    timeline = textgrid.read_sections(path)
-    return timeline.frame_labels(min(math.floor(timeline.span()[1]), n_frames))
-
-
 def _run(args, cfg):
     if args.command == "synth":
         script = (synth_mod.script_from_json(args.script) if args.script
@@ -139,38 +132,17 @@ def _run(args, cfg):
     if args.command == "train-mlp":
         if len(args.features) != len(args.labels):
             raise UsageError("--features and --labels must pair up")
-        sets = []
-        for fpath, lpath in zip(args.features, args.labels):
-            seq = features.read_features(fpath)
-            sets.append(pipeline.training_set(seq, _frame_labels(lpath,
-                                                                 len(seq))))
-        x, y = (np.concatenate(part) for part in zip(*sets))
-        model = mlp.mlp_init(cfg.mlp_hidden, seed=cfg.mlp_seed)
-        model, _ = mlp.mlp_train(model, x, y, lr=cfg.mlp_lr,
-                                 epochs=cfg.mlp_epochs, batch=cfg.mlp_batch,
-                                 seed=cfg.mlp_seed,
-                                 class_balance=cfg.class_balance)
-        modelio.save_model(model, args.out)
+        modelio.save_model(pipeline.train_mlp(
+            ((features.read_features(f), textgrid.read_sections(t))
+             for f, t in zip(args.features, args.labels)), cfg), args.out)
         return 0
 
     if args.command == "train-cnn":
         if len(args.audio) != len(args.labels):
             raise UsageError("--audio and --labels must pair up")
-        specs = [cnn.patch_spectrogram(wavio.read_wav(a)) for a in args.audio]
-        stats = cnn.spectrogram_band_stats(specs)
-        patches, targets = [], []
-        for lpath in args.labels:   # a spectrogram is dropped once it is cut
-            pats = cnn.make_patches(specs.pop(0), band_stats=stats)[0]
-            targets.append(pipeline.labels_to_frame_targets(
-                _frame_labels(lpath, len(pats)))[0])
-            patches.append(pats[: len(targets[-1])])
-        del pats    # the concatenated patches alone go into training
-        patches = np.concatenate(patches)
-        model = cnn.cnn_train(patches, np.concatenate(targets),
-                              stats, epochs=cfg.cnn_epochs,
-                              lr0=cfg.cnn_lr0, halve_every=cfg.cnn_halve_every,
-                              batch=cfg.cnn_batch, seed=cfg.cnn_seed)
-        modelio.save_model(model, args.out)
+        modelio.save_model(pipeline.train_cnn(
+            ((wavio.read_wav(a), textgrid.read_sections(t))
+             for a, t in zip(args.audio, args.labels)), cfg), args.out)
         return 0
 
     if args.command == "classify":

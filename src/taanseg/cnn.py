@@ -4,7 +4,7 @@ with a direct softmax head first, then a 300-unit fully connected head
 trained on the frozen 2100-d pooling features).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -366,8 +366,8 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     if len(np.unique(labels)) < 2:
         raise InvalidArgumentError("training set must contain both classes")
     x = _stack_patches(patches)
-    model = cnn_init(seed)
-    model.band_mean, model.band_std = band_stats
+    band_mean, band_std = band_stats
+    model = replace(cnn_init(seed), band_mean=band_mean, band_std=band_std)
 
     rng = np.random.default_rng(seed)
     head_w = glorot_uniform(rng, (SHAPE_CHAIN[5][0], 2))
@@ -404,11 +404,9 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
         epochs=epochs if head_epochs is None else head_epochs,
         batch=batch, seed=seed, class_balance=False, halve_every=halve_every,
     )
-    model.fc_w = head.w1 / sd[:, None]
-    model.fc_b = head.b1 - (mu / sd) @ head.w1
-    model.out_w = head.w2
-    model.out_b = head.b2
-    model.meta.update(epochs=epochs, lr0=lr0, halve_every=halve_every,
-                      stage1_loss=[float(v) for v in stage1_loss],
-                      stage2_loss=[float(v) for v in stage2_loss])
-    return model
+    meta = dict(model.meta, epochs=epochs, lr0=lr0, halve_every=halve_every,
+                stage1_loss=[float(v) for v in stage1_loss],
+                stage2_loss=[float(v) for v in stage2_loss])
+    return replace(model, fc_w=head.w1 / sd[:, None],
+                   fc_b=head.b1 - (mu / sd) @ head.w1, out_w=head.w2,
+                   out_b=head.b2, meta=meta)

@@ -110,11 +110,11 @@ def _overlap(a, b):
     return max(0.0, min(a.end_s, b.end_s) - max(a.start_s, b.start_s))
 
 
-def match_sections(detected, truth, cumulative=True):
+def match_sections(detected, truth):
     """Categorize truth taan sections against detections.
 
     A truth section is retrieved when overlapping detections cover at
-    least 50% of its duration (summed across detections when cumulative).
+    least 50% of its duration, summed across detections.
     Retrieved by >= 2 detections: over-segmented; by one detection that
     also overlaps another truth section: under-segmented; otherwise
     exact. A detection is a false alarm when its overlap with every truth
@@ -125,11 +125,8 @@ def match_sections(detected, truth, cumulative=True):
     report = SectionMatchReport()
     for ts in tru:
         dur = ts.end_s - ts.start_s
-        overlaps = [(d, _overlap(d, ts)) for d in det]
-        hits = [(d, o) for d, o in overlaps if o > 0]
-        total = sum(o for _, o in hits) if cumulative else max(
-            [o for _, o in hits], default=0.0)
-        if total < 0.5 * dur:
+        hits = [(d, o) for d in det if (o := _overlap(d, ts)) > 0]
+        if sum(o for _, o in hits) < 0.5 * dur:
             report.missed += 1
             continue
         if len(hits) >= 2:

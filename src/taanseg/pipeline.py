@@ -1,8 +1,10 @@
 """End-to-end wiring: audio -> posteriors of an MLP or a CNN model
-(`classify_audio`) -> labeled taan timeline (`segment_posteriors`).
+(`classify_audio`) -> labeled taan timeline (`segment_posteriors`), and
+the one training path of each model from truth (`train_mlp`, `train_cnn`).
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -110,3 +112,40 @@ def training_set(seq, labels):
     n = min(len(seq), len(y))
     use = seq.vocal_mask[:n] & truth_vocal[:n]
     return seq.features[:n][use], y[:n][use]
+
+
+def _truth_labels(timeline, n):
+    """The 1 s frame labels of a truth timeline up to its end, n at most."""
+    return timeline.frame_labels(min(math.floor(timeline.span()[1]), n))
+
+
+def train_mlp(pairs, cfg=None):
+    """An MlpModel from (StyleFeatureSeq, truth SectionTimeline) pairs."""
+    cfg = cfg or PipelineConfig()
+    x, y = (np.concatenate(part) for part in zip(*(
+        training_set(seq, _truth_labels(t, len(seq))) for seq, t in pairs)))
+    model = mlp.mlp_init(cfg.mlp_hidden, seed=cfg.mlp_seed)
+    return mlp.mlp_train(model, x, y, lr=cfg.mlp_lr, epochs=cfg.mlp_epochs,
+                         batch=cfg.mlp_batch, seed=cfg.mlp_seed,
+                         class_balance=cfg.class_balance)[0]
+
+
+def train_cnn(pairs, cfg=None):
+    """A CnnModel trained on (AudioClip, truth SectionTimeline) pairs, an
+    iterable read once. Band statistics pool every clip's spectrogram, and
+    each is dropped once cut, so training holds the patches alone."""
+    cfg = cfg or PipelineConfig()
+    specs, timelines = map(list, zip(*((cnn.patch_spectrogram(clip), t)
+                                       for clip, t in pairs)))
+    stats = cnn.spectrogram_band_stats(specs)
+    patches, targets = [], []
+    for t in timelines:
+        pats = cnn.make_patches(specs.pop(0), band_stats=stats)[0]
+        targets.append(labels_to_frame_targets(_truth_labels(t, len(pats)))[0])
+        patches.append(pats[: len(targets[-1])])
+    del pats    # the concatenated patches alone go into training
+    patches = np.concatenate(patches)
+    return cnn.cnn_train(patches, np.concatenate(targets), stats,
+                         epochs=cfg.cnn_epochs, lr0=cfg.cnn_lr0,
+                         halve_every=cfg.cnn_halve_every,
+                         batch=cfg.cnn_batch, seed=cfg.cnn_seed)

@@ -219,8 +219,8 @@ def read_sections(path):
     """The timeline of a truth file, by content: a TextGrid (a byte-order
     mark, or `ooTextFile` on line 1) gives its only interval tier; 3
     columns on line 1 make a timeline TSV; else row k of a frame-label TSV
-    is [k, k+1), equal neighbours merged. Bad TSV labels, invalid or empty
-    timelines raise DataError."""
+    is [k, k+1), equal neighbours merged. Bad TSV labels, a frame-label
+    row k not at k s, invalid or empty timelines raise DataError."""
     with open(path, "rb") as fh:
         first = fh.readline()
     try:
@@ -237,6 +237,9 @@ def read_sections(path):
                 if row[-1] not in LABELS:
                     raise DataError(f"unknown label {row[-1]!r}", path=path,
                                     line=line)
+                if table is LABEL_TABLE and row[0] != line - 1:
+                    raise DataError(f"frame {line - 1} at {row[0]!r} s, not "
+                                    f"{line - 1} s", path=path, line=line)
             if table is LABEL_TABLE:
                 runs = [k for k in range(len(rows))
                         if k == 0 or rows[k][1] != rows[k - 1][1]]

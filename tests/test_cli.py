@@ -365,6 +365,42 @@ class TestTruthFormats:
         assert f"{bad}: sections overlap" in capsys.readouterr().err
 
 
+class TestFrameLabelTimes:
+    """Row k of a frame-label truth file is the second [k, k+1), so its
+    time must be k: other times are bad data at their line."""
+
+    @pytest.mark.parametrize("times, line", [([0, 2, 4], 2),
+                                             ([5, 6, 7], 1)])
+    @pytest.mark.parametrize("command", ["evaluate", "train-mlp"])
+    def test_row_not_at_its_second(self, small_concert, features_csv,
+                                   tmp_path, capsys, times, line, command):
+        bad = tmp_path / "labels.tsv"
+        bad.write_text("".join(f"{t}.0\ttaan\n" for t in times))
+        argv = {"evaluate": ["evaluate", "--detected",
+                             str(small_concert["timeline"]), "--truth"],
+                "train-mlp": ["train-mlp", "--features", str(features_csv),
+                              "--out", str(tmp_path / "m.tseg"),
+                              "--labels"]}[command]
+        assert main([*argv, str(bad)]) == 2
+        assert (f"{bad}:{line}: frame {line - 1} at {times[line - 1]}.0 s, "
+                f"not {line - 1} s") in capsys.readouterr().err
+        assert not (tmp_path / "m.tseg").exists()
+
+    def test_train_cnn_reads_each_truth_after_its_audio(
+            self, small_concert, tmp_path, capsys):
+        """A bad first truth fails before the second WAV is read."""
+        bad = tmp_path / "labels.tsv"
+        bad.write_text("0.0\ttaan\n2.0\ttaan\n")
+        rc = main(["train-cnn", "--audio", str(small_concert["wav"]),
+                   "--labels", str(bad),
+                   "--audio", str(tmp_path / "missing.wav"),
+                   "--labels", str(small_concert["labels"]),
+                   "--out", str(tmp_path / "cnn.tseg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: frame 1" in err and "missing.wav" not in err
+
+
 class TestTrainCnnMemory:
     def test_only_the_training_patches_stay_alive(self, small_concert,
                                                   tmp_path, monkeypatch):

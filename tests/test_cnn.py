@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from taanseg import cnn, mlp
 from taanseg.cnn import (
     PATCH_BINS,
     PATCH_FRAMES,
@@ -424,6 +425,19 @@ class TestTraining:
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
         with pytest.raises(InvalidArgumentError):
             cnn_train(patches, [1, 1, 1, 1], stats, epochs=1)
+
+    def test_bad_band_stats_rejected_before_training(self, monkeypatch):
+        """The start model is built with the band statistics, so a zero
+        band_std fails its check before any forward pass or SGD epoch."""
+        def ran(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        monkeypatch.setattr(cnn, "_features", ran)
+        monkeypatch.setattr(mlp, "sgd_epochs", ran)
+        patches = [_rand_patch(i) for i in range(4)]
+        stats = (np.zeros(PATCH_BINS), np.zeros(PATCH_BINS))
+        with pytest.raises(InvalidArgumentError, match="band_std"):
+            cnn_train(patches, [0, 1, 0, 1], stats, epochs=1, head_epochs=1)
 
     def test_no_patches_rejected(self):
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))

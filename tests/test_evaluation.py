@@ -122,12 +122,11 @@ class TestMatchSections:
         r = match_sections(det, truth)
         assert r.exact == 1 and r.false_alarm == 1
 
-    def test_cumulative_vs_max_overlap(self):
-        # two detections each covering 30% only retrieve cumulatively
+    def test_overlaps_sum_across_detections(self):
+        # two detections each covering 30% retrieve the section together
         truth = _tl((0, 100, "taan"))
         det = _tl((0, 30, "taan"), (40, 70, "taan"))
-        assert match_sections(det, truth, cumulative=True).over_segmented == 1
-        assert match_sections(det, truth, cumulative=False).missed == 1
+        assert match_sections(det, truth).over_segmented == 1
 
     def test_identical_timelines_all_exact(self):
         truth = _tl((0, 40, "taan"), (60, 90, "non-taan"), (90, 130, "taan"))
