@@ -254,15 +254,6 @@ def _features(model, x, run=ordered_map):
     return flat
 
 
-def _forward(model, xb):
-    """Posteriors (B, 2) for a patch batch (B,1,94,50)."""
-    h = sigmoid(_features(model, xb) @ model.fc_w + model.fc_b)
-    _check_shape(h, SHAPE_CHAIN[6], "fc")
-    p = softmax(h @ model.out_w + model.out_b)
-    _check_shape(p, SHAPE_CHAIN[7], "out")
-    return p
-
-
 def _stack_patches(patches):
     """(n, 1, 94, 50) PATCH_DTYPE batch view of an (n, 94, 50) patch array,
     checked here only: EmptyInputError if empty, else InvalidArgumentError
@@ -282,7 +273,9 @@ def _stack_patches(patches):
 
 def cnn_posteriors(model, patches):
     """Batched taan posteriors (unit 1) for an (n, 94, 50) patch array."""
-    return _forward(model, _stack_patches(patches))[:, 1]
+    head = mlp_mod.MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
+    feats = _features(model, _stack_patches(patches))
+    return mlp_mod.mlp_forward(head, feats)[:, 1]
 
 
 def export_channel_maps(model, patch, channel):

@@ -10,6 +10,7 @@ import numpy as np
 
 from . import cnn, dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
+from .errors import InvalidArgumentError
 from .pool import ordered_map
 
 
@@ -122,8 +123,10 @@ def _truth_labels(timeline, n):
 def train_mlp(pairs, cfg=None):
     """An MlpModel from (StyleFeatureSeq, truth SectionTimeline) pairs."""
     cfg = cfg or PipelineConfig()
-    x, y = (np.concatenate(part) for part in zip(*(
-        training_set(seq, _truth_labels(t, len(seq))) for seq, t in pairs)))
+    sets = [training_set(seq, _truth_labels(t, len(seq))) for seq, t in pairs]
+    if not sets:
+        raise InvalidArgumentError("no training pairs")
+    x, y = map(np.concatenate, zip(*sets))
     model = mlp.mlp_init(cfg.mlp_hidden, seed=cfg.mlp_seed)
     return mlp.mlp_train(model, x, y, lr=cfg.mlp_lr, epochs=cfg.mlp_epochs,
                          batch=cfg.mlp_batch, seed=cfg.mlp_seed,
@@ -135,8 +138,10 @@ def train_cnn(pairs, cfg=None):
     iterable read once. Band statistics pool every clip's spectrogram, and
     each is dropped once cut, so training holds the patches alone."""
     cfg = cfg or PipelineConfig()
-    specs, timelines = map(list, zip(*((cnn.patch_spectrogram(clip), t)
-                                       for clip, t in pairs)))
+    specs, timelines = map(list, list(zip(*(
+        (cnn.patch_spectrogram(clip), t) for clip, t in pairs))) or ([], []))
+    if not specs:
+        raise InvalidArgumentError("no training pairs")
     stats = cnn.spectrogram_band_stats(specs)
     patches, targets = [], []
     for t in timelines:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DataError, InvalidArgumentError
 from .table import Table, finite
 
 LABELS = ("taan", "non-taan", "instrumental")
@@ -200,9 +200,13 @@ def group_sections(timeline, vocal_gap_s=20.0, instr_gap_s=50.0):
     return SectionTimeline(sections)
 
 
+def _timeline_faults(rows, first_line):
+    return finite("start_s", "end_s")(rows, first_line) + [
+        (~np.isin(rows["label"], LABELS), DataError, "unknown label {label!r}")]
+
+
 TIMELINE_TABLE = Table([("start_s", "f8"), ("end_s", "f8"), ("label", "O")],
-                       delimiter="\t", header=False,
-                       check=finite("start_s", "end_s"))
+                       delimiter="\t", header=False, check=_timeline_faults)
 
 
 def write_timeline(timeline, path):
@@ -212,5 +216,9 @@ def write_timeline(timeline, path):
 
 
 def read_timeline(path):
-    return SectionTimeline([Section(*row)
-                            for row in TIMELINE_TABLE.read(path).tolist()])
+    """A checked timeline TSV: each fault is a DataError naming the path."""
+    rows = TIMELINE_TABLE.read(path).tolist()
+    try:
+        return SectionTimeline([Section(*row) for row in rows])
+    except InvalidArgumentError as exc:
+        raise DataError(str(exc), path=path) from None

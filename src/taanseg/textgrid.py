@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .bootstrap import LABEL_TABLE
 from .errors import DataError, InvalidArgumentError, ParseError
-from .segmentation import LABELS, TIMELINE_TABLE, Section, SectionTimeline
+from .segmentation import LABELS, Section, SectionTimeline, read_timeline
 
 BOMS = (b"\xff\xfe", b"\xfe\xff", b"\xef\xbb\xbf")
 
@@ -230,22 +230,22 @@ def read_sections(path):
                 raise DataError(f"{len(tiers)} interval tiers, not one",
                                 path=path)
             timeline = tier_to_timeline(tiers[0])
+        elif first.count(b"\t") == 2:
+            timeline = read_timeline(path)
         else:
-            table = TIMELINE_TABLE if first.count(b"\t") == 2 else LABEL_TABLE
-            rows = table.read(path).tolist()
+            rows = LABEL_TABLE.read(path).tolist()
             for line, row in enumerate(rows, start=1):
-                if row[-1] not in LABELS:
-                    raise DataError(f"unknown label {row[-1]!r}", path=path,
+                if row[1] not in LABELS:
+                    raise DataError(f"unknown label {row[1]!r}", path=path,
                                     line=line)
-                if table is LABEL_TABLE and row[0] != line - 1:
+                if row[0] != line - 1:
                     raise DataError(f"frame {line - 1} at {row[0]!r} s, not "
                                     f"{line - 1} s", path=path, line=line)
-            if table is LABEL_TABLE:
-                runs = [k for k in range(len(rows))
-                        if k == 0 or rows[k][1] != rows[k - 1][1]]
-                rows = [(float(a), float(b), rows[a][1])
-                        for a, b in zip(runs, runs[1:] + [len(rows)])]
-            timeline = SectionTimeline([Section(*row) for row in rows])
+            runs = [k for k in range(len(rows))
+                    if k == 0 or rows[k][1] != rows[k - 1][1]]
+            timeline = SectionTimeline([
+                Section(float(a), float(b), rows[a][1])
+                for a, b in zip(runs, runs[1:] + [len(rows)])])
     except InvalidArgumentError as exc:
         raise DataError(str(exc), path=path) from None
     if not len(timeline):

@@ -17,7 +17,6 @@ from taanseg.cnn import (
     _conv_backward,
     _conv_stack_forward,
     _conv_valid,
-    _forward,
     _pool2,
     _pool2_backward,
     _stage1_grads,
@@ -52,6 +51,13 @@ def _tiny_model(seed=0, scale=0.3):
         band_mean=np.zeros(PATCH_BINS),
         band_std=np.ones(PATCH_BINS),
     )
+
+
+def _forward(model, xb):
+    """Posteriors (B, 2) of a patch batch (B, 1, 94, 50) in its own dtype's
+    conv stack: cnn_posteriors, short of the float32 cast and column 1."""
+    head = mlp.MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
+    return mlp.mlp_forward(head, cnn._features(model, xb))
 
 
 def _rand_patch(seed=0):

@@ -24,7 +24,6 @@ from taanseg.cnn import (
     _conv_stack_forward,
     _conv_valid,
     _features,
-    _forward,
     _im2col,
     _pool2,
     _pool2_backward,
@@ -35,7 +34,14 @@ from taanseg.cnn import (
     export_channel_maps,
 )
 from taanseg.errors import InternalError
-from taanseg.mlp import sigmoid, softmax
+from taanseg.mlp import MlpModel, mlp_forward, sigmoid, softmax
+
+
+def _forward(model, xb):
+    """Posteriors (B, 2) of a patch batch (B, 1, 94, 50) in its own dtype's
+    conv stack: cnn_posteriors, short of the float32 cast and column 1."""
+    head = MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
+    return mlp_forward(head, _features(model, xb))
 
 
 def _oracle_conv_valid(x, w, b):

@@ -84,6 +84,10 @@ def files(tmp_path_factory):
                   root / "textgrid")
     write_frame_labels(["taan", "taan", "taan"] + ["non-taan"] * 3,
                        root / "labels", frame_s=3.0)
+    # 1 s frames, which the truth reader merges into sections
+    write_frame_labels(["taan"] * 3 + ["non-taan"] * 3 + ["instrumental"] * 2,
+                       root / "frames")
+    assert len(read_sections(root / "frames")) == 3
     (root / "config").write_text('{"mlp_hidden": 20, "taan_threshold": 0.6, '
                                  '"class_balance": false}')
     (root / "script").write_text(
@@ -190,7 +194,7 @@ def test_wav_raises_only_taanseg_errors(files, data):
         pass
 
 
-@pytest.mark.parametrize("kind", ["textgrid", "timeline", "labels"])
+@pytest.mark.parametrize("kind", ["textgrid", "timeline", "labels", "frames"])
 @settings(FUZZ, max_examples=100)
 @given(data=st.data())
 def test_truth_reader_raises_only_taanseg_errors(files, kind, data):

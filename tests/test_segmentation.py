@@ -6,7 +6,7 @@ majority labeling, and grouping rules.
 import numpy as np
 import pytest
 
-from taanseg.errors import InvalidArgumentError, ParseError
+from taanseg.errors import DataError, InvalidArgumentError, ParseError
 from taanseg.mlp import PosteriorSeq
 from taanseg.segmentation import (
     Section,
@@ -267,3 +267,27 @@ class TestTimelineIo:
         with pytest.raises(ParseError) as exc:
             read_timeline(path)
         assert exc.value.line == 2
+
+    def test_unknown_label_reports_line(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("0.0\t10.0\ttaan\n10.0\t20.0\tchorus\n")
+        with pytest.raises(DataError) as exc:
+            read_timeline(path)
+        assert (exc.value.path, exc.value.line) == (path, 2)
+        assert str(exc.value) == f"{path}:2: unknown label 'chorus'"
+
+    def test_overlap_names_path(self, tmp_path):
+        path = tmp_path / "overlap.tsv"
+        path.write_text("0.0\t10.0\ttaan\n5.0\t20.0\tnon-taan\n")
+        with pytest.raises(DataError) as exc:
+            read_timeline(path)
+        assert exc.value.path == path
+        assert str(exc.value) == f"{path}: sections overlap or are unsorted"
+
+    def test_first_bad_row_is_reported(self, tmp_path):
+        # an unknown label on line 2 before a time that is not finite on 3
+        path = tmp_path / "two.tsv"
+        path.write_text("0.0\t10.0\ttaan\n10.0\t20.0\tTaan\n"
+                        "20.0\tinf\ttaan\n")
+        with pytest.raises(DataError, match=r"two.tsv:2: unknown label 'Taan'"):
+            read_timeline(path)

@@ -9,6 +9,7 @@ import pytest
 
 from taanseg import cnn, mlp, pipeline
 from taanseg.config import PipelineConfig
+from taanseg.errors import InvalidArgumentError
 from taanseg.segmentation import Section, SectionTimeline
 from taanseg.synth import ConcertScript, SectionSpec, synth_concert
 
@@ -56,6 +57,10 @@ class TestTrainMlp:
         got = pipeline.train_mlp(zip(seqs, [SHORT, LONG]), CFG)
         assert_same_model(got, want)
 
+    def test_no_pairs(self):
+        with pytest.raises(InvalidArgumentError, match="no training pairs"):
+            pipeline.train_mlp([], CFG)
+
     def test_default_config(self, clips):
         seq = pipeline.track_features(pipeline.extract_track(clips[0]))
         model = pipeline.train_mlp([(seq, LONG)])
@@ -78,3 +83,7 @@ class TestTrainCnn:
         got = pipeline.train_cnn(zip(clips, [SHORT, LONG]), CFG)
         assert_same_model(got, want)
         assert got.meta["epochs"] == CFG.cnn_epochs
+
+    def test_no_pairs(self):
+        with pytest.raises(InvalidArgumentError, match="no training pairs"):
+            pipeline.train_cnn(iter([]), CFG)
