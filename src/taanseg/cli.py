@@ -12,7 +12,6 @@ import numpy as np
 
 from . import cnn, dsp, evaluation, features, modelio, mlp, pipeline
 from . import bootstrap as bootstrap_mod
-from . import segmentation as seg_mod
 from . import synth as synth_mod
 from . import vocal as vocal_mod
 from . import textgrid, wavio
@@ -107,7 +106,7 @@ def _run(args, cfg):
         clip, timeline, labels = synth_mod.synth_concert(script)
         wavio.write_wav(clip, args.out_wav)
         if args.out_timeline:
-            seg_mod.write_timeline(timeline, args.out_timeline)
+            textgrid.write_sections(timeline, args.out_timeline)
         if args.out_labels:
             bootstrap_mod.write_frame_labels(labels, args.out_labels)
         return 0
@@ -166,7 +165,7 @@ def _run(args, cfg):
         model = modelio.load_model(args.model)
         clip = wavio.read_wav(args.audio)
         timeline = pipeline.segment_audio(clip, model, cfg)
-        seg_mod.write_timeline(timeline, args.out)
+        textgrid.write_sections(timeline, args.out)
         return 0
 
     if args.command == "evaluate":

@@ -98,13 +98,9 @@ def spectrogram_band_stats(specs):
 
 def patch_spectrogram(clip):
     """The PATCH_BINS lowest bands of the log spectrogram patches are cut
-    from, PATCH_FRAMING at 8 kHz. Each streamed block's bands are copied
-    out, so no 513-bin block outlives its turn."""
-    blocks = dsp.log_spectrogram_blocks(dsp.resample(clip, 8000),
-                                        **PATCH_FRAMING)
-    bands = [block.values[:PATCH_BINS].copy() for block in blocks]
-    return dsp.LogSpectrogram(values=np.concatenate(bands, axis=1),
-                              bin_hz=8000 / 1024, hop_s=0.02)
+    from, PATCH_FRAMING at 8 kHz; no wider band is kept past the FFT."""
+    return dsp.log_spectrogram(dsp.resample(clip, 8000), **PATCH_FRAMING,
+                               n_bins=PATCH_BINS)
 
 
 def make_patches(spec, band_stats=None):

@@ -5,10 +5,12 @@ documented default. Loadable from JSON (unknown keys rejected): the
 
 import dataclasses
 import json
+import math
 import os
 import sys
 
 from .errors import DataError, open_utf8
+from .vocal import HARMONIC_CEILING_HZ
 
 ENV_VAR = "TAANSEG_CONFIG"
 
@@ -52,18 +54,28 @@ class PipelineConfig:
     group_instr_gap_s: float = 50.0
 
     def validate(self):
-        if not 0 < self.f0_min_hz < self.f0_max_hz:
-            raise DataError("need 0 < f0_min_hz < f0_max_hz")
-        for name in ("f0_grid_cents", "harmonic_tol_cents", "voicing_factor",
+        """DataError naming the field unless every value is in range. Beyond
+        signs and unit intervals: 8000/1024 <= f0_min_hz < f0_max_hz <= 4000
+        (one DFT bin, and the Nyquist frequency, at 8 kHz), f0_grid_cents
+        >= 1, harmonic_tol_cents <= 600, mlp_hidden <= 4096, n_harmonics <=
+        ceil(HARMONIC_CEILING_HZ / f0_min_hz): higher ones are never used."""
+        if not 8000 / 1024 <= self.f0_min_hz < self.f0_max_hz <= 4000:
+            raise DataError("need 7.8125 <= f0_min_hz < f0_max_hz <= 4000")
+        for name in ("harmonic_tol_cents", "voicing_factor",
                      "vocal_min_run_s", "vocal_max_gap_s", "smooth_window_s",
                      "mlp_lr", "cnn_lr0", "novelty_half_width_s",
                      "pick_neighborhood_s"):
             if getattr(self, name) <= 0:
                 raise DataError(f"{name} must be positive")
-        for name in ("n_harmonics", "mlp_hidden", "mlp_batch", "cnn_batch",
-                     "cnn_halve_every"):
+        for name in ("f0_grid_cents", "n_harmonics", "mlp_hidden", "mlp_batch",
+                     "cnn_batch", "cnn_halve_every"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be >= 1")
+        caps = {"harmonic_tol_cents": 600, "mlp_hidden": 4096,
+                "n_harmonics": math.ceil(HARMONIC_CEILING_HZ / self.f0_min_hz)}
+        for name, cap in caps.items():
+            if getattr(self, name) > cap:
+                raise DataError(f"{name} must be <= {cap}")
         for name in ("mlp_epochs", "cnn_epochs"):
             if getattr(self, name) < 0:
                 raise DataError(f"{name} must be >= 0")
@@ -88,7 +100,10 @@ def load_config(path=None):
         data = json.load(fh)
     fields = dataclasses.fields(PipelineConfig)
     check_object(path, "config", data, {f.name: f.type for f in fields}, ())
-    return PipelineConfig(**data).validate()
+    try:
+        return PipelineConfig(**data).validate()
+    except DataError as exc:
+        raise DataError(str(exc), path=path) from None
 
 
 def check_object(path, where, obj, types, required):

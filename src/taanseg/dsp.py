@@ -4,7 +4,7 @@ All inputs and outputs are plain numpy arrays wrapped in small dataclasses;
 every function here is pure and deterministic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,9 +57,8 @@ class AudioClip:
 class LogSpectrogram:
     """Natural-log magnitude spectrogram in a C-contiguous [n_bins x n_frames]
     array: each bin's frames are adjacent in memory, so a slice of bins is
-    one contiguous block. It holds either a whole clip (`log_spectrogram`)
-    or one block of frames (`log_spectrogram_blocks`, which pitch tracking
-    streams through)."""
+    one contiguous block. Each is one block of `log_spectrogram_blocks`: a
+    run of frames, or (from `log_spectrogram`) the whole clip."""
 
     values: np.ndarray
     bin_hz: float
@@ -117,68 +116,50 @@ def _frame_count(clip, win_s, hop_s, n_dft):
     return win, hop, (n - win) // hop + 1
 
 
-def _frame_major_blocks(clip, win, hop, n_frames, n_dft):
-    """(t0, log magnitudes of frames t0.. as a [frames x n_bins] array) per
-    run of at most FFT_ROWS frames; no run crosses a multiple of
-    FRAME_BLOCK. The array is a buffer reused by the next run: copy what
-    must outlive the iteration."""
-    w = hamming_window(win)
-    # frame t is the sample slice [t*hop, t*hop + win): a strided view
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    rows = min(FFT_ROWS, FRAME_BLOCK, n_frames)
-    # windowed frames go into the first win columns; the rest stay zero, so
-    # the FFT needs no padded copy of its own
-    padded = np.zeros((rows, n_dft))
-    spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
-    mag = np.empty((rows, n_dft // 2 + 1))
-    for b0 in range(0, n_frames, FRAME_BLOCK):
-        for t0 in range(b0, min(b0 + FRAME_BLOCK, n_frames), rows):
-            frames = windows[t0:min(t0 + rows, b0 + FRAME_BLOCK)]
-            n = len(frames)
-            np.multiply(frames, w, out=padded[:n, :win])
-            np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
-            np.abs(spectrum[:n], out=mag[:n])
-            np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
-            yield t0, np.log(mag[:n], out=mag[:n])
-
-
-def log_spectrogram_blocks(clip, win_s, hop_s, n_dft):
-    """Framed log-magnitude spectrum of `clip`, FRAME_BLOCK frames at a time.
+def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=FRAME_BLOCK,
+                           n_bins=None):
+    """Framed log-magnitude spectrum of `clip`, `block` frames at a time.
 
     Frame t covers samples [t*hop, t*hop + win); each frame is Hamming
     windowed, zero-padded to n_dft and transformed; a final partial frame
     is dropped. Output values are ln(max(|X|, 1e-10)). Yields one
     C-contiguous [n_bins x n_block_frames] LogSpectrogram per run of
-    FRAME_BLOCK consecutive frames (the last run may be shorter), so the
-    working set is O(FRAME_BLOCK) whatever the clip length; the FFT runs
-    FFT_ROWS frames at a time into the block. Input errors are raised when
-    iteration starts.
+    `block` frames (the last may be shorter; None: the whole clip), so the
+    working set is O(block) whatever the clip length. The FFT runs FFT_ROWS
+    frames at a time, each run transposed straight into its block with
+    only the n_bins lowest bins (None: all n_dft // 2 + 1). Input errors
+    are raised when iteration starts.
     """
     win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
-    for t0, mag in _frame_major_blocks(clip, win, hop, n_frames, n_dft):
-        col = t0 % FRAME_BLOCK
-        if col == 0:
-            values = np.empty((n_dft // 2 + 1,
-                               min(FRAME_BLOCK, n_frames - t0)))
-        contiguous_transpose(mag, out=values[:, col:col + len(mag)])
-        if col + len(mag) == values.shape[1]:
-            yield LogSpectrogram(values=values,
-                                 bin_hz=clip.sample_rate / n_dft,
-                                 hop_s=hop / clip.sample_rate)
+    block = n_frames if block is None else block
+    w = hamming_window(win)
+    # frame t is the sample slice [t*hop, t*hop + win): a strided view
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
+    rows = min(FFT_ROWS, block, n_frames)
+    # windowed frames go into the first win columns; the rest stay zero, so
+    # the FFT needs no padded copy of its own
+    padded = np.zeros((rows, n_dft))
+    spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
+    mag = np.empty((rows, n_dft // 2 + 1))
+    for b0 in range(0, n_frames, block):
+        values = np.empty((n_bins or mag.shape[1], min(block, n_frames - b0)))
+        for c in range(0, values.shape[1], rows):
+            n = min(rows, values.shape[1] - c)
+            np.multiply(windows[b0 + c:b0 + c + n], w, out=padded[:n, :win])
+            np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
+            np.abs(spectrum[:n], out=mag[:n])
+            np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
+            np.log(mag[:n], out=mag[:n])
+            contiguous_transpose(mag[:n, :n_bins], out=values[:, c:c + n])
+        yield LogSpectrogram(values=values, bin_hz=clip.sample_rate / n_dft,
+                             hop_s=hop / clip.sample_rate)
 
 
-def log_spectrogram(clip, win_s, hop_s, n_dft):
-    """Framed log-magnitude spectrum of the whole clip: one C-contiguous
-    [n_bins x n_frames] LogSpectrogram, filled FFT_ROWS frames at a time
-    with the framing and values of `log_spectrogram_blocks`. The pipeline
-    streams those blocks instead: pitch tracking to stay O(block), and
-    `cnn.patch_spectrogram` to keep only the 94 bands patches read."""
-    win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
-    values = np.empty((n_dft // 2 + 1, n_frames))
-    for t0, mag in _frame_major_blocks(clip, win, hop, n_frames, n_dft):
-        contiguous_transpose(mag, out=values[:, t0:t0 + len(mag)])
-    return LogSpectrogram(values=values, bin_hz=clip.sample_rate / n_dft,
-                          hop_s=hop / clip.sample_rate)
+def log_spectrogram(clip, win_s, hop_s, n_dft, n_bins=None):
+    """The whole clip's framed log-magnitude spectrum: the one block that
+    `log_spectrogram_blocks` yields with block=None."""
+    return next(log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=None,
+                                       n_bins=n_bins))
 
 
 def _lowpass_taps(cutoff_norm, n_taps=64):

@@ -69,9 +69,9 @@ def posterior_sdm(posteriors):
     if len(p) < 2:
         raise InvalidArgumentError("need at least 2 frames for an SDM")
     p[~posteriors.vocal_mask] = 0.5
-    # ||(p_i, 1-p_i) - (p_j, 1-p_j)|| = sqrt(2) * |p_i - p_j|
-    d = np.sqrt(2.0) * np.abs(p[:, None] - p[None, :])
-    return d
+    # ||(p_i, 1-p_i) - (p_j, 1-p_j)|| = sqrt(2) * |p_i - p_j|, in place
+    d = np.subtract.outer(p, p)
+    return np.multiply(np.abs(d, out=d), np.sqrt(2.0), out=d)
 
 
 def checkerboard_kernel(half_width, gaussian_taper=True):

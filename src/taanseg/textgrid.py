@@ -1,7 +1,7 @@
 """Long-form PRAAT TextGrid parsing and emission (interval tiers only),
-and `read_sections`, the one reader of truth files. Point tiers are
-skipped with a warning; short-form files are rejected. Round-trip
-parse(emit(doc)) reproduces the document exactly.
+and `read_sections` and `write_sections`, the one reader and writer of
+truth files. Point tiers are skipped with a warning; short-form files
+are rejected. Round-trip parse(emit(doc)) reproduces the document exactly.
 """
 
 import re
@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 from .bootstrap import LABEL_TABLE
 from .errors import DataError, InvalidArgumentError, ParseError
-from .segmentation import LABELS, Section, SectionTimeline, read_timeline
+from .segmentation import (LABELS, Section, SectionTimeline, read_timeline,
+                           write_timeline)
 
 BOMS = (b"\xff\xfe", b"\xfe\xff", b"\xef\xbb\xbf")
 
@@ -251,3 +252,11 @@ def read_sections(path):
     if not len(timeline):
         raise DataError("no sections", path=path)
     return timeline
+
+
+def write_sections(timeline, path):
+    """A timeline in the file `read_sections` reads back: a TextGrid when
+    path ends in .TextGrid (any case), else a timeline TSV."""
+    if str(path).lower().endswith(".textgrid"):
+        return emit_textgrid(timeline_to_doc(timeline), path)
+    write_timeline(timeline, path)

@@ -28,7 +28,7 @@ from taanseg.segmentation import (Section, SectionTimeline, read_timeline,
                                   write_timeline)
 from taanseg.synth import (ConcertScript, SectionSpec, script_to_json,
                            synth_concert)
-from taanseg.textgrid import emit_textgrid, timeline_to_doc
+from taanseg.textgrid import read_sections, write_sections
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +179,12 @@ class TestTrainAndClassify:
         tl = read_timeline(out)
         assert len(tl) >= 1
         assert tl.span()[0] == 0.0
+        # the same run written as a TextGrid reads back as the same sections
+        grid = tmp_path / "detected.TextGrid"
+        assert main(["segment", "--audio", str(small_concert["wav"]),
+                     "--model", str(mlp_model), "--out", str(grid)]) == 0
+        assert grid.read_text().startswith('File type = "ooTextFile"')
+        assert read_sections(grid) == read_sections(out) == tl
 
     def test_unpaired_training_args(self, features_csv, small_concert,
                                     tmp_path):
@@ -241,8 +247,7 @@ def truth_files(small_concert):
     """The small concert's truth in every format the truth reader takes."""
     root = small_concert["root"]
     grid = root / "truth.TextGrid"
-    emit_textgrid(timeline_to_doc(read_timeline(small_concert["timeline"])),
-                  grid)
+    write_sections(read_timeline(small_concert["timeline"]), grid)
     utf16 = root / "truth16.TextGrid"
     utf16.write_bytes(grid.read_text("utf-8").encode("utf-16"))
     return {"timeline": small_concert["timeline"],
@@ -821,7 +826,16 @@ class TestNonFiniteInputs:
         ('{"conv_activation": "relu"}', "unknown config keys"),
         ('{"mlp_hidden": 50,\n}', ":2: bad JSON"),
         pytest.param('{"mlp_hidden": ' + "1" * 5000 + '}',
-                     "value out of range", id="int-over-digit-limit")])
+                     "value out of range", id="int-over-digit-limit"),
+        # values that passed the range checks and then exited 3 in the
+        # tracker (an F0 grid or harmonic stack too large to allocate, or a
+        # float overflow) or in train-mlp (mlp_hidden); the config is
+        # checked before any command runs
+        ('{"f0_grid_cents": 1e-300}', ": f0_grid_cents must be >= 1"),
+        ('{"f0_min_hz": 1e-320}', ": need 7.8125 <= f0_min_hz"),
+        ('{"harmonic_tol_cents": 1e300}', ": harmonic_tol_cents must be <="),
+        ('{"n_harmonics": 1000000000000}', ": n_harmonics must be <= 63"),
+        ('{"mlp_hidden": 1000000000000}', ": mlp_hidden must be <= 4096")])
     def test_config(self, half_second_wav, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

@@ -217,7 +217,7 @@ class TestPatchSpectrogram:
 
     def test_memory_of_ten_minutes(self):
         # the whole 513-bin spectrogram of 10 minutes is 123 MB; the bands
-        # kept are 22.6 MB, and each 8.4 MB block is freed after its copy
+        # kept are 22.6 MB, and no wider band is stored past the FFT
         clip = AudioClip(np.random.default_rng(0).uniform(
             -0.5, 0.5, size=600 * 8000), 8000)
         tracemalloc.start()
@@ -227,7 +227,7 @@ class TestPatchSpectrogram:
         finally:
             tracemalloc.stop()
         assert spec.values.shape == (PATCH_BINS, 29999)
-        assert peak <= 60 * 2**20
+        assert peak <= 32 * 2**20
 
 
 class TestForward:

@@ -32,6 +32,7 @@ from taanseg.textgrid import (
     read_sections,
     tier_to_timeline,
     timeline_to_doc,
+    write_sections,
 )
 from taanseg.wavio import read_wav, write_wav
 
@@ -263,6 +264,17 @@ class TestReadSections:
         path.write_bytes(path8.read_text("utf-8").encode(encoding))
         assert read_sections(path) == tier_to_timeline(_doc().tiers[0])
 
+    @pytest.mark.parametrize("name, grid", [
+        ("t.TextGrid", True), ("t.TEXTGRID", True), ("t.tsv", False),
+        ("t.TextGrid.tsv", False)])
+    def test_write_sections_by_suffix(self, tmp_path, name, grid):
+        tl = SectionTimeline([Section(0.0, 12.5, "instrumental"),
+                              Section(12.5, 40.1, "taan")])
+        path = tmp_path / name
+        write_sections(tl, path)
+        assert path.read_text().startswith("File type") == grid
+        assert read_sections(path) == tl
+
     def test_not_utf8_tsv_keeps_its_message(self, tmp_path):
         path = tmp_path / "truth.tsv"
         path.write_bytes(b"0.0\t1.0\tta\xffan\n")
@@ -479,8 +491,9 @@ class TestConfig:
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"f0_min_hz": 700.0}')
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             load_config(path)
+        assert str(info.value).startswith(f"{path}: need 7.8125 <= f0_min_hz")
 
     def test_env_var(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"

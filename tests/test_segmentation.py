@@ -3,6 +3,8 @@ checkerboard novelty against a brute-force oracle, boundary picking,
 majority labeling, and grouping rules.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,20 @@ class TestSdm:
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             posterior_sdm(_post([0.5]))
+
+    def test_one_matrix_of_memory(self):
+        # 2000 frames: the n x n float64 result is 32 MB, and no second
+        # matrix of differences is held beside it
+        n = 2000
+        p = np.random.default_rng(0).uniform(size=n)
+        tracemalloc.start()
+        try:
+            d = posterior_sdm(_post(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(d, np.sqrt(2.0) * np.abs(p[:, None] - p))
+        assert peak <= 1.2 * n * n * 8
 
 
 class TestKernel:

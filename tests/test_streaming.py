@@ -344,6 +344,11 @@ class TestSpectrogramLayout:
         assert spec.values.flags.c_contiguous
         assert np.array_equal(spec.values,
                               oneshot_values(clip, 0.04, hop_s, 1024))
+        # the lowest bands only, still one C-contiguous block
+        bands = log_spectrogram(clip, 0.04, hop_s, 1024, n_bins=94)
+        assert bands.values.flags.c_contiguous
+        assert np.array_equal(bands.values,
+                              oneshot_values(clip, 0.04, hop_s, 1024)[:94])
 
     def test_blocks_tile_the_spectrogram(self, reference):
         clip = reference[0]
