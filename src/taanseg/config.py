@@ -9,7 +9,7 @@ import math
 import os
 import sys
 
-from .errors import DataError, open_utf8
+from .errors import DataError, open_text
 from .vocal import HARMONIC_CEILING_HZ
 
 ENV_VAR = "TAANSEG_CONFIG"
@@ -96,7 +96,7 @@ def load_config(path=None):
         path = os.environ.get(ENV_VAR)
     if path is None:
         return PipelineConfig().validate()
-    with open_utf8(path) as fh:
+    with open_text(path) as fh:
         data = json.load(fh)
     fields = dataclasses.fields(PipelineConfig)
     check_object(path, "config", data, {f.name: f.type for f in fields}, ())
@@ -111,13 +111,13 @@ def check_object(path, where, obj, types, required):
     only keys of `types`, each holding a value of its type: an int also
     fits a float field, a bool only a bool field, and floats are finite."""
     if not isinstance(obj, dict):
-        raise DataError(f"{path}: {where} must be a JSON object")
+        raise DataError(f"{where} must be a JSON object", path=path)
     for key in required:
         if key not in obj:
-            raise DataError(f"{path}: {where} has no {key!r} key")
+            raise DataError(f"{where} has no {key!r} key", path=path)
     unknown = set(obj) - set(types)
     if unknown:
-        raise DataError(f"{path}: unknown {where} keys: {sorted(unknown)}")
+        raise DataError(f"unknown {where} keys: {sorted(unknown)}", path=path)
     for key, value in obj.items():
         kind = types[key]
         fits = (isinstance(value, bool) == (kind is bool) and
@@ -126,5 +126,5 @@ def check_object(path, where, obj, types, required):
         if not fits:
             want = ("a finite number" if kind is float
                     else f"of type {kind.__name__}")
-            raise DataError(f"{path}: {where} key {key!r}: {value!r} is not "
-                            f"{want}")
+            raise DataError(f"{where} key {key!r}: {value!r} is not {want}",
+                            path=path)

@@ -1,11 +1,12 @@
-"""Exception hierarchy shared across the package, and the UTF-8 text opener
-every reader uses, which makes undecodable bytes and bad JSON a ParseError.
+"""Exception hierarchy shared across the package, and `open_text`, the text
+opener every reader uses: the one place that picks a file's encoding.
 
 CLI exit-code mapping: UsageError -> 1, TaansegError (and subclasses) -> 2,
 InternalError and any other exception, which is a bug, -> 3.
 """
 
 import contextlib
+import io
 import json
 
 
@@ -61,16 +62,19 @@ class InternalError(Exception):
 
 
 @contextlib.contextmanager
-def open_utf8(path):
-    """Open a UTF-8 text file for reading. Bytes that do not decode, JSON
-    that does not parse, or any ValueError (a JSON integer past Python's
-    digit limit) inside the `with` block raise ParseError naming the path
-    (and the JSON error's line), so the block only reads and decodes."""
+def open_text(path):
+    """Open a text file for reading: UTF-16 after a UTF-16 byte-order mark,
+    else UTF-8, a UTF-8 byte-order mark dropped. Undecodable bytes, bad JSON
+    or any ValueError (a JSON integer past Python's digit limit) inside the
+    `with` block raise ParseError naming the path (and the JSON line)."""
+    raw = open(path, "rb")
+    utf16 = raw.peek(2)[:2] in (b"\xff\xfe", b"\xfe\xff")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with io.TextIOWrapper(raw, "utf-16" if utf16 else "utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text ({exc.reason})", path=path) from None
+        raise ParseError(f"not UTF-{16 if utf16 else 8} text ({exc.reason})",
+                         path=path) from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON ({exc.msg})", path=path,
                          line=exc.lineno) from None

@@ -154,8 +154,9 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
     valid = np.asarray(valid, dtype=bool)
     if not valid.any():
         raise EmptyInputError("no vocal frames: nothing to normalize")
-    half = int(round(smooth_s / 2 / 0.5))  # raw hops within +/- smooth_s/2
     k = len(valid)
+    # raw hops within +/- smooth_s/2; offsets of k or more reach no frame
+    half = int(round(min(smooth_s / 2 / 0.5, k)))
     # sums over the valid run around each frame, added in ascending order
     # like the row sum in a mean
     run = np.cumsum(valid & ~np.r_[False, valid[:-1]])

@@ -137,7 +137,8 @@ def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
     """Shuffled mini-batch SGD on the arrays in params, in place; yields
     each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (grads in
     params order, summed weighted loss). A batch steps by lr over its
-    weight sum, divided by the parameter's scale."""
+    weight sum, divided by the parameter's scale. A non-finite epoch loss
+    is yielded, then raises InvalidArgumentError: training diverged."""
     for epoch in range(epochs):
         lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
         order = rng.permutation(len(x))
@@ -152,7 +153,10 @@ def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
                 arr -= step / scale * grad
             total += loss
             wsum += bw
-        yield total / wsum
+        mean = total / wsum
+        yield mean
+        if not np.isfinite(mean):
+            raise InvalidArgumentError("training diverged: non-finite loss")
 
 
 def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
@@ -178,14 +182,10 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
         weights = np.ones(len(y))
 
     model = model.copy()
-    losses = []
-    for loss in sgd_epochs(
-            (model.w1, model.b1, model.w2, model.b2), (1, 1, 1, 1),
-            lambda xb, yb, wb: _grads(model, xb, yb, wb), x, y, weights,
-            np.random.default_rng(seed), lr, epochs, batch, halve_every):
-        losses.append(loss)
-        if not np.isfinite(loss):
-            raise InvalidArgumentError("training diverged: non-finite loss")
+    losses = list(sgd_epochs(
+        (model.w1, model.b1, model.w2, model.b2), (1, 1, 1, 1),
+        lambda xb, yb, wb: _grads(model, xb, yb, wb), x, y, weights,
+        np.random.default_rng(seed), lr, epochs, batch, halve_every))
     model.meta.update({"epochs": epochs, "lr": lr,
                        "loss_history": [float(v) for v in losses]})
     return model, losses

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .cnn import CnnModel
-from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
+from .errors import FormatError, InvalidArgumentError, ParseError, open_text
 from .mlp import MlpModel
 
 MAGIC = b"TSEG"
@@ -86,7 +86,8 @@ def load_model(path):
             raise ParseError("truncated header", path=path)
         version, hlen = struct.unpack("<HI", head)
         if version != VERSION:
-            raise FormatError(f"{path}: unsupported format version {version}")
+            raise FormatError(f"unsupported format version {version}",
+                              path=path)
         try:
             header = json.loads(fh.read(hlen).decode("utf-8"))
         except ValueError as exc:
@@ -101,13 +102,13 @@ def load_model(path):
             arrays[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
     meta = {}
     try:
-        with open_utf8(str(path) + ".json") as fh:
+        with open_text(str(path) + ".json") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
         pass
     kind = header["kind"]
     if kind not in _MODELS:
-        raise FormatError(f"{path}: unknown model kind {kind!r}")
+        raise FormatError(f"unknown model kind {kind!r}", path=path)
     names = _array_names(_MODELS[kind])
     missing = [name for name in names if name not in arrays]
     if missing:

@@ -13,7 +13,7 @@ import numpy as np
 from .config import check_object
 from .dsp import AudioClip
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
-                     open_utf8)
+                     open_text)
 from .pool import ordered_map
 from .segmentation import Section, SectionTimeline
 
@@ -67,7 +67,7 @@ _SCRIPT_TYPES = {"sections": list, "seed": int, "sample_rate": int}
 def script_from_json(path):
     """Read a concert script. Malformed content raises DataError naming
     the path and the offending key."""
-    with open_utf8(path) as fh:
+    with open_text(path) as fh:
         data = json.load(fh)
     check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
     types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
@@ -78,7 +78,7 @@ def script_from_json(path):
         try:
             sections.append(SectionSpec(**spec))
         except InvalidArgumentError as exc:
-            raise DataError(f"{path}: {where}: {exc}") from None
+            raise DataError(f"{where}: {exc}", path=path) from None
     return ConcertScript(sections=sections, seed=data.get("seed", 0),
                          sample_rate=data.get("sample_rate", 8000))
 

@@ -1,14 +1,15 @@
 """Delimited text tables: the one reader and writer of the package's CSV
 and TSV files (tracks, features, posteriors, timelines, frame labels).
 
-UTF-8 text, one row per line, under an optional header line of the
-column names. Floats are written as their repr(), so they read back
-bit-identical; NaN is `nan`. Trailing empty lines are ignored.
+Text read through `errors.open_text` and written as UTF-8, one row per
+line, under an optional header line of the column names. Floats are
+written as their repr(), so they read back bit-identical; NaN is `nan`.
+Trailing empty lines are ignored.
 """
 
 import numpy as np
 
-from .errors import FormatError, InvalidArgumentError, ParseError, open_utf8
+from .errors import FormatError, InvalidArgumentError, ParseError, open_text
 
 # rows formatted per write, which bounds the writer's Python objects
 WRITE_CHUNK = 8192
@@ -53,11 +54,12 @@ class Table:
         (ParseError) or that the check rejects raises at path:line, and
         failing that the first empty line inside the body (FormatError).
         """
-        with open_utf8(path) as fh:
+        with open_text(path) as fh:
             if self.header is not None:
                 head = fh.readline().strip()
                 if head != self.header:
-                    raise FormatError(f"{path}: unexpected header {head!r}")
+                    raise FormatError(f"unexpected header {head!r}",
+                                      path=path)
             lines = fh.read().split("\n")
         while lines and not lines[-1].strip():
             lines.pop()

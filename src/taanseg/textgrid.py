@@ -9,11 +9,9 @@ import warnings
 from dataclasses import dataclass, field
 
 from .bootstrap import LABEL_TABLE
-from .errors import DataError, InvalidArgumentError, ParseError
+from .errors import DataError, InvalidArgumentError, ParseError, open_text
 from .segmentation import (LABELS, Section, SectionTimeline, read_timeline,
                            write_timeline)
-
-BOMS = (b"\xff\xfe", b"\xfe\xff", b"\xef\xbb\xbf")
 
 TAAN_LABELS = {"taan", "akar taan", "akartaan"}
 
@@ -38,16 +36,6 @@ class TextGridDoc:
     xmin: float
     xmax: float
     tiers: list
-
-
-def _read_text(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("utf-16" if raw.startswith(BOMS[:2]) else
-                          "utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"undecodable text ({exc.reason})", path=path) from None
 
 
 class _Cursor:
@@ -94,9 +82,8 @@ class _Cursor:
 
 def parse_textgrid(path):
     """Parse a long-form TextGrid into a TextGridDoc."""
-    text = _read_text(path)
-    lines = text.splitlines()
-    cur = _Cursor(lines, path)
+    with open_text(path) as fh:
+        cur = _Cursor(fh.read().splitlines(), path)
     if "ooTextFile" not in cur.next():
         raise ParseError("not an ooTextFile", path=path, line=cur.pos)
     if "TextGrid" not in cur.next():
@@ -142,13 +129,14 @@ def _validate_tier(name, xmin, xmax, intervals, path):
     prev = None
     for iv in intervals:
         if iv.xmax <= iv.xmin:
-            raise DataError(f"{path}: tier {name!r} has an empty interval "
-                            f"[{iv.xmin}, {iv.xmax}]")
+            raise DataError(f"tier {name!r} has an empty interval "
+                            f"[{iv.xmin}, {iv.xmax}]", path=path)
         if iv.xmin < xmin - 1e-9 or iv.xmax > xmax + 1e-9:
-            raise DataError(f"{path}: interval outside tier bounds in {name!r}")
+            raise DataError(f"interval outside tier bounds in {name!r}",
+                            path=path)
         if prev is not None and iv.xmin < prev - 1e-9:
-            raise DataError(f"{path}: overlapping/unsorted intervals in "
-                            f"{name!r}")
+            raise DataError(f"overlapping/unsorted intervals in {name!r}",
+                            path=path)
         prev = iv.xmax
 
 
@@ -217,21 +205,20 @@ def timeline_to_doc(timeline, tier_name="sections"):
 
 
 def read_sections(path):
-    """The timeline of a truth file, by content: a TextGrid (a byte-order
-    mark, or `ooTextFile` on line 1) gives its only interval tier; 3
-    columns on line 1 make a timeline TSV; else row k of a frame-label TSV
-    is [k, k+1), equal neighbours merged. Bad TSV labels, a frame-label
-    row k not at k s, invalid or empty timelines raise DataError."""
-    with open(path, "rb") as fh:
+    """The timeline of a truth file, by its first line of text: a TextGrid
+    (`ooTextFile`) gives its only interval tier, 3 columns a timeline TSV,
+    else row k of a frame-label TSV is [k, k+1), equal neighbours merged.
+    Bad labels, frame k not at k s, invalid or empty timelines: DataError."""
+    with open_text(path) as fh:
         first = fh.readline()
     try:
-        if first.startswith(BOMS) or b"ooTextFile" in first:
+        if "ooTextFile" in first:
             tiers = parse_textgrid(path).tiers
             if len(tiers) != 1:
                 raise DataError(f"{len(tiers)} interval tiers, not one",
                                 path=path)
             timeline = tier_to_timeline(tiers[0])
-        elif first.count(b"\t") == 2:
+        elif first.count("\t") == 2:
             timeline = read_timeline(path)
         else:
             rows = LABEL_TABLE.read(path).tolist()
@@ -257,6 +244,8 @@ def read_sections(path):
 def write_sections(timeline, path):
     """A timeline in the file `read_sections` reads back: a TextGrid when
     path ends in .TextGrid (any case), else a timeline TSV."""
+    if not len(timeline):
+        raise InvalidArgumentError("no sections to write")
     if str(path).lower().endswith(".textgrid"):
         return emit_textgrid(timeline_to_doc(timeline), path)
     write_timeline(timeline, path)

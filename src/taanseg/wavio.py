@@ -72,9 +72,8 @@ def read_wav(path):
         dtype = "<f4"
     else:
         raise UnsupportedFormatError(
-            f"{path}: unsupported WAV encoding (format {audio_format}, "
-            f"{bits}-bit); only 16-bit PCM and 32-bit float are accepted"
-        )
+            f"unsupported WAV encoding (format {audio_format}, {bits}-bit); "
+            "only 16-bit PCM and 32-bit float are accepted", path=path)
     if len(payload) % (bits // 8):
         raise ParseError(f"data chunk of {len(payload)} bytes is not a whole "
                          f"number of {bits}-bit samples", path=path)

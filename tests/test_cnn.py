@@ -445,6 +445,27 @@ class TestTraining:
         with pytest.raises(InvalidArgumentError, match="band_std"):
             cnn_train(patches, [0, 1, 0, 1], stats, epochs=1, head_epochs=1)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage1_stops_at_the_first_diverged_epoch(self, monkeypatch):
+        """sgd_epochs raises after the first non-finite epoch loss, so a
+        diverging stage 1 runs one epoch and stage 2 never starts."""
+        runs = []
+        sgd_epochs = mlp.sgd_epochs
+
+        def spy(*args, **kwargs):
+            runs.append([])
+            for loss in sgd_epochs(*args, **kwargs):
+                runs[-1].append(loss)
+                yield loss
+
+        monkeypatch.setattr(mlp, "sgd_epochs", spy)
+        patches, labels = self._synthetic_patches(n_per_class=4, seed=2)
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        with pytest.raises(InvalidArgumentError, match="diverged"):
+            cnn_train(patches, labels, stats, epochs=4, lr0=1e300, batch=4)
+        assert len(runs) == 1 and len(runs[0]) == 1
+        assert not np.isfinite(runs[0][0])
+
     def test_no_patches_rejected(self):
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
         with pytest.raises(EmptyInputError):

@@ -1,3 +1,4 @@
+import time
 import warnings
 
 import numpy as np
@@ -163,6 +164,20 @@ class TestSmoothNormalize:
     def test_no_vocal_frames(self):
         with pytest.raises(EmptyInputError):
             smooth_and_normalize(np.zeros((10, 3)), np.zeros(10, dtype=bool))
+
+    def test_window_past_the_input_is_clamped(self):
+        """Offsets of len(valid) or more reach no frame, so a huge window
+        gives the bytes of one len(valid) hops wide, without looping over
+        millions of empty offsets."""
+        feats = np.random.default_rng(0).normal(size=(40, 3))
+        valid = np.ones(40, dtype=bool)
+        valid[17:20] = False
+        t0 = time.perf_counter()
+        huge = smooth_and_normalize(feats, valid, smooth_s=2e6)
+        assert time.perf_counter() - t0 < 2.0
+        whole = smooth_and_normalize(feats, valid, smooth_s=40.0)
+        assert huge.raw.tobytes() == whole.raw.tobytes()
+        assert huge.features.tobytes() == whole.features.tobytes()
 
     @pytest.mark.parametrize("odd", [[7], [1, 3, 5, 13]])
     def test_valid_windows_only_at_odd_hops(self, odd):

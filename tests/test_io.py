@@ -100,8 +100,9 @@ class TestWav:
             fh.write(struct.pack("<IHHIIHH", 16, 6, 1, 8000, 8000, 1, 8))
             fh.write(b"data")
             fh.write(struct.pack("<I", 0))
-        with pytest.raises(UnsupportedFormatError):
+        with pytest.raises(UnsupportedFormatError) as info:
             read_wav(path)
+        assert info.value.path == path
 
     def test_unsupported_sample_rate_names_the_file(self, tmp_path):
         path = tmp_path / "odd_rate.wav"
@@ -200,8 +201,9 @@ class TestTextGrid:
         doc.tiers[0].intervals[1] = Interval(15.0, 45.0, "taan")
         path = tmp_path / "overlap.TextGrid"
         emit_textgrid(doc, path)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as info:
             parse_textgrid(path)
+        assert info.value.path == path
 
     def test_short_form_rejected(self, tmp_path):
         path = tmp_path / "short.TextGrid"
@@ -220,7 +222,7 @@ class TestTextGrid:
     def test_undecodable_text_rejected(self, tmp_path, raw):
         path = tmp_path / "bad.TextGrid"
         path.write_bytes(raw)
-        with pytest.raises(ParseError, match="undecodable text") as info:
+        with pytest.raises(ParseError, match="not UTF-(8|16) text") as info:
             parse_textgrid(path)
         assert info.value.path == path
 
@@ -242,17 +244,20 @@ class TestReadSections:
     """The truth reader tells a TextGrid, a timeline TSV and a frame-label
     TSV apart by content, whatever the file is called."""
 
-    def test_frame_labels_merge_into_sections(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_frame_labels_merge_into_sections(self, tmp_path, encoding):
         path = tmp_path / "truth.TextGrid"
         path.write_text("0.0\tinstrumental\n1.0\ttaan\n2.0\ttaan\n"
-                        "3.0\tnon-taan\n")
+                        "3.0\tnon-taan\n", encoding=encoding)
         assert read_sections(path).sections == [
             Section(0.0, 1.0, "instrumental"), Section(1.0, 3.0, "taan"),
             Section(3.0, 4.0, "non-taan")]
 
-    def test_timeline(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig", "utf-16"])
+    def test_timeline(self, tmp_path, encoding):
         path = tmp_path / "truth.TextGrid"
-        path.write_text("0.5\t20.25\ttaan\n30.0\t40.0\tnon-taan\n")
+        path.write_text("0.5\t20.25\ttaan\n30.0\t40.0\tnon-taan\n",
+                        encoding=encoding)
         assert read_sections(path).sections == [
             Section(0.5, 20.25, "taan"), Section(30.0, 40.0, "non-taan")]
 
@@ -274,6 +279,13 @@ class TestReadSections:
         write_sections(tl, path)
         assert path.read_text().startswith("File type") == grid
         assert read_sections(path) == tl
+
+    @pytest.mark.parametrize("name", ["t.TextGrid", "t.tsv"])
+    def test_empty_timeline_is_not_written(self, tmp_path, name):
+        path = tmp_path / name
+        with pytest.raises(InvalidArgumentError, match="no sections to write"):
+            write_sections(SectionTimeline([]), path)
+        assert not path.exists()
 
     def test_not_utf8_tsv_keeps_its_message(self, tmp_path):
         path = tmp_path / "truth.tsv"
@@ -409,8 +421,9 @@ class TestModelContainer:
         raw = bytearray(path.read_bytes())
         raw[4:6] = struct.pack("<H", 99)
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as info:
             load_model(path)
+        assert info.value.path == path
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "m.tseg"
@@ -485,8 +498,9 @@ class TestConfig:
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"mpl_hidden": 50}')
-        with pytest.raises(DataError, match="unknown config keys"):
+        with pytest.raises(DataError, match="unknown config keys") as info:
             load_config(path)
+        assert info.value.path == path
 
     def test_invalid_values_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -76,8 +76,9 @@ class TestTable:
 class TestFeatureCsv:
     def test_bad_header_is_format_error(self, tmp_path):
         path = write(tmp_path, "frame_s,mod_rate\n0.0,1.0\n")
-        with pytest.raises(FormatError, match="unexpected header"):
+        with pytest.raises(FormatError, match="unexpected header") as info:
             read_features(path)
+        assert info.value.path == path
 
     @pytest.mark.parametrize("body", ["0.0,1.0,2.0,3.0\n",
                                       "0.0,1.0,2.0,3.0,1,9\n", "\n"])
@@ -174,6 +175,42 @@ class TestTrackCsv:
         write_track(track, path)
         assert path.read_text() == (TRACK_HEADER + "0.00,220.0,-3.5,1\n"
                                     "0.01,0.0,-120.0,0\n")
+
+
+@pytest.mark.parametrize("encoding", ["utf-8-sig", "utf-16"])
+class TestEncodings:
+    """A copy of a text input saved with a UTF-8 byte-order mark, or as
+    UTF-16 (which always has one), reads back equal to the UTF-8 file."""
+
+    def copy(self, path, encoding):
+        other = path.with_name(f"{encoding}-{path.name}")
+        other.write_bytes(path.read_text("utf-8").encode(encoding))
+        return other
+
+    def test_track_csv(self, tmp_path, encoding):
+        track = PitchEnergyTrack(np.array([220.0, 0.0, 221.5]),
+                                 np.array([-3.5, -120.0, -4.0]),
+                                 np.array([True, False, True]))
+        path = tmp_path / "t.csv"
+        write_track(track, path)
+        back = ingest_track(self.copy(path, encoding))
+        for name in ("f0_hz", "energy_db", "voiced"):
+            assert (getattr(back, name).tobytes()
+                    == getattr(track, name).tobytes())
+
+    def test_feature_csv(self, tmp_path, encoding):
+        feats = np.array([[0.5, -1.25, 3.0], [np.nan] * 3, [1e-3, 2.0, -0.0]])
+        path = tmp_path / "f.csv"
+        write_features(StyleFeatureSeq(feats, np.array([True, False, True])),
+                       path)
+        back = read_features(self.copy(path, encoding))
+        assert back.features.tobytes() == feats.tobytes()
+        assert back.vocal_mask.tolist() == [True, False, True]
+
+    def test_config_json(self, tmp_path, encoding):
+        path = write(tmp_path, '{"mlp_hidden": 50, "taan_threshold": 0.6}',
+                     "cfg.json")
+        assert load_config(self.copy(path, encoding)) == load_config(path)
 
 
 class TestBootstrapInputs:
