@@ -133,49 +133,70 @@ def make_patches(spec, band_stats=None):
 
 
 def _im2col(x, kh, kw):
-    """Patch matrix of a valid kh x kw correlation: x (B,C,H,W) ->
-    (B*H'*W', kh*kw*C), rows in channels-last (b, h, w) order and columns
-    in (i, j, c) order, so each copied run is one pixel's channels."""
-    win = np.lib.stride_tricks.sliding_window_view(
-        x.transpose(0, 2, 3, 1), (kh, kw), axis=(1, 2))
-    return np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(
-        -1, kh * kw * x.shape[1])
+    """Patch matrix of a valid kh x kw correlation: x (B,C,H,W) -> (kh*kw*C,
+    n), rows in (i, j, c) order and columns in (b, h, w) order, built as
+    kh*kw shifted slice copies of x's channel-major (C,B,H,W) view. n is
+    B*H'*W' rounded up to a multiple of 16 with zero columns (see _slab)."""
+    b, c, h, w = x.shape
+    ho, wo = h - kh + 1, w - kw + 1
+    n = b * ho * wo
+    cols = np.empty((kh * kw * c, -(-n // 16) * 16), dtype=x.dtype)
+    cols[:, n:] = 0
+    taps = cols[:, :n].reshape(kh, kw, c, b, ho, wo)
+    xc = x.transpose(1, 0, 2, 3)
+    for i in range(kh):
+        for j in range(kw):
+            taps[i, j] = xc[:, :, i : i + ho, j : j + wo]
+    return cols
 
 
-def _mm(a, b, run):
-    """a @ b in row slabs of a, each GEMM at most GEMM_SLAB m*n*k. Every
-    run of `run` rows (one image's) is cut the same way, so an image's
-    result does not depend on the images beside it."""
-    out = np.empty((len(a), b.shape[1]), dtype=np.result_type(a, b))
-    step = max(1, GEMM_SLAB // (a.shape[1] * b.shape[1]))
-    for r in range(0, len(a), run):
-        for s in range(r, r + run, step):
-            e = min(s + step, r + run)
-            np.matmul(a[s:e], b, out=out[s:e])
+def _slab(m, k):
+    """im2col columns per GEMM: at most GEMM_SLAB m*n*k, and a multiple of
+    16, so every column takes the same BLAS kernel path and its result does
+    not depend on the columns beside it."""
+    return max(16, GEMM_SLAB // (m * k) // 16 * 16)
+
+
+def _gemm(a, b, out=None):
+    """a @ b, into out if given: the one BLAS call of the conv stack, so
+    that a test can see every GEMM's m, n and k."""
+    return np.matmul(a, b, out=out)
+
+
+def _mm(a, cols):
+    """a @ cols in _slab-wide column slabs of cols, whose width must be a
+    multiple of 16."""
+    out = np.empty((len(a), cols.shape[1]), dtype=np.result_type(a, cols))
+    step = _slab(*a.shape)
+    for s in range(0, cols.shape[1], step):
+        _gemm(a, cols[:, s : s + step], out=out[:, s : s + step])
     return out
 
 
-def _mm_t(a, b):
-    """a.T @ b summed over row slabs of a and b, as _mm bounds its GEMMs."""
-    step = max(1, GEMM_SLAB // (a.shape[1] * b.shape[1]))
-    out = a[:step].T @ b[:step]
-    for s in range(step, len(a), step):
-        out += a[s : s + step].T @ b[s : s + step]
+def _mm_t(d, cols):
+    """d @ cols.T summed over _slab-wide column slabs of both, d zero-padded
+    to the width of cols."""
+    if d.shape[1] < cols.shape[1]:
+        d = np.pad(d, ((0, 0), (0, cols.shape[1] - d.shape[1])))
+    step = _slab(len(d), len(cols))
+    out = _gemm(d[:, :step], cols[:, :step].T)
+    for s in range(step, d.shape[1], step):
+        out += _gemm(d[:, s : s + step], cols[:, s : s + step].T)
     return out
 
 
 def _conv_valid(x, w, b, cols=None):
-    """Valid cross-correlation as im2col + one matmul, in x's dtype. x
-    (B,C,H,W), w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channels-last
+    """Valid cross-correlation as im2col + GEMMs, in x's dtype. x (B,C,H,W),
+    w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channel-major (F,B,H',W')
     memory. cols, when given, is x's im2col matrix, built by the caller."""
     f, _, kh, kw = w.shape
     bsz, _, h, wd = x.shape
+    ho, wo = h - kh + 1, wd - kw + 1
     if cols is None:
         cols = _im2col(x, kh, kw)
-    z = _mm(cols, w.transpose(0, 2, 3, 1).reshape(f, -1).T.astype(cols.dtype),
-            (h - kh + 1) * (wd - kw + 1))
-    z += np.asarray(b, dtype=z.dtype)
-    return z.reshape(bsz, h - kh + 1, wd - kw + 1, f).transpose(0, 3, 1, 2)
+    z = _mm(w.transpose(0, 2, 3, 1).reshape(f, -1).astype(cols.dtype), cols)
+    z += np.asarray(b, dtype=z.dtype).reshape(-1, 1)
+    return z[:, : bsz * ho * wo].reshape(f, bsz, ho, wo).transpose(1, 0, 2, 3)
 
 
 def _conv_backward(x, w, d_out, input_grad=True, cols=None):
@@ -185,14 +206,14 @@ def _conv_backward(x, w, d_out, input_grad=True, cols=None):
     f, c, kh, kw = w.shape
     if cols is None:
         cols = _im2col(x, kh, kw)
-    d = d_out.transpose(0, 2, 3, 1).reshape(-1, f)
+    d_cm = d_out.transpose(1, 0, 2, 3)
+    d = d_cm.reshape(f, -1)
     gw = _mm_t(d, cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
-    gb = d.sum(axis=0)
+    gb = d.sum(axis=1)
     if not input_grad:
         return gw, gb, None
-    pad = np.pad(d_out.transpose(0, 2, 3, 1),
-                 ((0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1), (0, 0)))
-    return gw, gb, _conv_valid(pad.transpose(0, 3, 1, 2),
+    pad = np.pad(d_cm, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    return gw, gb, _conv_valid(pad.transpose(1, 0, 2, 3),
                                w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 0.0)
 
 
@@ -203,9 +224,10 @@ def _pool2(x):
 
 
 def _pool2_backward(d_out, in_shape):
-    """Spread each pooled gradient evenly over its 2x2 block."""
+    """Spread each pooled gradient evenly over its 2x2 block, into an NCHW
+    view of channel-major memory."""
     b, f, h, w = in_shape
-    up = np.empty((b, h, w, f), dtype=d_out.dtype).transpose(0, 3, 1, 2)
+    up = np.empty((f, b, h, w), dtype=d_out.dtype).transpose(1, 0, 2, 3)
     q = d_out / 4.0
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
         up[:, :, i::2, j::2] = q
@@ -342,6 +364,9 @@ def _feature_stats(feats):
             np.maximum(feats.std(axis=0, dtype=np.float64), 1e-6))
 
 
+# a diverging run overflows float32 before its first non-finite epoch loss
+# stops it (sgd_epochs raises), so numpy's warnings would only say it first
+@np.errstate(over="ignore", invalid="ignore")
 def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
               batch=32, seed=0, head_epochs=None):
     """Two-stage training.

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pool
 from .errors import EmptyInputError, InvalidArgumentError, UnsupportedOperationError
 
 ACCEPTED_RATES = (8000, 16000, 22050, 44100, 48000)
@@ -17,7 +18,8 @@ LOG_FLOOR = 1e-10
 # frames per spectrogram block: bounds the working set of streamed tracking
 FRAME_BLOCK = 2048
 
-# frames per FFT call: bounds the padded, complex and magnitude buffers
+# frames per FFT call, split between the whole-clip spectrogram's spans:
+# bounds the padded, complex and magnitude buffers
 FFT_ROWS = 256
 
 # output samples per resampling chunk: bounds the working set of `resample`
@@ -57,8 +59,8 @@ class AudioClip:
 class LogSpectrogram:
     """Natural-log magnitude spectrogram in a C-contiguous [n_bins x n_frames]
     array: each bin's frames are adjacent in memory, so a slice of bins is
-    one contiguous block. Each is one block of `log_spectrogram_blocks`: a
-    run of frames, or (from `log_spectrogram`) the whole clip."""
+    one contiguous block. Each is a run of frames from
+    `log_spectrogram_blocks`, or the whole clip from `log_spectrogram`."""
 
     values: np.ndarray
     bin_hz: float
@@ -116,6 +118,36 @@ def _frame_count(clip, win_s, hop_s, n_dft):
     return win, hop, (n - win) // hop + 1
 
 
+def _framing(clip, win_s, hop_s, n_dft):
+    """(windows, w, hop, n_frames): frame t of `clip` is the strided view
+    windows[t], the samples [t*hop, t*hop + win), and w its Hamming window;
+    the framing is validated."""
+    win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
+    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)
+    return windows[::hop], hamming_window(win), hop, n_frames
+
+
+def _log_spectrum(windows, w, n_dft, values, rows):
+    """values[:, t] = the len(values) lowest bins of ln(max(|X|, LOG_FLOOR))
+    of frame windows[t], Hamming windowed and zero-padded to n_dft. The FFT
+    runs `rows` frames at a time on scratch buffers of this call's own,
+    each run transposed straight into its columns of values."""
+    rows = min(rows, len(windows))
+    # windowed frames go into the first len(w) columns; the rest stay zero,
+    # so the FFT needs no padded copy of its own
+    padded = np.zeros((rows, n_dft))
+    spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
+    mag = np.empty((rows, n_dft // 2 + 1))
+    for c in range(0, len(windows), rows):
+        n = min(rows, len(windows) - c)
+        np.multiply(windows[c:c + n], w, out=padded[:n, :len(w)])
+        np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
+        np.abs(spectrum[:n], out=mag[:n])
+        np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
+        np.log(mag[:n], out=mag[:n])
+        contiguous_transpose(mag[:n, :len(values)], out=values[:, c:c + n])
+
+
 def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=FRAME_BLOCK,
                            n_bins=None):
     """Framed log-magnitude spectrum of `clip`, `block` frames at a time.
@@ -124,42 +156,38 @@ def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=FRAME_BLOCK,
     windowed, zero-padded to n_dft and transformed; a final partial frame
     is dropped. Output values are ln(max(|X|, 1e-10)). Yields one
     C-contiguous [n_bins x n_block_frames] LogSpectrogram per run of
-    `block` frames (the last may be shorter; None: the whole clip), so the
-    working set is O(block) whatever the clip length. The FFT runs FFT_ROWS
-    frames at a time, each run transposed straight into its block with
-    only the n_bins lowest bins (None: all n_dft // 2 + 1). Input errors
-    are raised when iteration starts.
+    `block` frames (the last may be shorter), so the working set is
+    O(block) whatever the clip length; n_bins keeps the lowest bins only
+    (None: all n_dft // 2 + 1). Blocks are computed one after another on
+    the calling thread. Input errors are raised when iteration starts.
     """
-    win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
-    block = n_frames if block is None else block
-    w = hamming_window(win)
-    # frame t is the sample slice [t*hop, t*hop + win): a strided view
-    windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)[::hop]
-    rows = min(FFT_ROWS, block, n_frames)
-    # windowed frames go into the first win columns; the rest stay zero, so
-    # the FFT needs no padded copy of its own
-    padded = np.zeros((rows, n_dft))
-    spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
-    mag = np.empty((rows, n_dft // 2 + 1))
+    windows, w, hop, n_frames = _framing(clip, win_s, hop_s, n_dft)
     for b0 in range(0, n_frames, block):
-        values = np.empty((n_bins or mag.shape[1], min(block, n_frames - b0)))
-        for c in range(0, values.shape[1], rows):
-            n = min(rows, values.shape[1] - c)
-            np.multiply(windows[b0 + c:b0 + c + n], w, out=padded[:n, :win])
-            np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
-            np.abs(spectrum[:n], out=mag[:n])
-            np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
-            np.log(mag[:n], out=mag[:n])
-            contiguous_transpose(mag[:n, :n_bins], out=values[:, c:c + n])
+        values = np.empty((n_bins or n_dft // 2 + 1,
+                           min(block, n_frames - b0)))
+        _log_spectrum(windows[b0:b0 + values.shape[1]], w, n_dft, values,
+                      FFT_ROWS)
         yield LogSpectrogram(values=values, bin_hz=clip.sample_rate / n_dft,
                              hop_s=hop / clip.sample_rate)
 
 
 def log_spectrogram(clip, win_s, hop_s, n_dft, n_bins=None):
-    """The whole clip's framed log-magnitude spectrum: the one block that
-    `log_spectrogram_blocks` yields with block=None."""
-    return next(log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=None,
-                                       n_bins=n_bins))
+    """The whole clip's framed log-magnitude spectrum, bit for bit the
+    blocks of `log_spectrogram_blocks` side by side. Its frames are split
+    into pool.WORKERS contiguous spans, computed on the pool's threads,
+    each writing its own columns of the one output array; the spans share
+    FFT_ROWS frames of scratch buffers, so they hold no more than one
+    thread did."""
+    windows, w, hop, n_frames = _framing(clip, win_s, hop_s, n_dft)
+    values = np.empty((n_bins or n_dft // 2 + 1, n_frames))
+    step = -(-n_frames // pool.WORKERS)
+    rows = max(1, FFT_ROWS // pool.WORKERS)
+    pool.ordered_map(
+        lambda s: _log_spectrum(windows[s:s + step], w, n_dft,
+                                values[:, s:s + step], rows),
+        range(0, n_frames, step))
+    return LogSpectrogram(values=values, bin_hz=clip.sample_rate / n_dft,
+                          hop_s=hop / clip.sample_rate)
 
 
 def _lowpass_taps(cutoff_norm, n_taps=64):

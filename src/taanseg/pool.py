@@ -1,9 +1,10 @@
-"""The one worker-thread pool, which streamed tracking, concert synthesis
-and the CNN share: numpy and OpenBLAS release the interpreter lock inside
+"""The one worker-thread pool, which streamed tracking, the whole-clip
+spectrogram, concert synthesis and the CNN share: numpy and OpenBLAS release the interpreter lock inside
 their array operations, so work items that are mostly numpy overlap on
 the machine's cores. No other module starts a thread.
 """
 
+import contextvars
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -30,15 +31,18 @@ def workers():
     next is drawn from `items` only after the oldest result is collected,
     so an iterator that builds its items lazily holds no more than that
     many at once. Results come back in item order, and an item's
-    exception is raised from run as it is. The threads are gone when the
-    block ends, normally or by an exception.
+    exception is raised from run as it is. Each item runs in a copy of
+    the context run was called in, so that context variables such as
+    numpy's errstate hold on the threads too. The threads are gone when
+    the block ends, normally or by an exception.
     """
     n, executor = WORKERS, ThreadPoolExecutor(max_workers=WORKERS)
 
     def run(fn, items):
         results, pending = [], deque()
         for item in items:
-            pending.append(executor.submit(fn, item))
+            pending.append(executor.submit(contextvars.copy_context().run,
+                                           fn, item))
             if len(pending) == n:
                 results.append(pending.popleft().result())
         return results + [future.result() for future in pending]

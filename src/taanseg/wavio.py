@@ -14,6 +14,8 @@ WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # the sub-format GUID of an extensible fmt chunk is the plain format code
 # (1 PCM, 3 IEEE float) as its first 2 bytes, then these 14
 _GUID_TAIL = bytes.fromhex("000000001000800000aa00389b71")
+# samples per write_wav conversion: bounds its working set
+WRITE_CHUNK = 1 << 16
 
 
 def _extensible_format(fmt_body, path):
@@ -92,15 +94,21 @@ def read_wav(path):
 
 
 def write_wav(clip, path):
-    """Write a mono 16-bit PCM WAV; full scale maps to +/- 32768."""
-    ints = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
-    payload = ints.tobytes()
-    sr = clip.sample_rate
+    """Write a mono 16-bit PCM WAV; full scale maps to +/- 32768. Samples
+    are converted and written WRITE_CHUNK at a time, so the working set is
+    O(WRITE_CHUNK) whatever the clip length."""
+    x, sr = clip.samples, clip.sample_rate
+    buf = np.empty(min(len(x), WRITE_CHUNK))
     with open(path, "wb") as fh:
         fh.write(b"RIFF")
-        fh.write(struct.pack("<I", 36 + len(payload)))
+        fh.write(struct.pack("<I", 36 + 2 * len(x)))
         fh.write(b"WAVEfmt ")
         fh.write(struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 2, 2, 16))
         fh.write(b"data")
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
+        fh.write(struct.pack("<I", 2 * len(x)))
+        for s in range(0, len(x), WRITE_CHUNK):
+            v = buf[: len(x) - s]
+            np.multiply(x[s : s + WRITE_CHUNK], 32768.0, out=v)
+            np.round(v, out=v)
+            np.clip(v, -32768, 32767, out=v)
+            fh.write(v.astype("<i2"))

@@ -7,6 +7,7 @@ import shutil
 import struct
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -438,6 +439,26 @@ class TestTrainCnnMemory:
         assert rc == 0
         assert seen["patches"] == (99 + 59) * PATCH_BINS * 50 * 4   # float32
         assert seen["traced"] < 1.25 * seen["patches"]
+
+
+class TestTrainCnnDivergence:
+    def test_stderr_is_the_one_error_line(self, small_concert, tmp_path,
+                                          capsys):
+        """float32 overflows on the pool's threads before the first
+        non-finite epoch loss stops training; no warning is printed."""
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"cnn_epochs": 3, "cnn_lr0": 1e300}))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            rc = main(["--config", str(cfg), "train-cnn", "--audio",
+                       str(small_concert["wav"]), "--labels",
+                       str(small_concert["labels"]), "--out",
+                       str(tmp_path / "cnn.tseg")])
+        assert rc == 2
+        assert [str(w.message) for w in seen] == []
+        assert capsys.readouterr().err == (
+            "error: training diverged: non-finite loss\n")
+        assert not (tmp_path / "cnn.tseg").exists()
 
 
 class TestTrainCnnBlockFailure:

@@ -445,7 +445,7 @@ class TestTraining:
         with pytest.raises(InvalidArgumentError, match="band_std"):
             cnn_train(patches, [0, 1, 0, 1], stats, epochs=1, head_epochs=1)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stage1_stops_at_the_first_diverged_epoch(self, monkeypatch):
         """sgd_epochs raises after the first non-finite epoch loss, so a
         diverging stage 1 runs one epoch and stage 2 never starts."""

@@ -1,6 +1,7 @@
-"""Equivalence tests for the im2col convolution, the blocked whole-set
-forward pass, the blocked stage-1 gradients and the branch-free sigmoid;
-the float32 path against float64, and every pass at 1, 2 and 3 workers.
+"""Equivalence tests for the channel-major im2col convolution, the
+blocked whole-set forward pass, the blocked stage-1 gradients and the
+branch-free sigmoid; the float32 path against float64, every pass at 1, 2
+and 3 workers, and the slab rule every GEMM keeps.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
@@ -88,9 +89,11 @@ def _assert_close(got, ref):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * scale)
 
 
-def _channels_last(a):
-    """True when an NCHW array is a view of C-contiguous (B,H,W,C) memory."""
-    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+def _channel_major(a):
+    """True when an NCHW array is a view of channel-major memory: each
+    channel one C-contiguous (B,H,W) block, the channels in order."""
+    return (a.strides[1] >= a[:, 0].nbytes
+            and a.transpose(1, 0, 2, 3)[0].flags.c_contiguous)
 
 
 GEOMETRIES = {
@@ -116,7 +119,7 @@ class TestConvAgainstEinsumOracle:
         x, w, b, _ = self._inputs(layer, batch)
         out = _conv_valid(x, w, b)
         ref = _oracle_conv_valid(x, w, b)
-        assert _channels_last(out)
+        assert _channel_major(out)
         _assert_close(out, ref)
 
     def test_forward_from_channels_last_input(self, layer, batch):
@@ -159,7 +162,7 @@ class TestPoolingAgainstReshapeOracle:
         d = np.random.default_rng(1).normal(size=(3, 10, 21, 10))
         ref = np.repeat(np.repeat(d, 2, axis=2), 2, axis=3) / 4.0
         got = _pool2_backward(d, (3, 10, 42, 20))
-        assert _channels_last(got)
+        assert _channel_major(got)
         np.testing.assert_array_equal(got, ref)
 
 
@@ -178,9 +181,9 @@ class TestBlockedForward:
     @pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK,
                                    FORWARD_BLOCK + 1, 2 * FORWARD_BLOCK + 3])
     def test_bit_identical_to_one_stack_call(self, n):
-        # in float64 and in float32 alike, since _mm cuts every patch's
-        # rows the same way; float32 features are within FEATURE_ATOL of
-        # the float64 ones (pooled sigmoids, so in (0, 1))
+        # in float64 and in float32 alike, since every GEMM slab is a
+        # multiple of 16 columns wide; float32 features are within
+        # FEATURE_ATOL of the float64 ones (pooled sigmoids, so in (0, 1))
         model = cnn_init(seed=2)
         x = _patch_batch(n, seed=n)
         ref = _conv_stack_forward(model, x)["flat"]
@@ -192,10 +195,10 @@ class TestBlockedForward:
                                       _conv_stack_forward(model, x32)["flat"])
         np.testing.assert_allclose(got, ref, rtol=0, atol=FEATURE_ATOL)
 
-    def test_activations_stay_channels_last(self):
+    def test_activations_are_channel_major(self):
         acts = _conv_stack_forward(cnn_init(seed=0), _patch_batch(3))
         for name in ("a1", "p1", "a2", "p2"):
-            assert _channels_last(acts[name]), name
+            assert _channel_major(acts[name]), name
 
     def test_maps_are_second_pooling_layer(self):
         # bit for bit the float32 stack's second pooling layer, and within
@@ -371,6 +374,32 @@ class TestWorkerCount:
         assert threading.active_count() == before
 
 
+class TestGemmRule:
+    """Every GEMM of the conv stack is at most GEMM_SLAB m*n*k, so OpenBLAS
+    runs it on the calling thread, and covers a multiple of 16 im2col
+    columns: n for a product into `out`, k for a weight-gradient sum."""
+
+    @pytest.mark.parametrize("n", [1, 7, 9, 599])
+    def test_every_gemm(self, monkeypatch, n):
+        real, shapes = cnn._gemm, []
+
+        def spy(a, b, out=None):
+            shapes.append((a.shape[0], b.shape[1], a.shape[1], out is not None))
+            return real(a, b, out=out)
+
+        monkeypatch.setattr(cnn, "_gemm", spy)
+        model = cnn_init(seed=n)
+        x = _patch_batch(n, seed=n).astype(np.float32)
+        cnn_posteriors(model, x[:, 0])
+        products = len(shapes)
+        head_w, head_b, _, y, stats = _stage1_inputs(n)
+        _stage1_grads(model, head_w, head_b, x, y, stats)
+        assert 0 < products < len(shapes)
+        for m, cols, k, into_out in shapes:
+            assert m * cols * k <= cnn.GEMM_SLAB
+            assert (cols if into_out else k) % 16 == 0
+
+
 class TestFloat32AgainstFloat64:
     """cnn_train and cnn_posteriors in float32 against the same code run in
     float64 (PATCH_DTYPE set to float64). The model's weights are float64
@@ -465,8 +494,8 @@ class TestSigmoidBitIdentical:
         assert peak <= 2.25 * x.nbytes
 
     def test_keeps_memory_layout(self):
-        x = np.random.default_rng(2).normal(size=(2, 5, 4, 3))
-        assert _channels_last(sigmoid(x.transpose(0, 3, 1, 2)))
+        x = np.random.default_rng(2).normal(size=(5, 2, 4, 3))
+        assert _channel_major(sigmoid(x.transpose(1, 0, 2, 3)))
 
 
 def test_posteriors_memory_is_bounded():

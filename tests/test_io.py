@@ -5,10 +5,12 @@ import dataclasses
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from taanseg import wavio
 from taanseg.cnn import (PATCH_BINS, PATCH_FRAMES, cnn_init, cnn_posteriors,
                          cnn_train)
 from taanseg.config import ENV_VAR, PipelineConfig, load_config
@@ -60,6 +62,46 @@ class TestWav:
         write_wav(AudioClip(np.array([1.5, -1.5]), 8000), path)
         ints = np.frombuffer(path.read_bytes()[44:], dtype="<i2")
         assert list(ints) == [32767, -32768]
+
+    @staticmethod
+    def _oneshot_bytes(clip):
+        """The one-shot writer the chunked one replaced, as the oracle."""
+        ints = np.clip(np.round(clip.samples * 32768.0), -32768,
+                       32767).astype("<i2")
+        payload, sr = ints.tobytes(), clip.sample_rate
+        return b"".join([
+            b"RIFF", struct.pack("<I", 36 + len(payload)), b"WAVEfmt ",
+            struct.pack("<IHHIIHH", 16, 1, 1, sr, sr * 2, 2, 16), b"data",
+            struct.pack("<I", len(payload)), payload])
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 2 * 64 + 3])
+    def test_chunks_write_the_oneshot_bytes(self, tmp_path, monkeypatch, n):
+        # full scale and beyond, the rounding ties at +/- 0.5 and 1.5 LSB,
+        # then noise past +/- 1 so that every chunk clips
+        monkeypatch.setattr(wavio, "WRITE_CHUNK", 64)
+        special = np.array([1.0, -1.0, 1.0 - 2**-16, -1.0 - 2**-16, 1.5,
+                            -1.5, 0.5 / 32768, -0.5 / 32768, 1.5 / 32768,
+                            -1.5 / 32768, 0.0, -0.0])
+        noise = np.random.default_rng(n).uniform(-1.2, 1.2, size=n)
+        clip = AudioClip(np.concatenate((special, noise))[:n], 8000)
+        path = tmp_path / "chunks.wav"
+        write_wav(clip, path)
+        assert path.read_bytes() == self._oneshot_bytes(clip)
+
+    def test_memory_is_bounded_by_the_chunk(self, tmp_path):
+        # a float64 buffer and its int16 copy, 10 bytes a sample; the
+        # one-shot writer held about twice the clip
+        clip = AudioClip(np.random.default_rng(0).uniform(
+            -1.0, 1.0, size=20 * wavio.WRITE_CHUNK + 5), 8000)
+        tracemalloc.start()
+        try:
+            write_wav(clip, tmp_path / "long.wav")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * wavio.WRITE_CHUNK
+        assert (tmp_path / "long.wav").read_bytes() == \
+            self._oneshot_bytes(clip)
 
     def test_float32_read(self, tmp_path):
         samples = np.array([0.25, -0.75, 0.0], dtype="<f4")

@@ -5,6 +5,7 @@ threads for every map of a `workers()` block."""
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from taanseg import pool
@@ -110,3 +111,15 @@ def test_one_set_of_threads_per_block(n_workers):
     assert len(rounds[0]) == n_workers
     assert all(idents == rounds[0] for idents in rounds)
     assert threading.active_count() == before
+
+
+def test_items_run_in_the_callers_context(n_workers):
+    # numpy's errstate is a context variable, which a new thread does not
+    # inherit on its own
+    def overflow_mode(_):
+        return np.geterr()["over"]
+
+    with np.errstate(over="ignore"):
+        assert pool.ordered_map(overflow_mode, range(5)) == ["ignore"] * 5
+    with np.errstate(over="raise"):
+        assert pool.ordered_map(overflow_mode, range(5)) == ["raise"] * 5

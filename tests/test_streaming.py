@@ -379,6 +379,48 @@ class TestSpectrogramLayout:
                               oneshot_values(clip, 1024 / SR, 0.01, 1024))
 
 
+class TestWholeClipOnThePool:
+    """log_spectrogram splits its frames into pool.WORKERS spans computed on
+    the pool's threads: bit for bit the streamed blocks side by side."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n_bins", [None, 94])
+    @pytest.mark.parametrize("frames", [
+        1, dsp.FFT_ROWS - 1, dsp.FFT_ROWS, dsp.FFT_ROWS + 1,
+        2 * dsp.FFT_ROWS + 3])
+    def test_matches_the_streamed_blocks(self, reference, monkeypatch,
+                                         workers, n_bins, frames):
+        monkeypatch.setattr(pool, "WORKERS", workers)
+        clip = AudioClip(reference[0].samples[:WIN + (frames - 1) * HOP], SR)
+        spec = log_spectrogram(clip, 0.04, 0.01, 1024, n_bins=n_bins)
+        blocks = log_spectrogram_blocks(clip, 0.04, 0.01, 1024, block=100,
+                                        n_bins=n_bins)
+        assert spec.values.shape == (n_bins or 513, frames)
+        assert spec.values.flags.c_contiguous
+        assert np.array_equal(
+            spec.values, np.concatenate([b.values for b in blocks], axis=1))
+
+    def test_no_thread_left(self, reference, monkeypatch):
+        monkeypatch.setattr(pool, "WORKERS", 2)
+        clip = reference[0]
+        before = threading.active_count()
+        log_spectrogram(clip, 0.04, 0.01, 1024)
+        assert threading.active_count() == before
+        real, calls = dsp._log_spectrum, []
+
+        def second_span_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise InternalError("span 2")
+            return real(*args)
+
+        monkeypatch.setattr(dsp, "_log_spectrum", second_span_fails)
+        with pytest.raises(InternalError, match="span 2"):
+            log_spectrogram(clip, 0.04, 0.01, 1024)
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+
 def peak_spectrogram(bins, n_bins=513):
     """Log spectrogram at the LOG_FLOOR magnitude everywhere except one
     magnitude-1 bin per frame (none where bins holds -1)."""
