@@ -118,28 +118,25 @@ def novelty(sdm, half_width_s=5.0, frame_s=1.0, gaussian_taper=True):
 def pick_boundaries(nov, neighborhood_s=5.0, rel_threshold=0.3, frame_s=1.0):
     """Local-peak boundary picking with a relative global threshold.
 
-    A frame is a boundary iff it is the maximum over its +/- W
-    neighborhood (ties resolved to the smallest index) and at least
-    rel_threshold of the global novelty maximum.
+    A frame is a boundary iff it is the first maximum of its +/- W
+    neighborhood (ties resolved to the smallest index), positive, and at
+    least rel_threshold of the global novelty maximum. A W past len(nov)
+    covers every frame, as len(nov) does, so it is clamped there.
     """
     nov = np.asarray(nov, dtype=np.float64)
     if not np.all(np.isfinite(nov)):
         raise InvalidArgumentError("novelty must be finite")
-    n = len(nov)
-    w = int(round(neighborhood_s / frame_s))
     peak = nov.max(initial=0.0)
     if peak <= 0:
         return []
-    bounds = []
-    for t in range(n):
-        lo = max(t - w, 0)
-        hi = min(t + w + 1, n)
-        if nov[t] <= 0 or nov[t] < rel_threshold * peak:
-            continue
-        window = nov[lo:hi]
-        if nov[t] >= window.max() and t - lo == int(np.argmax(window)):
-            bounds.append(t)
-    return bounds
+    w = min(int(round(neighborhood_s / frame_s)), len(nov))
+    # row t: the W frames before t, t itself, the W after; -inf past the ends
+    win = np.lib.stride_tricks.sliding_window_view(
+        np.pad(nov, w, constant_values=-np.inf), 2 * w + 1)
+    first_max = ((win[:, :w].max(axis=1, initial=-np.inf) < nov)
+                 & (nov >= win[:, w + 1:].max(axis=1, initial=-np.inf)))
+    keep = first_max & (nov > 0) & (nov >= rel_threshold * peak)
+    return np.flatnonzero(keep).tolist()
 
 
 def label_segments(boundaries, decisions, vocal_mask, frame_s=1.0):
@@ -163,41 +160,27 @@ def label_segments(boundaries, decisions, vocal_mask, frame_s=1.0):
     return SectionTimeline(sections)
 
 
-def _gap_kind(sections):
-    """('instrumental'|'vocal', duration) of the gap between two taans."""
-    dur = sum(s.end_s - s.start_s for s in sections)
-    kind = "instrumental"
-    if any(s.label != "instrumental" for s in sections):
-        kind = "vocal"
-    return kind, dur
-
-
 def group_sections(timeline, vocal_gap_s=20.0, instr_gap_s=50.0):
-    """Merge taan sections separated by short gaps, until fixpoint.
+    """Merge taan sections separated by short gaps, in one left-to-right
+    pass: each taan merges into the last kept taan when the gap between
+    them is absorbable, so merges cascade.
 
     A gap is absorbed when it contains vocal activity and lasts at most
     vocal_gap_s, or is purely instrumental and lasts at most instr_gap_s.
     """
-    sections = list(timeline.sections)
-    i = 0
-    while i < len(sections):
-        if sections[i].label != "taan":
-            i += 1
-            continue
-        # next taan section, if any
-        j = i + 1
-        while j < len(sections) and sections[j].label != "taan":
-            j += 1
-        if j >= len(sections):
-            break
-        kind, dur = _gap_kind(sections[i + 1 : j])
-        limit = vocal_gap_s if kind == "vocal" else instr_gap_s
-        if dur <= limit:
-            merged = Section(sections[i].start_s, sections[j].end_s, "taan")
-            sections = sections[:i] + [merged] + sections[j + 1 :]
-        else:
-            i = j
-    return SectionTimeline(sections)
+    kept, last = [], None  # last: index in kept of the last taan
+    for s in timeline.sections:
+        if s.label == "taan" and last is not None:
+            gap = kept[last + 1:]
+            vocal = any(g.label != "instrumental" for g in gap)
+            if (sum(g.end_s - g.start_s for g in gap)
+                    <= (vocal_gap_s if vocal else instr_gap_s)):
+                s = Section(kept[last].start_s, s.end_s, "taan")
+                del kept[last:]
+        if s.label == "taan":
+            last = len(kept)
+        kept.append(s)
+    return SectionTimeline(kept)
 
 
 def _timeline_faults(rows, first_line):

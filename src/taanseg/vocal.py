@@ -224,17 +224,9 @@ def harmonic_energy(spec, f0_hz, tol_cents=30.0, n_harmonics=10):
 
 def _runs(mask):
     """(start, end) index pairs of True runs, end exclusive."""
-    mask = np.asarray(mask, dtype=bool)
-    if len(mask) == 0:
-        return []
-    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-    starts = list(edges[mask[edges + 1]] + 1)
-    ends = list(edges[~mask[edges + 1]] + 1)
-    if mask[0]:
-        starts.insert(0, 0)
-    if mask[-1]:
-        ends.append(len(mask))
-    return list(zip(starts, ends))
+    # with False on both sides, edges alternate: a start, then its end
+    edges = np.flatnonzero(np.diff(np.pad(np.asarray(mask, dtype=bool), 1)))
+    return list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def detect_vocal_activity(track, min_run_s=0.2, max_gap_s=0.1):

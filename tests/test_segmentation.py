@@ -3,14 +3,18 @@ checkerboard novelty against a brute-force oracle, boundary picking,
 majority labeling, and grouping rules.
 """
 
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taanseg.errors import DataError, InvalidArgumentError, ParseError
 from taanseg.mlp import PosteriorSeq
 from taanseg.segmentation import (
+    LABELS,
     Section,
     SectionTimeline,
     checkerboard_kernel,
@@ -249,6 +253,146 @@ class TestGrouping:
         tl = self._tl((0, 30, "non-taan"), (30, 60, "instrumental"))
         out = group_sections(tl)
         assert out.sections == tl.sections
+
+
+def loop_pick_boundaries(nov, neighborhood_s=5.0, rel_threshold=0.3,
+                         frame_s=1.0):
+    """The frame-by-frame picker pick_boundaries replaced, kept as its
+    oracle."""
+    nov = np.asarray(nov, dtype=np.float64)
+    n = len(nov)
+    w = int(round(neighborhood_s / frame_s))
+    peak = nov.max(initial=0.0)
+    if peak <= 0:
+        return []
+    bounds = []
+    for t in range(n):
+        lo = max(t - w, 0)
+        hi = min(t + w + 1, n)
+        if nov[t] <= 0 or nov[t] < rel_threshold * peak:
+            continue
+        window = nov[lo:hi]
+        if nov[t] >= window.max() and t - lo == int(np.argmax(window)):
+            bounds.append(t)
+    return bounds
+
+
+def loop_group_sections(timeline, vocal_gap_s=20.0, instr_gap_s=50.0):
+    """The restart-at-i merging loop group_sections replaced, kept as its
+    oracle."""
+    sections = list(timeline.sections)
+    i = 0
+    while i < len(sections):
+        if sections[i].label != "taan":
+            i += 1
+            continue
+        j = i + 1
+        while j < len(sections) and sections[j].label != "taan":
+            j += 1
+        if j >= len(sections):
+            break
+        gap = sections[i + 1:j]
+        dur = sum(s.end_s - s.start_s for s in gap)
+        vocal = any(s.label != "instrumental" for s in gap)
+        if dur <= (vocal_gap_s if vocal else instr_gap_s):
+            merged = Section(sections[i].start_s, sections[j].end_s, "taan")
+            sections = sections[:i] + [merged] + sections[j + 1:]
+        else:
+            i = j
+    return SectionTimeline(sections)
+
+
+# novelty values with many ties, zeros and negatives
+NOVELTY = st.lists(st.one_of(st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0]),
+                             st.floats(-2.0, 2.0)), max_size=60)
+NEIGHBORHOOD = st.one_of(st.integers(0, 8).map(float), st.floats(0.0, 9.0),
+                         st.just(1e300))
+
+
+class TestPickBoundariesAgainstLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(nov=NOVELTY, neighborhood_s=NEIGHBORHOOD,
+           rel_threshold=st.floats(0.0, 1.0),
+           frame_s=st.sampled_from([1.0, 0.5, 0.1]))
+    def test_random_novelty(self, nov, neighborhood_s, rel_threshold, frame_s):
+        assert pick_boundaries(nov, neighborhood_s, rel_threshold, frame_s) \
+            == loop_pick_boundaries(nov, neighborhood_s, rel_threshold, frame_s)
+
+    @pytest.mark.parametrize("w", range(0, 9))
+    def test_plateaus(self, w):
+        nov = np.repeat([0.0, 1.0, 1.0, 0.5, 1.0, -1.0, 2.0, 2.0], 3)
+        for rel in (0.0, 0.5, 1.0):
+            assert pick_boundaries(nov, float(w), rel) \
+                == loop_pick_boundaries(nov, float(w), rel)
+
+    def test_huge_neighborhood_is_the_whole_sequence(self):
+        nov = np.random.default_rng(0).normal(size=3600)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            out = pick_boundaries(nov, neighborhood_s=1e300)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the windows stay views: an (n, 2n + 1) copy would take 207 MB here
+        assert peak < 2 ** 20 and elapsed < 1.0
+        assert out == pick_boundaries(nov, neighborhood_s=len(nov)) == [
+            int(np.argmax(nov))]
+        assert out == loop_pick_boundaries(nov, neighborhood_s=1e300)
+
+
+def _timeline(durations, labels, start=0.0):
+    ends = start + np.cumsum(durations)
+    starts = np.r_[start, ends[:-1]]
+    return SectionTimeline([Section(float(a), float(b), lab)
+                            for a, b, lab in zip(starts, ends, labels)])
+
+
+def _near(x):
+    return [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+
+
+# durations that land a gap (one or two sections) just below, at and just
+# above either limit
+DURATIONS = st.one_of(
+    st.sampled_from(_near(20.0) + _near(50.0) + _near(10.0) + _near(25.0)
+                    + [1.0, 5.0, 30.0]),
+    st.floats(0.01, 80.0))
+LABEL_RUNS = st.lists(st.tuples(DURATIONS, st.sampled_from(LABELS)),
+                      max_size=25)
+
+
+class TestGroupingAgainstLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(runs=LABEL_RUNS, start=st.sampled_from([0.0, 0.1, 3600.0]))
+    def test_random_runs(self, runs, start):
+        tl = _timeline([d for d, _ in runs], [lab for _, lab in runs], start)
+        assert group_sections(tl).sections == loop_group_sections(tl).sections
+
+    @settings(max_examples=200, deadline=None)
+    @given(runs=LABEL_RUNS, vocal_gap_s=st.sampled_from([0.0, 10.0, 20.0]),
+           instr_gap_s=st.sampled_from([0.0, 25.0, 50.0, 1e300]))
+    def test_other_limits(self, runs, vocal_gap_s, instr_gap_s):
+        tl = _timeline([d for d, _ in runs], [lab for _, lab in runs])
+        assert group_sections(tl, vocal_gap_s, instr_gap_s).sections \
+            == loop_group_sections(tl, vocal_gap_s, instr_gap_s).sections
+
+    @pytest.mark.parametrize("gap_label, limit", [("non-taan", 20.0),
+                                                  ("instrumental", 50.0)])
+    @pytest.mark.parametrize("side", [0, 1, 2])
+    def test_gap_at_the_limit(self, gap_label, limit, side):
+        gap = _near(limit)[side]
+        # a cascade: three taans, each gap split into two halves
+        tl = _timeline([10.0, gap / 2, gap / 2, 10.0, gap, 10.0],
+                       ["taan", gap_label, gap_label, "taan", gap_label,
+                        "taan"])
+        out = group_sections(tl)
+        assert out.sections == loop_group_sections(tl).sections
+        s = tl.sections
+        first = s[1].end_s - s[1].start_s + s[2].end_s - s[2].start_s <= limit
+        second = s[4].end_s - s[4].start_s <= limit
+        assert len(out) == 6 - 3 * first - 2 * second
 
 
 class TestTimelineValidation:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taanseg import vocal
 from taanseg.dsp import AudioClip, LOG_FLOOR, LogSpectrogram, log_spectrogram
 from taanseg.errors import FormatError, InvalidArgumentError, ParseError
 from taanseg.vocal import (
@@ -160,6 +163,47 @@ class TestVocalActivity:
 
     def test_empty(self):
         assert len(detect_vocal_activity(make_track(np.zeros(0)))) == 0
+
+
+def loop_runs(mask):
+    """The edge-splicing _runs that the padded np.diff replaced, kept as its
+    oracle."""
+    mask = np.asarray(mask, dtype=bool)
+    if len(mask) == 0:
+        return []
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
+    starts = list(edges[mask[edges + 1]] + 1)
+    ends = list(edges[~mask[edges + 1]] + 1)
+    if mask[0]:
+        starts.insert(0, 0)
+    if mask[-1]:
+        ends.append(len(mask))
+    return list(zip(starts, ends))
+
+
+class TestRunsAgainstLoop:
+    @pytest.mark.parametrize("mask", [[], [True], [False], [True] * 9,
+                                      [False] * 9, [True, False] * 5,
+                                      [False, True] * 5])
+    def test_edge_cases(self, mask):
+        assert vocal._runs(mask) == loop_runs(mask)
+
+    @settings(max_examples=400, deadline=None)
+    @given(mask=st.lists(st.booleans(), max_size=80))
+    def test_random_masks(self, mask):
+        assert vocal._runs(mask) == loop_runs(mask)
+
+    @settings(max_examples=100, deadline=None)
+    @given(voiced=st.lists(st.sampled_from([0, 0, 1, 1, 1]), max_size=300),
+           min_run_s=st.sampled_from([0.0, 0.05, 0.2]),
+           max_gap_s=st.sampled_from([0.0, 0.05, 0.1]))
+    def test_vocal_activity(self, voiced, min_run_s, max_gap_s):
+        track = make_track(voiced)
+        new = detect_vocal_activity(track, min_run_s, max_gap_s)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vocal, "_runs", loop_runs)
+            old = detect_vocal_activity(track, min_run_s, max_gap_s)
+        assert np.array_equal(new, old)
 
 
 class TestIngest:
