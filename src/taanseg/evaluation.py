@@ -75,6 +75,8 @@ def roc_curve(posteriors, truth, mask=None):
     Returns (points, eer) where points is a list of
     (threshold, precision, recall) and eer the precision=recall operating
     point found by linear interpolation between adjacent sweep points.
+    One sort gives every point: the frames at or above a threshold are a
+    suffix of the sorted posteriors, counted by cumulative sums.
     """
     p = np.asarray(posteriors, dtype=np.float64)
     truth = np.asarray(truth, dtype=bool)
@@ -83,10 +85,15 @@ def roc_curve(posteriors, truth, mask=None):
         p, truth = p[mask], truth[mask]
     if not truth.any() or truth.all():
         raise InvalidArgumentError("ROC needs both classes in the truth")
-    points = []
-    for thr in np.unique(p):
-        m = frame_metrics(p >= thr, truth)
-        points.append((float(thr), m["precision"], m["recall"]))
+    if np.isnan(p).any():
+        raise InvalidArgumentError("ROC posteriors must not be NaN")
+    order = np.argsort(p)
+    p, truth = p[order], truth[order]
+    # each distinct value's first sorted frame, and the true frames from it on
+    first = np.flatnonzero(np.r_[True, p[1:] != p[:-1]])
+    tp = np.cumsum(truth[::-1])[::-1][first]
+    points = list(zip(p[first].tolist(), (tp / (len(p) - first)).tolist(),
+                      (tp / tp[0]).tolist()))
     # EER: precision - recall changes sign along the sweep
     diffs = [pr - rc for _, pr, rc in points]
     best = int(np.argmin(np.abs(diffs)))

@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInputError, InvalidArgumentError, ParseError
+from .errors import (EmptyInputError, FormatError, InvalidArgumentError,
+                     ParseError)
 from .table import Table
 
 REF_HZ = 55.0
@@ -198,14 +199,19 @@ def _features(rows):
     return np.column_stack([rows[name] for name in FEATURE_NAMES])
 
 
-def _vocal_finite(rows, first_line):
-    """The feature CSV's check: features are finite on vocal frames."""
-    return [((rows["vocal"] != 0) & ~np.isfinite(_features(rows)).all(axis=1),
+def _feature_checks(rows, first_line):
+    """The feature CSV's checks, in that order, of rows from line
+    first_line on: row k sits at k s, and features are finite on vocal
+    frames."""
+    expected = first_line - 2 + np.arange(len(rows))
+    return [(~(np.abs(rows["frame_s"] - expected) <= 1e-6), FormatError,
+             "frame_s {frame_s} is not the row's second (row k sits at k s)"),
+            ((rows["vocal"] != 0) & ~np.isfinite(_features(rows)).all(axis=1),
              ParseError, "vocal frame with a non-finite feature")]
 
 
 FEATURE_TABLE = Table([("frame_s", "f8"), *((n, "f8") for n in FEATURE_NAMES),
-                       ("vocal", "i8")], check=_vocal_finite)
+                       ("vocal", "i8")], check=_feature_checks)
 
 
 def write_features(seq, path):

@@ -1,6 +1,10 @@
 """Posterior-based segmentation: self-distance matrix, checkerboard
 novelty, boundary picking, majority labeling, and musician-style grouping
 of taan sections.
+
+The self-distance matrix (SDM) is held as its generating vector, and
+novelty builds only the blocks its kernel reads: memory is linear in the
+concert's length.
 """
 
 import math
@@ -63,15 +67,24 @@ class SectionTimeline:
 
 
 def posterior_sdm(posteriors):
-    """Euclidean self-distance matrix over (p_taan, 1 - p_taan) vectors;
-    non-vocal frames enter as a (0.5, 0.5) placeholder."""
-    p = np.asarray(posteriors.p_taan, dtype=np.float64).copy()
-    if len(p) < 2:
+    """Euclidean self-distance matrix over (p_taan, 1 - p_taan) vectors as
+    its generating vector q: p_taan with non-vocal frames at the (0.5, 0.5)
+    placeholder, so entry (i, j) is sqrt(2) * |q_i - q_j|."""
+    q = np.asarray(posteriors.p_taan, dtype=np.float64).copy()
+    if len(q) < 2:
         raise InvalidArgumentError("need at least 2 frames for an SDM")
-    p[~posteriors.vocal_mask] = 0.5
-    # ||(p_i, 1-p_i) - (p_j, 1-p_j)|| = sqrt(2) * |p_i - p_j|, in place
-    d = np.subtract.outer(p, p)
-    return np.multiply(np.abs(d, out=d), np.sqrt(2.0), out=d)
+    q[~posteriors.vocal_mask] = 0.5
+    return q
+
+
+def _frames(name, seconds, frame_s, cap):
+    """seconds in whole frames of frame_s, at most cap; InvalidArgumentError
+    unless frame_s is finite and > 0 and seconds finite and >= 0."""
+    if not (math.isfinite(frame_s) and frame_s > 0):
+        raise InvalidArgumentError(f"frame_s {frame_s} is not finite and > 0")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise InvalidArgumentError(f"{name} {seconds} is not finite and >= 0")
+    return int(round(min(seconds / frame_s, cap)))
 
 
 def checkerboard_kernel(half_width, gaussian_taper=True):
@@ -91,13 +104,19 @@ def checkerboard_kernel(half_width, gaussian_taper=True):
 
 
 def novelty(sdm, half_width_s=5.0, frame_s=1.0, gaussian_taper=True):
-    """Checkerboard-kernel correlation along the SDM diagonal.
+    """Checkerboard-kernel correlation along the diagonal of the SDM that
+    posterior_sdm's vector q generates, one 2L x 2L block at a time.
 
     At the edges the kernel is cropped and the value rescaled by kernel
     coverage (sum of |weights| inside / total).
     """
-    n = sdm.shape[0]
-    ln = int(round(half_width_s / frame_s))
+    q = np.asarray(sdm, dtype=np.float64)
+    if q.ndim != 1:
+        raise InvalidArgumentError("novelty takes posterior_sdm's vector, "
+                                   f"not a {q.ndim}-d array")
+    n = len(q)
+    # past n + 1 frames the kernel cannot fit, so the cap changes no outcome
+    ln = _frames("half_width_s", half_width_s, frame_s, n + 1)
     if 2 * ln > n:
         raise InvalidArgumentError("SDM smaller than the novelty kernel")
     kernel = checkerboard_kernel(ln, gaussian_taper)
@@ -110,7 +129,9 @@ def novelty(sdm, half_width_s=5.0, frame_s=1.0, gaussian_taper=True):
         khi = klo + (hi - lo)
         sub = kernel[klo:khi, klo:khi]
         cov = np.abs(sub).sum()
-        val = float(np.sum(sub * sdm[lo:hi, lo:hi]))
+        block = np.subtract.outer(q[lo:hi], q[lo:hi])
+        np.multiply(np.abs(block, out=block), np.sqrt(2.0), out=block)
+        val = float(np.sum(sub * block))
         out[t] = val * (total_cov / cov) if cov > 0 else 0.0
     return out
 
@@ -124,12 +145,12 @@ def pick_boundaries(nov, neighborhood_s=5.0, rel_threshold=0.3, frame_s=1.0):
     covers every frame, as len(nov) does, so it is clamped there.
     """
     nov = np.asarray(nov, dtype=np.float64)
+    w = _frames("neighborhood_s", neighborhood_s, frame_s, len(nov))
     if not np.all(np.isfinite(nov)):
         raise InvalidArgumentError("novelty must be finite")
     peak = nov.max(initial=0.0)
     if peak <= 0:
         return []
-    w = min(int(round(neighborhood_s / frame_s)), len(nov))
     # row t: the W frames before t, t itself, the W after; -inf past the ends
     win = np.lib.stride_tricks.sliding_window_view(
         np.pad(nov, w, constant_values=-np.inf), 2 * w + 1)

@@ -254,11 +254,13 @@ class TestCriterion5SegmentationOracle:
         t0 = time.time()
         p = np.r_[np.full(20, 0.05), np.full(25, 0.95)]
         seq = mlp.PosteriorSeq(p_taan=p, vocal_mask=np.ones(45, dtype=bool))
-        sdm = posterior_sdm(seq)
-        nov = novelty(sdm, half_width_s=5.0, frame_s=1.0)
+        q = posterior_sdm(seq)
+        nov = novelty(q, half_width_s=5.0, frame_s=1.0)
 
-        # independent brute-force oracle with explicit loops, including
-        # the edge crop-and-rescale behavior
+        # independent brute-force oracle with explicit loops over the
+        # matrix that q generates, including the edge crop-and-rescale
+        # behavior
+        sdm = np.sqrt(2.0) * np.abs(np.subtract.outer(q, q))
         kernel = checkerboard_kernel(5)
         total = np.abs(kernel).sum()
         n = len(p)

@@ -1,8 +1,12 @@
 """Tests for frame metrics, the ROC sweep with equal error rate, and
 section-level match categorization."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from taanseg.errors import InvalidArgumentError
 from taanseg.evaluation import (
@@ -87,6 +91,76 @@ class TestRoc:
         truth = [True, False, True, False]
         points, _ = roc_curve(post, truth, mask=[1, 1, 0, 0])
         assert len(points) == 2
+
+    def test_nan_on_a_scored_frame_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="NaN"):
+            roc_curve([0.9, np.nan, 0.1], [True, True, False])
+
+    def test_nan_on_a_masked_frame_ignored(self):
+        points, _ = roc_curve([0.9, np.nan, 0.1], [True, True, False],
+                              mask=[1, 0, 1])
+        assert points == [(0.1, 0.5, 1.0), (0.9, 1.0, 1.0)]
+
+
+def loop_roc_curve(posteriors, truth, mask=None):
+    """The per-threshold sweep roc_curve replaced, one frame_metrics call
+    per distinct posterior value, kept as its oracle."""
+    p = np.asarray(posteriors, dtype=np.float64)
+    truth = np.asarray(truth, dtype=bool)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        p, truth = p[mask], truth[mask]
+    if not truth.any() or truth.all():
+        raise InvalidArgumentError("ROC needs both classes in the truth")
+    points = []
+    for thr in np.unique(p):
+        m = frame_metrics(p >= thr, truth)
+        points.append((float(thr), m["precision"], m["recall"]))
+    diffs = [pr - rc for _, pr, rc in points]
+    best = int(np.argmin(np.abs(diffs)))
+    eer_thr, eer_val = points[best][0], 0.5 * (points[best][1] + points[best][2])
+    for i in range(len(points) - 1):
+        d0, d1 = diffs[i], diffs[i + 1]
+        if d0 == 0.0 or (d0 < 0) != (d1 < 0):
+            if d0 == d1:
+                frac = 0.0
+            else:
+                frac = d0 / (d0 - d1)
+            eer_thr = points[i][0] + frac * (points[i + 1][0] - points[i][0])
+            v0 = 0.5 * (points[i][1] + points[i][2])
+            v1 = 0.5 * (points[i + 1][1] + points[i + 1][2])
+            eer_val = v0 + frac * (v1 - v0)
+            break
+    return points, {"threshold": float(eer_thr), "value": float(eer_val)}
+
+
+def _same(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+# posteriors with many ties, both zeros and both infinities
+POSTERIOR = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf,
+                                       -np.inf]),
+                      st.floats(0.0, 1.0))
+FRAMES = st.lists(st.tuples(POSTERIOR, st.booleans(), st.booleans()),
+                  min_size=2, max_size=80)
+
+
+class TestRocAgainstLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(frames=FRAMES, masked=st.booleans())
+    def test_random_sweeps(self, frames, masked):
+        post, truth, mask = map(list, zip(*frames))
+        mask = mask if masked else None
+        try:
+            expected = loop_roc_curve(post, truth, mask)
+        except InvalidArgumentError:
+            with pytest.raises(InvalidArgumentError):
+                roc_curve(post, truth, mask)
+            return
+        points, eer = roc_curve(post, truth, mask)
+        assert points == expected[0]
+        assert all(_same(eer[k], expected[1][k]) for k in eer)
 
 
 class TestMatchSections:

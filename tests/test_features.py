@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from taanseg.errors import EmptyInputError, InvalidArgumentError
+from taanseg.errors import EmptyInputError, FormatError, InvalidArgumentError
 from taanseg.features import (
     MOD_BIN_HZ,
     StyleFeatureSeq,
@@ -253,3 +253,21 @@ class TestFeatureCsv:
         assert np.array_equal(seq.vocal_mask, back.vocal_mask)
         sel = seq.vocal_mask
         assert np.array_equal(seq.features[sel], back.features[sel])
+
+    @pytest.mark.parametrize("times, line", [([0.0, 7.5, -3.0], 3),
+                                             ([1.0, 2.0, 3.0], 2),
+                                             ([0.0, 1.0, 2.000002], 4)])
+    def test_row_not_at_its_second(self, tmp_path, times, line):
+        path = tmp_path / "feats.csv"
+        path.write_text("frame_s,mod_rate,mod_energy,energy_zcr,vocal\n"
+                        + "".join(f"{t},1.0,2.0,3.0,1\n" for t in times))
+        with pytest.raises(FormatError) as exc:
+            read_features(path)
+        assert (exc.value.path, exc.value.line) == (path, line)
+        assert f"frame_s {times[line - 2]} is not the row" in str(exc.value)
+
+    def test_time_within_tolerance(self, tmp_path):
+        path = tmp_path / "feats.csv"
+        path.write_text("frame_s,mod_rate,mod_energy,energy_zcr,vocal\n"
+                        "0.0,1.0,2.0,3.0,1\n1.0000005,1.0,2.0,3.0,0\n")
+        assert read_features(path).vocal_mask.tolist() == [True, False]

@@ -1,6 +1,7 @@
 """Tests for posterior self-distance segmentation: SDM construction,
-checkerboard novelty against a brute-force oracle, boundary picking,
-majority labeling, and grouping rules.
+checkerboard novelty against a brute-force oracle and against the dense
+matrix path it replaced, boundary picking, majority labeling, and
+grouping rules.
 """
 
 import time
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from taanseg import pipeline
 from taanseg.errors import DataError, InvalidArgumentError, ParseError
 from taanseg.mlp import PosteriorSeq
 from taanseg.segmentation import (
@@ -35,10 +37,39 @@ def _post(p, mask=None):
     return PosteriorSeq(p_taan=p, vocal_mask=np.asarray(mask, dtype=bool))
 
 
+def dense_sdm(q):
+    """The n x n matrix that posterior_sdm's vector generates, built as the
+    dense path built it: sqrt(2) * |q_i - q_j|."""
+    d = np.subtract.outer(q, q)
+    return np.multiply(np.abs(d, out=d), np.sqrt(2.0), out=d)
+
+
+def dense_novelty(sdm, half_width_s=5.0, frame_s=1.0, gaussian_taper=True):
+    """The novelty of a dense SDM, as novelty computed it from the n x n
+    matrix, kept as its oracle."""
+    n = sdm.shape[0]
+    ln = int(round(half_width_s / frame_s))
+    kernel = checkerboard_kernel(ln, gaussian_taper)
+    total_cov = np.abs(kernel).sum()
+    out = np.zeros(n)
+    for t in range(n):
+        lo = max(t - ln, 0)
+        hi = min(t + ln, n)
+        klo = lo - (t - ln)
+        khi = klo + (hi - lo)
+        sub = kernel[klo:khi, klo:khi]
+        cov = np.abs(sub).sum()
+        val = float(np.sum(sub * sdm[lo:hi, lo:hi]))
+        out[t] = val * (total_cov / cov) if cov > 0 else 0.0
+    return out
+
+
 class TestSdm:
     def test_closed_form(self):
         seq = _post([0.0, 1.0, 0.5])
-        d = posterior_sdm(seq)
+        q = posterior_sdm(seq)
+        assert q.dtype == np.float64 and np.array_equal(q, [0.0, 1.0, 0.5])
+        d = dense_sdm(q)
         # ||(0,1)-(1,0)|| = sqrt(2); ||(0,1)-(0.5,0.5)|| = sqrt(0.5)
         assert d[0, 1] == pytest.approx(np.sqrt(2.0))
         assert d[0, 2] == pytest.approx(np.sqrt(0.5))
@@ -47,7 +78,9 @@ class TestSdm:
 
     def test_non_vocal_placeholder(self):
         seq = _post([0.9, np.nan, 0.9], mask=[True, False, True])
-        d = posterior_sdm(seq)
+        q = posterior_sdm(seq)
+        assert q[1] == 0.5 and np.isnan(seq.p_taan[1])
+        d = dense_sdm(q)
         assert d[0, 1] == pytest.approx(np.sqrt(2.0) * 0.4)
         assert d[0, 2] == pytest.approx(0.0)
 
@@ -55,19 +88,24 @@ class TestSdm:
         with pytest.raises(InvalidArgumentError):
             posterior_sdm(_post([0.5]))
 
-    def test_one_matrix_of_memory(self):
-        # 2000 frames: the n x n float64 result is 32 MB, and no second
-        # matrix of differences is held beside it
-        n = 2000
-        p = np.random.default_rng(0).uniform(size=n)
-        tracemalloc.start()
-        try:
-            d = posterior_sdm(_post(p))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.array_equal(d, np.sqrt(2.0) * np.abs(p[:, None] - p))
-        assert peak <= 1.2 * n * n * 8
+    def test_segmentation_memory_linear_in_length(self):
+        # the dense n x n path peaked at 2.9 MiB at 600 frames and 1582 MiB
+        # at 14400; the SDM's vector grows 8 bytes a frame
+        rng = np.random.default_rng(0)
+        peaks = {}
+        for n in (600, 14400):
+            p = np.repeat(rng.uniform(size=n // 60), 60)
+            seq = _post(p, mask=rng.uniform(size=n) >= 0.2)
+            decisions = p >= 0.5
+            tracemalloc.start()
+            try:
+                pipeline.segment_posteriors(seq, decisions)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[14400] < 2 ** 20
+        # 24 times the frames: at most 24 times the memory, not 576 times
+        assert peaks[14400] <= 24 * peaks[600]
 
 
 class TestKernel:
@@ -93,9 +131,10 @@ class TestNovelty:
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(size=40)
-        sdm = posterior_sdm(_post(p))
-        nov = novelty(sdm, half_width_s=4.0, frame_s=1.0)
+        q = posterior_sdm(_post(p))
+        nov = novelty(q, half_width_s=4.0, frame_s=1.0)
 
+        sdm = dense_sdm(q)
         kernel = checkerboard_kernel(4)
         # interior frames: plain kernel correlation, no cropping
         for t in range(4, 36):
@@ -104,26 +143,105 @@ class TestNovelty:
 
     def test_step_peak_location(self):
         p = np.r_[np.full(20, 0.1), np.full(20, 0.9)]
-        sdm = posterior_sdm(_post(p))
-        nov = novelty(sdm, half_width_s=5.0)
+        nov = novelty(posterior_sdm(_post(p)), half_width_s=5.0)
         assert int(np.argmax(nov)) == 20
 
     def test_constant_posteriors_zero(self):
-        sdm = posterior_sdm(_post(np.full(30, 0.7)))
-        nov = novelty(sdm, half_width_s=5.0)
+        nov = novelty(posterior_sdm(_post(np.full(30, 0.7))), half_width_s=5.0)
         assert np.allclose(nov, 0.0)
 
     def test_scaling_linearity(self):
         rng = np.random.default_rng(3)
-        sdm = posterior_sdm(_post(rng.uniform(size=30)))
-        a = novelty(sdm, half_width_s=3.0)
-        b = novelty(2.0 * sdm, half_width_s=3.0)
+        q = posterior_sdm(_post(rng.uniform(size=30)))
+        a = novelty(q, half_width_s=3.0)
+        b = novelty(2.0 * q, half_width_s=3.0)
         assert np.allclose(b, 2.0 * a)
 
     def test_kernel_larger_than_sdm(self):
-        sdm = posterior_sdm(_post([0.1, 0.9, 0.5]))
+        q = posterior_sdm(_post([0.1, 0.9, 0.5]))
         with pytest.raises(InvalidArgumentError):
-            novelty(sdm, half_width_s=5.0)
+            novelty(q, half_width_s=5.0)
+        with pytest.raises(InvalidArgumentError):
+            novelty(np.zeros(0), half_width_s=1.0)
+
+    def test_dense_matrix_rejected(self):
+        q = posterior_sdm(_post(np.linspace(0.0, 1.0, 30)))
+        with pytest.raises(InvalidArgumentError, match="2-d"):
+            novelty(dense_sdm(q), half_width_s=3.0)
+
+
+class TestNoveltyAgainstDense:
+    @pytest.mark.parametrize("n", [600, 3600])
+    @pytest.mark.parametrize("half_width_s", [3.0, 5.0])
+    @pytest.mark.parametrize("frame_s", [1.0, 0.5])
+    @pytest.mark.parametrize("gaussian_taper", [True, False])
+    def test_bit_identical(self, n, half_width_s, frame_s, gaussian_taper):
+        rng = np.random.default_rng(n)
+        p = rng.uniform(size=n)
+        mask = rng.uniform(size=n) >= 0.2  # 20% of frames non-vocal
+        p[~mask] = np.nan
+        q = posterior_sdm(_post(p, mask))
+        assert np.array_equal(
+            novelty(q, half_width_s, frame_s, gaussian_taper),
+            dense_novelty(dense_sdm(q), half_width_s, frame_s, gaussian_taper))
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                      min_size=2, max_size=40),
+           half_width_s=st.floats(0.0, 20.0),
+           frame_s=st.sampled_from([1.0, 0.5, 0.1]),
+           gaussian_taper=st.booleans())
+    def test_random(self, p, half_width_s, frame_s, gaussian_taper):
+        q = posterior_sdm(_post(p))
+        if 2 * round(half_width_s / frame_s) > len(p):
+            with pytest.raises(InvalidArgumentError):
+                novelty(q, half_width_s, frame_s, gaussian_taper)
+            return
+        assert np.array_equal(
+            novelty(q, half_width_s, frame_s, gaussian_taper),
+            dense_novelty(dense_sdm(q), half_width_s, frame_s, gaussian_taper))
+
+
+BAD_FRAME_S = [0.0, -1.0, np.inf, np.nan]
+BAD_SECONDS = [-5.0, np.inf, np.nan]
+
+
+class TestBadArguments:
+    """Bad segmentation arguments from library callers raise
+    InvalidArgumentError, not a bare Python error."""
+
+    @pytest.mark.parametrize("frame_s", BAD_FRAME_S)
+    def test_novelty_frame_s(self, frame_s):
+        with pytest.raises(InvalidArgumentError, match="frame_s"):
+            novelty(np.linspace(0.0, 1.0, 30), frame_s=frame_s)
+
+    @pytest.mark.parametrize("half_width_s", BAD_SECONDS)
+    def test_novelty_half_width(self, half_width_s):
+        with pytest.raises(InvalidArgumentError, match="half_width_s"):
+            novelty(np.linspace(0.0, 1.0, 30), half_width_s=half_width_s)
+
+    @pytest.mark.parametrize("frame_s", BAD_FRAME_S)
+    def test_pick_boundaries_frame_s(self, frame_s):
+        with pytest.raises(InvalidArgumentError, match="frame_s"):
+            pick_boundaries(np.linspace(0.0, 1.0, 30), frame_s=frame_s)
+
+    @pytest.mark.parametrize("neighborhood_s", BAD_SECONDS)
+    def test_pick_boundaries_neighborhood(self, neighborhood_s):
+        with pytest.raises(InvalidArgumentError, match="neighborhood_s"):
+            pick_boundaries(np.linspace(0.0, 1.0, 30),
+                            neighborhood_s=neighborhood_s)
+
+    def test_checked_before_an_all_zero_novelty_returns(self):
+        with pytest.raises(InvalidArgumentError):
+            pick_boundaries(np.zeros(20), frame_s=0.0)
+
+    def test_huge_ratio_is_clamped_not_overflowed(self):
+        # 1e300 s over 1e-10 s frames is inf frames: clamped, as 1e300 is
+        nov = np.r_[np.zeros(10), 1.0, np.zeros(10)]
+        assert pick_boundaries(nov, neighborhood_s=1e300, frame_s=1e-10) \
+            == [10]
+        with pytest.raises(InvalidArgumentError, match="smaller than"):
+            novelty(nov, half_width_s=1e300, frame_s=1e-10)
 
 
 class TestPickBoundaries:
