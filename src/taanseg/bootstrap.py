@@ -3,7 +3,7 @@ re-initialized from the current labels and used to relabel all frames
 until the assignment stabilizes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,10 +151,11 @@ LABEL_TABLE = Table([("time_s", "f8"), ("label", "O")], delimiter="\t",
                     header=False, check=finite("time_s"))
 
 
-def write_frame_labels(labels, path, frame_s=1.0, names=("non-taan", "taan")):
-    """Frame-label TSV: frame_s<TAB>label."""
+def write_frame_labels(labels, path, names=("non-taan", "taan")):
+    """Frame-label TSV: time_s<TAB>label, row k at k s, the 1 s frames
+    `textgrid.read_sections` checks; integer labels index `names`."""
     LABEL_TABLE.write(path, (
-        np.arange(len(labels)) * frame_s,
+        np.arange(len(labels)),
         [lab if isinstance(lab, str) else names[int(lab)] for lab in labels]))
 
 

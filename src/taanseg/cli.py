@@ -7,6 +7,7 @@ violation.
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -228,20 +229,25 @@ def _run(args, cfg):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args.config)
-        return _run(args, cfg)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (TaansegError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:    # a bug, InternalError included: no traceback
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    """Run one command. Warnings that the library or numpy raise while it
+    runs, on any thread, are printed as one `warning: <message>` line
+    each, before the error line of a failed command."""
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            args = _build_parser().parse_args(argv)
+            code = _run(args, load_config(args.config))
+        except UsageError as exc:
+            code, error = 1, f"usage error: {exc}"
+        except (TaansegError, OSError) as exc:
+            code, error = 2, f"error: {exc}"
+        except Exception as exc:    # a bug, InternalError included
+            code, error = 3, f"internal error: {type(exc).__name__}: {exc}"
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    if error:   # one line, never a traceback
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ All inputs and outputs are plain numpy arrays wrapped in small dataclasses;
 every function here is pure and deterministic.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,17 @@ class LogSpectrogram:
     def magnitudes(self):
         """Linear magnitudes (inverse of the log)."""
         return np.exp(self.values)
+
+
+def seconds_to_frames(name, seconds, period, cap):
+    """`seconds` in whole frames of `period` s, rounded and at most cap, so
+    a huge ratio is capped, not overflowed; InvalidArgumentError, naming
+    `name`, unless period is finite and > 0 and seconds finite and >= 0."""
+    if not (math.isfinite(period) and period > 0):
+        raise InvalidArgumentError(f"frame_s {period} is not finite and > 0")
+    if not (math.isfinite(seconds) and seconds >= 0):
+        raise InvalidArgumentError(f"{name} {seconds} is not finite and >= 0")
+    return int(round(min(seconds / period, cap)))
 
 
 def hamming_window(n):

@@ -6,10 +6,11 @@ track at 500 ms hop, smoothed over 5 s, decimated to a 1 s frame rate and
 z-normalized per concert.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import seconds_to_frames
 from .errors import (EmptyInputError, FormatError, InvalidArgumentError,
                      ParseError)
 from .table import Table
@@ -17,6 +18,7 @@ from .table import Table
 REF_HZ = 55.0
 WIN_LEN = 100           # 1 s of 10 ms samples
 HOP_LEN = 50            # 500 ms
+RAW_HOP_S = 0.5         # HOP_LEN track samples
 MOD_DFT = 128
 MOD_BIN_HZ = 100.0 / MOD_DFT
 PEAK_BIN_LO = 2         # 1.5625 Hz; bin 1 excluded, drift is detrended
@@ -39,7 +41,6 @@ class StyleFeatureSeq:
     features: np.ndarray      # (n, 3), z-normalized; NaN on non-vocal frames
     vocal_mask: np.ndarray    # (n,)
     raw: np.ndarray = None    # smoothed, pre-normalization values
-    frame_s: float = 1.0
 
     def __len__(self):
         return len(self.vocal_mask)
@@ -156,8 +157,9 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
     if not valid.any():
         raise EmptyInputError("no vocal frames: nothing to normalize")
     k = len(valid)
-    # raw hops within +/- smooth_s/2; offsets of k or more reach no frame
-    half = int(round(min(smooth_s / 2 / 0.5, k)))
+    # raw hops within +/- smooth_s/2, that is smooth_s over two hops;
+    # offsets of k or more reach no frame
+    half = seconds_to_frames("smooth_s", smooth_s, 2 * RAW_HOP_S, k)
     # sums over the valid run around each frame, added in ascending order
     # like the row sum in a mean
     run = np.cumsum(valid & ~np.r_[False, valid[:-1]])
@@ -215,9 +217,10 @@ FEATURE_TABLE = Table([("frame_s", "f8"), *((n, "f8") for n in FEATURE_NAMES),
 
 
 def write_features(seq, path):
-    """Feature CSV: frame_s,mod_rate,mod_energy,energy_zcr,vocal."""
-    FEATURE_TABLE.write(path, (np.arange(len(seq)) * seq.frame_s,
-                               *seq.features.T, seq.vocal_mask))
+    """Feature CSV: frame_s,mod_rate,mod_energy,energy_zcr,vocal, row k
+    at k s, as `read_features` checks."""
+    FEATURE_TABLE.write(path, (np.arange(len(seq)), *seq.features.T,
+                               seq.vocal_mask))
 
 
 def read_features(path):

@@ -5,6 +5,7 @@ Also reused as the fully-connected head of the CNN (2100-d inputs).
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -60,11 +61,12 @@ class MlpModel:
 
 @dataclass
 class PosteriorSeq:
-    """Per-frame taan posterior, defined on vocal frames (NaN elsewhere)."""
+    """Per-frame taan posterior, defined on vocal frames (NaN elsewhere),
+    frame k at k s."""
 
     p_taan: np.ndarray
     vocal_mask: np.ndarray
-    frame_s: float = 1.0
+    frame_s: ClassVar[float] = 1.0
 
     def __len__(self):
         return len(self.p_taan)
@@ -207,5 +209,4 @@ def classify_frames(model, feature_seq, threshold=0.5):
         p[mask] = mlp_forward(model, feats[mask])[:, 1]
     decisions = np.zeros(len(mask), dtype=bool)
     decisions[mask] = p[mask] >= threshold
-    return PosteriorSeq(p_taan=p, vocal_mask=mask,
-                        frame_s=feature_seq.frame_s), decisions
+    return PosteriorSeq(p_taan=p, vocal_mask=mask), decisions

@@ -64,15 +64,12 @@ def segment_posteriors(posteriors, decisions, cfg=None):
     cfg = cfg or PipelineConfig()
     sdm = segmentation.posterior_sdm(posteriors)
     nov = segmentation.novelty(sdm, half_width_s=cfg.novelty_half_width_s,
-                               frame_s=posteriors.frame_s,
                                gaussian_taper=cfg.gaussian_taper)
     bounds = segmentation.pick_boundaries(
         nov, neighborhood_s=cfg.pick_neighborhood_s,
-        rel_threshold=cfg.pick_rel_threshold, frame_s=posteriors.frame_s,
-    )
+        rel_threshold=cfg.pick_rel_threshold)
     timeline = segmentation.label_segments(bounds, decisions,
-                                           posteriors.vocal_mask,
-                                           frame_s=posteriors.frame_s)
+                                           posteriors.vocal_mask)
     return segmentation.group_sections(timeline,
                                        vocal_gap_s=cfg.group_vocal_gap_s,
                                        instr_gap_s=cfg.group_instr_gap_s)

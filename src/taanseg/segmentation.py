@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsp import seconds_to_frames
 from .errors import DataError, InvalidArgumentError
 from .table import Table, finite
 
@@ -55,10 +56,11 @@ class SectionTimeline:
     def span(self):
         return self.sections[0].start_s, self.sections[-1].end_s
 
-    def frame_labels(self, n, frame_s=1.0):
-        """Labels of n frames of frame_s s at their midpoints: the first
-        section holding one (sections paint last to first), or instrumental."""
-        mid = (np.arange(n) + 0.5) * frame_s
+    def frame_labels(self, n):
+        """Labels of the n 1 s frames, frame k read at its midpoint k + 0.5 s:
+        the first section holding it (sections paint last to first), or
+        instrumental."""
+        mid = np.arange(n) + 0.5
         labels = np.full(len(mid), "instrumental", dtype=object)
         for s in reversed(self.sections):
             lo, hi = np.searchsorted(mid, [s.start_s, s.end_s])
@@ -75,16 +77,6 @@ def posterior_sdm(posteriors):
         raise InvalidArgumentError("need at least 2 frames for an SDM")
     q[~posteriors.vocal_mask] = 0.5
     return q
-
-
-def _frames(name, seconds, frame_s, cap):
-    """seconds in whole frames of frame_s, at most cap; InvalidArgumentError
-    unless frame_s is finite and > 0 and seconds finite and >= 0."""
-    if not (math.isfinite(frame_s) and frame_s > 0):
-        raise InvalidArgumentError(f"frame_s {frame_s} is not finite and > 0")
-    if not (math.isfinite(seconds) and seconds >= 0):
-        raise InvalidArgumentError(f"{name} {seconds} is not finite and >= 0")
-    return int(round(min(seconds / frame_s, cap)))
 
 
 def checkerboard_kernel(half_width, gaussian_taper=True):
@@ -116,7 +108,7 @@ def novelty(sdm, half_width_s=5.0, frame_s=1.0, gaussian_taper=True):
                                    f"not a {q.ndim}-d array")
     n = len(q)
     # past n + 1 frames the kernel cannot fit, so the cap changes no outcome
-    ln = _frames("half_width_s", half_width_s, frame_s, n + 1)
+    ln = seconds_to_frames("half_width_s", half_width_s, frame_s, n + 1)
     if 2 * ln > n:
         raise InvalidArgumentError("SDM smaller than the novelty kernel")
     kernel = checkerboard_kernel(ln, gaussian_taper)
@@ -145,7 +137,7 @@ def pick_boundaries(nov, neighborhood_s=5.0, rel_threshold=0.3, frame_s=1.0):
     covers every frame, as len(nov) does, so it is clamped there.
     """
     nov = np.asarray(nov, dtype=np.float64)
-    w = _frames("neighborhood_s", neighborhood_s, frame_s, len(nov))
+    w = seconds_to_frames("neighborhood_s", neighborhood_s, frame_s, len(nov))
     if not np.all(np.isfinite(nov)):
         raise InvalidArgumentError("novelty must be finite")
     peak = nov.max(initial=0.0)

@@ -6,12 +6,13 @@ timelines and 1 s frame labels. Serves as the test corpus.
 import dataclasses
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import check_object
-from .dsp import AudioClip
+from .dsp import ACCEPTED_RATES, AudioClip
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_text)
 from .pool import ordered_map
@@ -45,6 +46,9 @@ class SectionSpec:
             raise InvalidArgumentError(f"unknown style {self.style!r}")
         if self.duration_s <= 0:
             raise InvalidArgumentError("section duration must be positive")
+        if not (math.isfinite(self.f0_hz) and self.f0_hz > 0):
+            raise InvalidArgumentError(f"f0_hz {self.f0_hz} is not finite "
+                                       "and > 0")
         if self.mod_depth_cents < 0 or self.am_depth_db < 0:
             raise InvalidArgumentError("modulation depths must be non-negative")
         if self.style == "taan" and not 5.0 <= self.mod_rate_hz <= 10.0:
@@ -61,6 +65,13 @@ class ConcertScript:
         return sum(s.duration_s for s in self.sections)
 
 
+def _check_rate(sample_rate):
+    """InvalidArgumentError unless AudioClip takes sample_rate."""
+    if sample_rate not in ACCEPTED_RATES:
+        raise InvalidArgumentError(f"sample_rate {sample_rate} not in "
+                                   f"accepted set {ACCEPTED_RATES}")
+
+
 _SCRIPT_TYPES = {"sections": list, "seed": int, "sample_rate": int}
 
 
@@ -71,6 +82,11 @@ def script_from_json(path):
         data = json.load(fh)
     check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
     types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
+    sample_rate = data.get("sample_rate", 8000)
+    try:
+        _check_rate(sample_rate)
+    except InvalidArgumentError as exc:
+        raise DataError(str(exc), path=path) from None
     sections = []
     for k, spec in enumerate(data["sections"]):
         where = f"section {k}"
@@ -80,7 +96,7 @@ def script_from_json(path):
         except InvalidArgumentError as exc:
             raise DataError(f"{where}: {exc}", path=path) from None
     return ConcertScript(sections=sections, seed=data.get("seed", 0),
-                         sample_rate=data.get("sample_rate", 8000))
+                         sample_rate=sample_rate)
 
 
 def script_to_json(script, path):
@@ -243,6 +259,7 @@ def synth_concert(script):
         raise InvalidArgumentError("script has no sections")
     if script.seed < 0:
         raise InvalidArgumentError(f"seed {script.seed} is negative")
+    _check_rate(script.sample_rate)
     total = script.total_duration()
     if total > MAX_DURATION_S:
         raise ResourceLimitError(

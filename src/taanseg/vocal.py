@@ -22,12 +22,12 @@ CAND_BLOCK = 32
 
 @dataclass
 class PitchEnergyTrack:
-    """Time-aligned F0 (Hz), vocal energy (dB) and voicing at 10 ms hop."""
+    """Time-aligned F0 (Hz), vocal energy (dB) and voicing; sample k is at
+    k * TRACK_HOP_S."""
 
     f0_hz: np.ndarray
     energy_db: np.ndarray
     voiced: np.ndarray
-    hop_s: float = TRACK_HOP_S
 
     def __post_init__(self):
         self.f0_hz = np.asarray(self.f0_hz, dtype=np.float64)
@@ -231,7 +231,8 @@ def _runs(mask):
 
 def detect_vocal_activity(track, min_run_s=0.2, max_gap_s=0.1):
     """Vocal-spurt mask: median-smoothed voiced runs >= min_run_s, with
-    internal gaps shorter than max_gap_s absorbed."""
+    internal gaps shorter than max_gap_s absorbed; both durations must be
+    finite and >= 0."""
     voiced = np.asarray(track.voiced, dtype=bool)
     n = len(voiced)
     if n == 0:
@@ -241,8 +242,9 @@ def detect_vocal_activity(track, min_run_s=0.2, max_gap_s=0.1):
     windows = np.lib.stride_tricks.sliding_window_view(padded, 5)
     smooth = windows.sum(axis=1) >= 3
 
-    min_run = int(round(min_run_s / track.hop_s))
-    max_gap = int(round(max_gap_s / track.hop_s))
+    # no run exceeds n, nor an inner gap n - 2: the caps change no mask
+    min_run = dsp.seconds_to_frames("min_run_s", min_run_s, TRACK_HOP_S, n + 1)
+    max_gap = dsp.seconds_to_frames("max_gap_s", max_gap_s, TRACK_HOP_S, n)
     vocal = np.zeros(n, dtype=bool)
     for start, end in _runs(smooth):
         if end - start >= min_run:
@@ -272,8 +274,9 @@ TRACK_TABLE = Table([("time_s", "f8"), ("f0_hz", "f8"), ("energy_db", "f8"),
 
 
 def write_track(track, path):
-    """Write a track to CSV (header time_s,f0_hz,energy_db,voiced)."""
-    TRACK_TABLE.write(path, (np.arange(len(track)) * track.hop_s,
+    """Write a track to CSV (header time_s,f0_hz,energy_db,voiced): row k
+    at k * TRACK_HOP_S, the grid `ingest_track` checks."""
+    TRACK_TABLE.write(path, (np.arange(len(track)) * TRACK_HOP_S,
                              track.f0_hz, track.energy_db, track.voiced))
 
 

@@ -163,7 +163,15 @@ class TestLabelIo:
 
     def test_string_labels_pass_through(self, tmp_path):
         path = tmp_path / "labels.tsv"
-        write_frame_labels(["taan", "instrumental"], path, frame_s=2.0)
+        write_frame_labels(["taan", "instrumental"], path)
+        times, labels = read_frame_labels(path)
+        assert np.allclose(times, [0.0, 1.0])
+        assert labels == ["taan", "instrumental"]
+
+    def test_sparse_seed_times(self, tmp_path):
+        # a seed-label file names a few frames by their time, not every one
+        path = tmp_path / "seeds.tsv"
+        path.write_text("0.0\ttaan\n2.0\tinstrumental\n")
         times, labels = read_frame_labels(path)
         assert np.allclose(times, [0.0, 2.0])
         assert labels == ["taan", "instrumental"]

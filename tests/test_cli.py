@@ -651,6 +651,69 @@ class TestExitCodes:
         assert err == "internal error: RuntimeError: boom\n"
 
 
+def point_tier_grid(truth_files, tmp_path):
+    """The truth TextGrid with a point tier after its interval tier."""
+    text = truth_files["textgrid"].read_text("utf-8")
+    path = tmp_path / "points.TextGrid"
+    path.write_text(text.replace("size = 1", "size = 2", 1) + "\n".join([
+        "    item [2]:", '        class = "TextTier"', '        name = "beats"',
+        "        xmin = 0.0", "        xmax = 100.0", "        points: size = 1",
+        "        points [1]:", "            number = 5.0",
+        '            mark = "sam"', ""]), encoding="utf-8")
+    return path
+
+
+class TestLibraryWarnings:
+    """A warning raised while a command runs, on any thread, is one
+    `warning: <message>` line on stderr, also when the command fails."""
+
+    def test_textgrid_point_tier(self, truth_files, tmp_path, capsys):
+        grid = point_tier_grid(truth_files, tmp_path)
+        assert main(["evaluate", "--detected", str(truth_files["timeline"]),
+                     "--truth", str(grid), "--json"]) == 0
+        out, err = capsys.readouterr()
+        assert err == f"warning: {grid}: point tier 'beats' skipped\n"
+        assert json.loads(out)["exact"] == 2
+
+    def test_overflow_on_a_pool_thread(self, small_concert, mlp_model,
+                                       tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"voicing_factor": 1e308}')
+        rc = main(["--config", str(cfg), "segment", "--audio",
+                   str(small_concert["wav"]), "--model", str(mlp_model),
+                   "--out", str(tmp_path / "t.tsv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "warning: overflow encountered in multiply\n"
+            "error: no vocal frames: nothing to normalize\n")
+
+
+SECONDS_FIELDS = ["vocal_min_run_s", "vocal_max_gap_s", "smooth_window_s",
+                  "novelty_half_width_s", "pick_neighborhood_s",
+                  "group_vocal_gap_s", "group_instr_gap_s"]
+
+
+class TestSecondsFields:
+    """Every config field measured in seconds becomes frames by the one
+    capped rule: an extreme value is data (exit 0 or 2), never a bug. No
+    voiced run lasts 1e308 s, so nothing is vocal; every gap between vocal
+    runs is shorter, so all are absorbed."""
+
+    EXIT = {("vocal_min_run_s", 1e308): (2,), ("vocal_max_gap_s", 1e308): (0,)}
+
+    @pytest.mark.parametrize("value", [1e308, 1e-300])
+    @pytest.mark.parametrize("name", SECONDS_FIELDS)
+    def test_segment_exit_code(self, small_concert, mlp_model, tmp_path,
+                               capsys, name, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({name: value}))
+        rc = main(["--config", str(cfg), "segment", "--audio",
+                   str(small_concert["wav"]), "--model", str(mlp_model),
+                   "--out", str(tmp_path / "t.tsv")])
+        assert rc in self.EXIT.get((name, value), (0, 2)), (
+            capsys.readouterr().err)
+
+
 @pytest.fixture
 def half_second_wav(tmp_path):
     """A 0.5 s 8 kHz tone: shorter than one 1 s CNN patch."""
@@ -717,8 +780,19 @@ class TestReaderCrashes:
         ('{"sections": [{"style": "taan", "duration_s": "x"}]}',
          "'duration_s'"),
         ('[{"style": "taan", "duration_s": 5.0}]', "JSON object"),
+        # checked before any sample is drawn or rendered
+        ('{"sample_rate": -8000, "sections": [{"style": "taan", '
+         '"duration_s": 5.0}]}', "sample_rate -8000 not in accepted set"),
+        ('{"sample_rate": 12345, "sections": [{"style": "taan", '
+         '"duration_s": 1800.0}]}', "sample_rate 12345 not in accepted set"),
+        ('{"sections": [{"style": "steady-vocal", "duration_s": 5.0, '
+         '"f0_hz": 0}]}', "section 0: f0_hz 0 is not finite and > 0"),
+        ('{"sections": [{"style": "taan", "duration_s": 5.0, '
+         '"f0_hz": -220}]}', "section 0: f0_hz -220 is not finite and > 0"),
     ], ids=["no-sections", "unknown-section-key", "duration-not-number",
-            "top-level-list"])
+            "top-level-list", "negative-rate", "unaccepted-rate", "zero-f0",
+            "negative-f0"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_synth_script_contract(self, tmp_path, capsys, text, key):
         script = tmp_path / "script.json"
         script.write_text(text)

@@ -82,8 +82,10 @@ def files(tmp_path_factory):
         "0.0\t10.0\ttaan\n10.0\t20.0\tinstrumental\n20.0\t30.0\ttaan\n")
     emit_textgrid(timeline_to_doc(read_timeline(root / "timeline")),
                   root / "textgrid")
-    write_frame_labels(["taan", "taan", "taan"] + ["non-taan"] * 3,
-                       root / "labels", frame_s=3.0)
+    # seed labels every 3 s: the label reader takes sparse times
+    (root / "labels").write_text("".join(
+        f"{3.0 * k}\t{lab}\n"
+        for k, lab in enumerate(["taan"] * 3 + ["non-taan"] * 3)))
     # 1 s frames, which the truth reader merges into sections
     write_frame_labels(["taan"] * 3 + ["non-taan"] * 3 + ["instrumental"] * 2,
                        root / "frames")

@@ -252,7 +252,7 @@ def test_shared_sgd_loop_is_bit_identical(class_balance, halve_every):
 class TestClassifyFrames:
     def _seq(self, feats, mask):
         return StyleFeatureSeq(features=feats, vocal_mask=mask,
-                               raw=feats.copy(), frame_s=1.0)
+                               raw=feats.copy())
 
     def test_nan_outside_vocal(self):
         m = mlp_init(4, seed=0)

@@ -101,12 +101,12 @@ def serial_concert(script):
         sections, int(np.floor(script.total_duration())))
 
 
-def serial_frame_labels(sections, n, frame_s=1.0):
-    """The label of each of n frames at its midpoint: the first of the
+def serial_frame_labels(sections, n):
+    """The label of each of n 1 s frames at its midpoint: the first of the
     (start, end, label) sections holding it, else instrumental."""
     labels = []
     for f in range(n):
-        mid = (f + 0.5) * frame_s
+        mid = f + 0.5
         labels.append(next((lab for s, e, lab in sections if s <= mid < e),
                            "instrumental"))
     return labels
@@ -167,6 +167,11 @@ class TestSectionSpec:
     def test_non_positive_duration(self):
         with pytest.raises(InvalidArgumentError):
             SectionSpec("taan", 0.0)
+
+    @pytest.mark.parametrize("f0_hz", [0.0, -220.0, np.nan, np.inf])
+    def test_f0_finite_and_positive(self, f0_hz):
+        with pytest.raises(InvalidArgumentError, match="f0_hz"):
+            SectionSpec("steady-vocal", 5.0, f0_hz=f0_hz)
 
 
 class TestPitchContour:
@@ -232,6 +237,17 @@ class TestSynthConcert:
     ], ids=["no-sections", "negative-seed"])
     def test_rejects_unrenderable_script(self, script):
         with pytest.raises(InvalidArgumentError):
+            synth_concert(script)
+
+    @pytest.mark.parametrize("rate", [-8000, 0, 12345, 96000])
+    def test_rate_checked_before_drawing(self, monkeypatch, rate):
+        def draw(*args):
+            raise AssertionError("a section was drawn")
+
+        monkeypatch.setattr(synth, "_draw_section", draw)
+        script = ConcertScript([SectionSpec("taan", 1800.0)], sample_rate=rate)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"sample_rate {rate} not in accepted set"):
             synth_concert(script)
 
     def test_deterministic(self):
@@ -385,14 +401,12 @@ class TestFrameLabels:
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               database=None)
-    @given(sections=timelines(), extra=st.integers(0, 4),
-           frame_s=st.sampled_from([1.0, 0.5, 0.25, 0.3]))
-    def test_matches_serial_oracle(self, sections, extra, frame_s):
+    @given(sections=timelines(), extra=st.integers(0, 4))
+    def test_matches_serial_oracle(self, sections, extra):
         timeline = SectionTimeline([Section(*s) for s in sections])
         end = sections[-1][1] if sections else 0.0
-        n = max(int(np.ceil(end / frame_s)), 0) + extra    # past the end
-        assert (timeline.frame_labels(n, frame_s)
-                == serial_frame_labels(sections, n, frame_s))
+        n = max(int(np.ceil(end)), 0) + extra    # past the end
+        assert timeline.frame_labels(n) == serial_frame_labels(sections, n)
 
     def test_midpoint_on_a_boundary(self):
         timeline = SectionTimeline([Section(0.5, 1.5, "taan"),
