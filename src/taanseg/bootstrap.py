@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import DataError, InvalidArgumentError
 from .table import Table, finite
 
 COV_EIG_FLOOR = 1e-8
@@ -147,8 +147,20 @@ def bootstrap_labels(x, seed_labels, max_rounds=50, em_iter=20, tol=1e-6):
     return labels, max_rounds, False
 
 
+def _label_rows(rows, first_line):
+    """Frame-label rows: each time finite, a whole second >= 0, and the
+    first row of its second."""
+    t = rows["time_s"]
+    repeat = np.ones(len(t), dtype=bool)
+    repeat[np.unique(t, return_index=True)[1]] = False
+    return finite("time_s")(rows, first_line) + [
+        ((t < 0) | (t != np.floor(t)), DataError,
+         "time {time_s} s is not a whole second >= 0"),
+        (repeat, DataError, "a second row at {time_s} s")]
+
+
 LABEL_TABLE = Table([("time_s", "f8"), ("label", "O")], delimiter="\t",
-                    header=False, check=finite("time_s"))
+                    header=False, check=_label_rows)
 
 
 def write_frame_labels(labels, path, names=("non-taan", "taan")):
@@ -160,6 +172,7 @@ def write_frame_labels(labels, path, names=("non-taan", "taan")):
 
 
 def read_frame_labels(path):
-    """Read a frame-label TSV; returns (times, label strings)."""
+    """Read a frame-label TSV, or a seed file naming some of its rows;
+    returns (times, label strings)."""
     rows = LABEL_TABLE.read(path)
     return rows["time_s"].copy(), rows["label"].tolist()

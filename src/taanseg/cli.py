@@ -214,8 +214,9 @@ def _run(args, cfg):
         times, labels = bootstrap_mod.read_frame_labels(args.seed_labels)
         names = sorted(set(labels))
         if len(names) != 2:
-            raise DataError("seed labels must contain exactly 2 classes")
-        seed = {int(round(t)): names.index(lab) for t, lab in zip(times, labels)}
+            raise DataError(f"seed labels must contain exactly 2 classes, "
+                            f"not {names}", path=args.seed_labels)
+        seed = {int(t): names.index(lab) for t, lab in zip(times, labels)}
         x = seq.features.copy()
         x[~seq.vocal_mask] = 0.0
         out, rounds, converged = bootstrap_mod.bootstrap_labels(x, seed)

@@ -13,7 +13,7 @@ from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import check_arrays, glorot_uniform, sigmoid, softmax
 from .pool import ordered_map, workers
 
-PATCH_BINS = 94         # 0-1469 Hz at 15.625 Hz/bin
+PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block, one block per pool work item

@@ -5,6 +5,7 @@ every function here is pure and deterministic.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,15 @@ FFT_ROWS = 256
 RESAMPLE_CHUNK = 1 << 16
 
 
+def accepted_rate(hz):
+    """hz as an int; InvalidArgumentError unless it is a real number equal
+    to an accepted rate (8000.0 is 8000, 8000.5 is no rate)."""
+    if not isinstance(hz, numbers.Real) or hz not in ACCEPTED_RATES:
+        raise InvalidArgumentError(f"sample_rate {hz} not in accepted set "
+                                   f"{ACCEPTED_RATES}")
+    return int(hz)
+
+
 @dataclass(frozen=True)
 class AudioClip:
     """Mono audio samples in [-1, 1] at a known sample rate."""
@@ -35,10 +45,8 @@ class AudioClip:
     sample_rate: int
 
     def __post_init__(self):
-        if int(self.sample_rate) not in ACCEPTED_RATES:
-            raise InvalidArgumentError(
-                f"sample_rate {self.sample_rate} not in accepted set {ACCEPTED_RATES}"
-            )
+        object.__setattr__(self, "sample_rate",
+                           accepted_rate(self.sample_rate))
         object.__setattr__(
             self, "samples", np.asarray(self.samples, dtype=np.float64)
         )
@@ -220,8 +228,7 @@ def resample(clip, target_hz):
     memory as when filtering the whole clip at once. A clip already at
     target_hz is returned as it is, not copied.
     """
-    if int(target_hz) not in ACCEPTED_RATES:
-        raise InvalidArgumentError(f"target rate {target_hz} not accepted")
+    target_hz = accepted_rate(target_hz)
     sr = clip.sample_rate
     if target_hz > sr:
         raise UnsupportedOperationError("upsampling is not supported")

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_object
-from .dsp import ACCEPTED_RATES, AudioClip
+from .dsp import AudioClip, accepted_rate
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_text)
 from .pool import ordered_map
@@ -65,13 +65,6 @@ class ConcertScript:
         return sum(s.duration_s for s in self.sections)
 
 
-def _check_rate(sample_rate):
-    """InvalidArgumentError unless AudioClip takes sample_rate."""
-    if sample_rate not in ACCEPTED_RATES:
-        raise InvalidArgumentError(f"sample_rate {sample_rate} not in "
-                                   f"accepted set {ACCEPTED_RATES}")
-
-
 _SCRIPT_TYPES = {"sections": list, "seed": int, "sample_rate": int}
 
 
@@ -82,9 +75,8 @@ def script_from_json(path):
         data = json.load(fh)
     check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
     types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
-    sample_rate = data.get("sample_rate", 8000)
     try:
-        _check_rate(sample_rate)
+        sample_rate = accepted_rate(data.get("sample_rate", 8000))
     except InvalidArgumentError as exc:
         raise DataError(str(exc), path=path) from None
     sections = []
@@ -259,14 +251,13 @@ def synth_concert(script):
         raise InvalidArgumentError("script has no sections")
     if script.seed < 0:
         raise InvalidArgumentError(f"seed {script.seed} is negative")
-    _check_rate(script.sample_rate)
+    sr = accepted_rate(script.sample_rate)
     total = script.total_duration()
     if total > MAX_DURATION_S:
         raise ResourceLimitError(
             f"script of {total:.0f} s exceeds the {MAX_DURATION_S:.0f} s cap"
         )
     rng = np.random.default_rng(script.seed)
-    sr = script.sample_rate
     draws = [_draw_section(spec, sr, rng) for spec in script.sections]
     lengths = [int(round(spec.duration_s * sr)) for spec in script.sections]
     x = np.empty(sum(lengths))

@@ -1,12 +1,12 @@
-"""Long-form PRAAT TextGrid parsing and emission (interval tiers only),
-and `read_sections` and `write_sections`, the one reader and writer of
-truth files. Point tiers are skipped with a warning; short-form files
-are rejected. Round-trip parse(emit(doc)) reproduces the document exactly.
+"""Praat TextGrid parsing (the long and the short text form) and long-form
+emission, interval tiers only, and `read_sections` and `write_sections`,
+the one reader and writer of truth files. Point tiers are skipped with a
+warning. Round-trip parse(emit(doc)) reproduces the document exactly.
 """
 
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bootstrap import LABEL_TABLE
 from .errors import DataError, InvalidArgumentError, ParseError, open_text
@@ -38,88 +38,76 @@ class TextGridDoc:
     tiers: list
 
 
-class _Cursor:
-    def __init__(self, lines, path):
-        self.lines = lines
-        self.pos = 0
+# A value line: an optional `key =` (or the long form's `tiers?`), then a
+# "string" with "" for a quote, the <exists> flag, or a number (no inf, nan)
+_VALUE = re.compile(r'(?:([A-Za-z][^"=]*?)(?:\s*=|(?<=\?))\s*)?'
+                    r'(?:"([^"]*(?:""[^"]*)*)"|(<exists>)|'
+                    r'([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?))')
+# the long form's lines that hold no value
+_HEADING = re.compile(r"(?:item|intervals|points) \[\d*\]:")
+# the _VALUE group of each kind of value
+_GROUP = {str: 2, "exists": 3, float: 4, int: 4}
+
+
+class _Values:
+    """A TextGrid's values in file order; `line` is the last one's line."""
+
+    def __init__(self, path):
+        with open_text(path) as fh:
+            self.lines = enumerate(fh.read().splitlines(), start=1)
+        self.line = 0
         self.path = path
 
-    def next(self):
-        while self.pos < len(self.lines):
-            line = self.lines[self.pos].strip()
-            self.pos += 1
-            if line:
-                return line
-        raise ParseError("unexpected end of file", path=self.path,
-                         line=self.pos)
-
-    def expect_number(self, key, count=False):
-        """The number of a `key = <number>` line; with count, an int, and
-        a ParseError unless it is a finite non-negative integer."""
-        line = self.next()
-        m = re.match(rf"{re.escape(key)}\s*=\s*([-\d.eE+]+)", line)
-        if not m:
-            raise ParseError(f"expected `{key} = <number>`, got {line!r}",
-                             path=self.path, line=self.pos)
-        try:
-            value = float(m.group(1))
-        except ValueError as exc:
-            raise ParseError(f"malformed number in {line!r}",
-                             path=self.path, line=self.pos) from exc
-        if count and (value < 0 or not value.is_integer()):
+    def __call__(self, key, kind=float):
+        """The next value, after `key =` where its line names a key: a float,
+        a count (kind int: whole, >= 0), a string (kind str) or "exists"."""
+        for self.line, text in self.lines:
+            text = text.strip()
+            # a heading ends in ":", a value never: most lines skip the regex
+            if text and not (text.endswith(":") and _HEADING.fullmatch(text)):
+                break
+        else:
+            raise ParseError("unexpected end of file", path=self.path,
+                             line=self.line)
+        m = _VALUE.fullmatch(text)
+        if m is None or m[1] not in (None, key) or m[_GROUP[kind]] is None:
+            name = getattr(kind, "__name__", kind)
+            raise ParseError(f"expected `{key} = <{name}>`, got {text!r}",
+                             path=self.path, line=self.line)
+        if kind is str:
+            return m[2].replace('""', '"')
+        if kind == "exists":
+            return True
+        value = float(m[4])
+        if kind is int and not (value >= 0 and value.is_integer()):
             raise ParseError(f"`{key}` is not a count: {value!r}",
-                             path=self.path, line=self.pos)
-        return int(value) if count else value
-
-    def expect_string(self, key):
-        line = self.next()
-        m = re.match(rf"{re.escape(key)}\s*=\s*\"(.*)\"\s*$", line)
-        if not m:
-            raise ParseError(f"expected `{key} = \"...\"`, got {line!r}",
-                             path=self.path, line=self.pos)
-        return m.group(1).replace('""', '"')
+                             path=self.path, line=self.line)
+        return kind(value)
 
 
 def parse_textgrid(path):
-    """Parse a long-form TextGrid into a TextGridDoc."""
-    with open_text(path) as fh:
-        cur = _Cursor(fh.read().splitlines(), path)
-    if "ooTextFile" not in cur.next():
-        raise ParseError("not an ooTextFile", path=path, line=cur.pos)
-    if "TextGrid" not in cur.next():
-        raise ParseError("not a TextGrid object", path=path, line=cur.pos)
-    xmin = cur.expect_number("xmin")
-    xmax = cur.expect_number("xmax")
-    tiers_line = cur.next()
-    if not tiers_line.startswith("tiers?"):
-        raise ParseError("short-form TextGrid not supported (missing tiers?)",
-                         path=path, line=cur.pos)
-    size = cur.expect_number("size", count=True)
-    cur.next()  # item []:
+    """Parse a long- or short-form TextGrid into a TextGridDoc: both forms
+    hold the same values in the same order, the long one after keys."""
+    value = _Values(path)
+    if ("ooTextFile" not in value("File type", str)
+            or "TextGrid" not in value("Object class", str)):
+        raise ParseError("not a TextGrid", path=path, line=value.line)
+    xmin, xmax = value("xmin"), value("xmax")
+    value("tiers?", "exists")
     tiers = []
-    for _ in range(size):
-        cur.next()  # item [k]:
-        klass = cur.expect_string("class")
-        name = cur.expect_string("name")
-        t_xmin = cur.expect_number("xmin")
-        t_xmax = cur.expect_number("xmax")
+    for _ in range(value("size", int)):
+        klass, name = value("class", str), value("name", str)
+        t_xmin, t_xmax = value("xmin"), value("xmax")
         if klass == "TextTier":
-            for _ in range(cur.expect_number("points: size", count=True)):
-                cur.next()
-                cur.expect_number("number")
-                cur.expect_string("mark")
+            for _ in range(value("points: size", int)):
+                value("number"), value("mark", str)
             warnings.warn(f"{path}: point tier {name!r} skipped")
             continue
         if klass != "IntervalTier":
             raise ParseError(f"unsupported tier class {klass!r}",
-                             path=path, line=cur.pos)
-        intervals = []
-        for _ in range(cur.expect_number("intervals: size", count=True)):
-            cur.next()  # intervals [k]:
-            ixmin = cur.expect_number("xmin")
-            ixmax = cur.expect_number("xmax")
-            itext = cur.expect_string("text")
-            intervals.append(Interval(ixmin, ixmax, itext))
+                             path=path, line=value.line)
+        intervals = [Interval(value("xmin"), value("xmax"), value("text", str))
+                     for _ in range(value("intervals: size", int))]
         _validate_tier(name, t_xmin, t_xmax, intervals, path)
         tiers.append(IntervalTier(name, t_xmin, t_xmax, intervals))
     return TextGridDoc(xmin=xmin, xmax=xmax, tiers=tiers)
@@ -140,18 +128,14 @@ def _validate_tier(name, xmin, xmax, intervals, path):
         prev = iv.xmax
 
 
-def _fmt(x):
-    return repr(float(x))
-
-
 def emit_textgrid(doc, path):
     """Write a TextGridDoc in long form, UTF-8."""
     out = [
         'File type = "ooTextFile"',
         'Object class = "TextGrid"',
         "",
-        f"xmin = {_fmt(doc.xmin)}",
-        f"xmax = {_fmt(doc.xmax)}",
+        f"xmin = {float(doc.xmin)!r}",
+        f"xmax = {float(doc.xmax)!r}",
         "tiers? <exists>",
         f"size = {len(doc.tiers)}",
         "item []:",
@@ -161,15 +145,15 @@ def emit_textgrid(doc, path):
             f"    item [{k}]:",
             '        class = "IntervalTier"',
             f'        name = "{tier.name.replace(chr(34), chr(34) * 2)}"',
-            f"        xmin = {_fmt(tier.xmin)}",
-            f"        xmax = {_fmt(tier.xmax)}",
+            f"        xmin = {float(tier.xmin)!r}",
+            f"        xmax = {float(tier.xmax)!r}",
             f"        intervals: size = {len(tier.intervals)}",
         ]
         for i, iv in enumerate(tier.intervals, start=1):
             out += [
                 f"        intervals [{i}]:",
-                f"            xmin = {_fmt(iv.xmin)}",
-                f"            xmax = {_fmt(iv.xmax)}",
+                f"            xmin = {float(iv.xmin)!r}",
+                f"            xmax = {float(iv.xmax)!r}",
                 f'            text = "{iv.text.replace(chr(34), chr(34) * 2)}"',
             ]
     with open(path, "w", encoding="utf-8") as fh:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from textgrid_forms import short_form
 
 from taanseg import cnn
 from taanseg import features as feat_mod
@@ -251,9 +252,11 @@ def truth_files(small_concert):
     write_sections(read_timeline(small_concert["timeline"]), grid)
     utf16 = root / "truth16.TextGrid"
     utf16.write_bytes(grid.read_text("utf-8").encode("utf-16"))
+    short = root / "truth_short.TextGrid"
+    short.write_text(short_form(grid.read_text("utf-8")), encoding="utf-8")
     return {"timeline": small_concert["timeline"],
             "labels": small_concert["labels"], "textgrid": grid,
-            "utf16": utf16}
+            "utf16": utf16, "short": short}
 
 
 def tiers_grid(truth_files, tmp_path, tiers):
@@ -268,9 +271,9 @@ def tiers_grid(truth_files, tmp_path, tiers):
 
 class TestTruthFormats:
     """Training and evaluation read a timeline TSV, a frame-label TSV or a
-    long-form TextGrid through one reader."""
+    long- or short-form TextGrid through one reader."""
 
-    FORMATS = ["timeline", "textgrid", "utf16"]
+    FORMATS = ["timeline", "textgrid", "utf16", "short"]
 
     @pytest.mark.parametrize("command, config", [
         ("train-mlp", '{"mlp_epochs": 20, "mlp_hidden": 20}'),
@@ -602,6 +605,30 @@ class TestBootstrapLabels:
         _, labels = read_frame_labels(out)
         assert labels[:n].count("non-taan") >= 0.9 * n
         assert labels[n:].count("taan") >= 0.9 * n
+
+    @pytest.mark.parametrize("rows, where, message", [
+        # 30.6 s and 31.4 s would both seed frame 31
+        ([(30.6, "taan"), (31.4, "non-taan")], ":3:",
+         "time 30.6 s is not a whole second >= 0"),
+        ([(31.0, "taan"), (31.0, "non-taan")], ":4:",
+         "a second row at 31.0 s"),
+        ([(-0.4, "taan")], ":3:", "time -0.4 s is not a whole second >= 0"),
+        ([(7.0, "instrumental")], ":",
+         "seed labels must contain exactly 2 classes, not ['instrumental', "
+         "'non-taan', 'taan']")],
+        ids=["fraction", "repeat", "negative", "three-classes"])
+    def test_seed_file_fault_names_the_file(self, features_csv, tmp_path,
+                                            capsys, rows, where, message):
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text("".join(f"{t}\t{lab}\n" for t, lab in [
+            (0.0, "taan"), (1.0, "taan"), *rows, (3.0, "non-taan"),
+            (4.0, "non-taan")]))
+        out = tmp_path / "out.tsv"
+        rc = main(["bootstrap-labels", "--features", str(features_csv),
+                   "--seed-labels", str(seeds), "--out", str(out)])
+        assert rc == 2
+        assert f"{seeds}{where} {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestExitCodes:

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from taanseg import pipeline
+from taanseg import pipeline, wavio
 from taanseg.dsp import (
     AudioClip,
     LOG_FLOOR,
@@ -128,11 +128,36 @@ class TestResample:
         with pytest.raises(InvalidArgumentError):
             resample(tone(1000, 8000), 12345)
 
+    def test_target_rate_between_accepted_rates(self):
+        # 8000.5 is no rate: not a clip labelled 8000 Hz at the 8000.5 ratio
+        with pytest.raises(InvalidArgumentError, match="sample_rate 8000.5"):
+            resample(tone(1000, 16000), 8000.5)
+
+    def test_whole_float_target_rate(self):
+        out = resample(tone(1000, 16000), 8000.0)
+        assert type(out.sample_rate) is int
+        assert np.array_equal(out.samples,
+                              resample(tone(1000, 16000), 8000).samples)
+
 
 class TestAudioClip:
     def test_rejects_unknown_rate(self):
         with pytest.raises(InvalidArgumentError):
             AudioClip(samples=np.zeros(10), sample_rate=11025)
+
+    @pytest.mark.parametrize("rate", [8000.7, 7999.999, "8000", True,
+                                      np.array([8000, 16000])])
+    def test_rejects_rate_that_is_not_an_accepted_one(self, rate):
+        with pytest.raises(InvalidArgumentError, match="not in accepted set"):
+            AudioClip(samples=np.zeros(8000), sample_rate=rate)
+
+    @pytest.mark.parametrize("rate", [8000.0, np.float64(8000), np.int32(8000)])
+    def test_whole_rate_is_stored_as_int(self, tmp_path, rate):
+        clip = AudioClip(samples=np.zeros(8), sample_rate=rate)
+        assert type(clip.sample_rate) is int and clip.sample_rate == 8000
+        # the WAV header takes it: no struct.error
+        wavio.write_wav(clip, tmp_path / "x.wav")
+        assert wavio.read_wav(tmp_path / "x.wav").sample_rate == 8000
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("stage", [

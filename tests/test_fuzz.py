@@ -1,9 +1,10 @@
 """Property-based fuzzing of the input contract (Hypothesis, MacIver et al.,
 JOSS 2019): on arbitrary bytes and on mutated valid files, every table,
-JSON and TextGrid reader, the truth reader, the model reader (binary and
-sidecar) and the WAV reader raise only TaansegError, and `cli.main`
-returns only 0, 1 or 2, also when `classify`, `tracks`, `segment` and
-`inspect-cnn` read a fuzzed WAV or model."""
+JSON and TextGrid reader (TextGrids in the long and the short form), the
+truth reader, the model reader (binary and sidecar) and the WAV reader
+raise only TaansegError, and `cli.main` returns only 0, 1 or 2, also when
+`classify`, `tracks`, `segment` and `inspect-cnn` read a fuzzed WAV or
+model."""
 
 import re
 import shutil
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from textgrid_forms import short_form
 
 from taanseg.bootstrap import read_frame_labels, write_frame_labels
 from taanseg.cli import main
@@ -146,11 +148,13 @@ def renumbered(draw, valid):
     return b"".join(pieces)
 
 
-# 200 examples: the first 60 never put a bad count where a count belongs
+# 200 examples of the long and the short form: the first 60 never put a
+# bad count where a count belongs
 @settings(FUZZ, max_examples=200)
 @given(data=st.data())
 def test_textgrid_raises_only_taanseg_errors(files, data):
-    valid = (files / "textgrid").read_bytes()
+    long = (files / "textgrid").read_text("utf-8")
+    valid = data.draw(st.sampled_from([long, short_form(long)])).encode()
     path = files / "fuzzed"
     path.write_bytes(data.draw(inputs(valid) | renumbered(valid)))
     try:

@@ -6,9 +6,13 @@ import json
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from textgrid_forms import short_form
 
 from taanseg import wavio
 from taanseg.cnn import (PATCH_BINS, PATCH_FRAMES, cnn_init, cnn_posteriors,
@@ -177,6 +181,33 @@ def _doc():
     )
 
 
+# names and labels with quotes, `=`, `?`, brackets, or nothing
+LABEL_TEXT = st.text('a "=?<>[]:.e-1ā', max_size=8)
+
+# a long-form point tier of two points, with an `item [k]:` line
+POINT_TIER = "\n".join([
+    "    item [0]:", '        class = "TextTier"', '        name = "beats"',
+    "        xmin = 0", "        xmax = 1", "        points: size = 2",
+    "        points [1]:", "            number = 0.5",
+    '            mark = "sa "" ni"', "        points [2]:",
+    "            number = 1", '            mark = ""', ""])
+
+
+@st.composite
+def textgrid_docs(draw):
+    """Docs of up to 3 interval tiers over [x, x + 1000] with LABEL_TEXT
+    names and labels."""
+    xmin = draw(st.floats(-1e6, 1e6))
+    tiers = []
+    for _ in range(draw(st.integers(0, 3))):
+        cuts = sorted(draw(st.sets(st.integers(0, 2000), min_size=2,
+                                   max_size=6)))
+        tiers.append(IntervalTier(draw(LABEL_TEXT), xmin, xmin + 1000.0, [
+            Interval(xmin + 0.37 * a, xmin + 0.37 * b, draw(LABEL_TEXT))
+            for a, b in zip(cuts, cuts[1:])]))
+    return TextGridDoc(xmin, xmin + 1000.0, tiers)
+
+
 class TestTextGrid:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "grid.TextGrid"
@@ -223,20 +254,57 @@ class TestTextGrid:
             doc = parse_textgrid(path)
         assert len(doc.tiers) == 1
 
-    @pytest.mark.parametrize("key,line", [("size", 7),
-                                          ("intervals: size", 14),
-                                          ("points: size", 32)])
+    # each count's line in the long form, and in the short form if short
+    @pytest.mark.parametrize("key,line,short", [
+        pytest.param(key, line, short,
+                     id=("short-" if short else "") + f"{key}-{line}")
+        for key, line, short in [
+            ("size", 7, False), ("intervals: size", 14, False),
+            ("points: size", 32, False), ("size", 7, True),
+            ("intervals: size", 12, True), ("points: size", 26, True)]])
     @pytest.mark.parametrize("count", ["1e9992", "-1", "1.5", "-1e9992"])
-    def test_count_that_is_not_a_count(self, tmp_path, key, line, count):
+    def test_count_that_is_not_a_count(self, tmp_path, key, line, short,
+                                       count):
         # 1e9992 reads as infinity, which int() cannot convert
-        text = self._with_point_tier(tmp_path).splitlines()
-        assert text[line - 1].strip().startswith(f"{key} = ")
-        text[line - 1] = f"{key} = {count}"
+        text = self._with_point_tier(tmp_path)
+        text = (short_form(text) if short else text).splitlines()
+        assert re.fullmatch(r"\d+" if short else rf"\s*{key} = \d+",
+                            text[line - 1])
+        text[line - 1] = count if short else f"{key} = {count}"
         path = tmp_path / "count.TextGrid"
         path.write_text("\n".join(text), encoding="utf-8")
         with pytest.raises(ParseError, match="not a count") as info:
             parse_textgrid(path)
         assert (info.value.path, info.value.line) == (path, line)
+
+    @pytest.mark.parametrize("line, text", [
+        (4, "xmax = 0.0"), (4, "xmin = 0.0 junk"), (4, "xmin = 0.0.0"),
+        (4, "xmin = inf"), (4, "xmin = nan"), (6, "tiers? 1"),
+        (6, "tiers? <exists> x"), (7, "intervals: size = 1"),
+        (10, 'klass = "IntervalTier"'), (10, 'class = "IntervalTier" x'),
+        (11, 'name = "a"b"'), (11, "name = sections"),
+        (14, 'intervals: size = "3"'), (16, "xmin = 0.0 0.0"),
+        (18, 'text = "" ""'), (18, "mark = \"\"")])
+    def test_value_line_fault(self, tmp_path, line, text):
+        """A wrong key, a value of the wrong kind, or text after the value
+        is a ParseError at its line."""
+        lines = self._with_point_tier(tmp_path).splitlines()
+        lines[line - 1] = text
+        path = tmp_path / "fault.TextGrid"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(ParseError, match="expected `") as info:
+            parse_textgrid(path)
+        assert (info.value.path, info.value.line) == (path, line)
+
+    @pytest.mark.parametrize("short", [False, True])
+    def test_cut_file_ends_at_its_last_line(self, tmp_path, short):
+        text = self._with_point_tier(tmp_path)
+        lines = (short_form(text) if short else text).splitlines()[:-3]
+        path = tmp_path / "cut.TextGrid"
+        path.write_text("\n".join(lines) + "\n\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="end of file") as info:
+            parse_textgrid(path)
+        assert info.value.line == len(lines) + 1
 
     def test_overlapping_intervals_rejected(self, tmp_path):
         doc = _doc()
@@ -247,14 +315,35 @@ class TestTextGrid:
             parse_textgrid(path)
         assert info.value.path == path
 
-    def test_short_form_rejected(self, tmp_path):
+    def test_short_form_reads_as_its_long_form(self, tmp_path):
         path = tmp_path / "short.TextGrid"
-        path.write_text(
-            'File type = "ooTextFile"\n"TextGrid"\n0\n60\n<exists>\n1\n',
-            encoding="utf-8",
-        )
-        with pytest.raises(ParseError):
-            parse_textgrid(path)
+        path.write_text(short_form(self._with_point_tier(tmp_path)),
+                        encoding="utf-16")
+        assert path.read_text("utf-16").splitlines()[3:8] == [
+            "0.0", "60.0", "<exists>", "2", '"IntervalTier"']
+        with pytest.warns(UserWarning, match="point tier 'beats' skipped"):
+            assert parse_textgrid(path) == _doc()
+
+    @settings(deadline=None, max_examples=60, derandomize=True,
+              database=None)
+    @given(doc=textgrid_docs(), points=st.integers(0, 3))
+    def test_short_form_parses_to_the_doc(self, tmp_path_factory, doc,
+                                          points):
+        """With a point tier after `points` interval tiers (none if there
+        are fewer), the long and the short form parse to the emitted doc."""
+        path = tmp_path_factory.mktemp("forms") / "grid.TextGrid"
+        emit_textgrid(doc, path)
+        text = path.read_text("utf-8")
+        if points <= len(doc.tiers):
+            head, *items = re.split(r"(?m)^(?=    item \[\d+\]:)", text)
+            items.insert(points, POINT_TIER)
+            text = re.sub(r"(?m)^size = \d+$", f"size = {len(items)}",
+                          "".join([head, *items]))
+        for form in (text, short_form(text)):
+            path.write_text(form, encoding="utf-8")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert parse_textgrid(path) == doc
 
     @pytest.mark.parametrize("raw", [
         b'File type = "ooTextFile"\n\xff\n',          # not UTF-8

@@ -239,7 +239,7 @@ class TestSynthConcert:
         with pytest.raises(InvalidArgumentError):
             synth_concert(script)
 
-    @pytest.mark.parametrize("rate", [-8000, 0, 12345, 96000])
+    @pytest.mark.parametrize("rate", [-8000, 0, 12345, 96000, 8000.5])
     def test_rate_checked_before_drawing(self, monkeypatch, rate):
         def draw(*args):
             raise AssertionError("a section was drawn")
@@ -249,6 +249,14 @@ class TestSynthConcert:
         with pytest.raises(InvalidArgumentError,
                            match=f"sample_rate {rate} not in accepted set"):
             synth_concert(script)
+
+    def test_whole_float_rate_renders_as_its_int(self):
+        script = ConcertScript([SectionSpec("instrumental", 1.0)], seed=3)
+        a, _, _ = synth_concert(script)
+        script.sample_rate = 8000.0
+        b, _, _ = synth_concert(script)
+        assert type(b.sample_rate) is int
+        assert np.array_equal(b.samples, a.samples)
 
     def test_deterministic(self):
         a, _, _ = synth_concert(default_test_script(seed=7))
