@@ -222,8 +222,7 @@ def _run(args, cfg):
         out, rounds, converged = bootstrap_mod.bootstrap_labels(x, seed)
         bootstrap_mod.write_frame_labels(out, args.out, names=names)
         if not converged:
-            print(f"warning: no fixpoint after {rounds} rounds",
-                  file=sys.stderr)
+            warnings.warn(f"no fixpoint after {rounds} rounds")
         return 0
 
     raise UsageError(f"unknown command {args.command!r}")

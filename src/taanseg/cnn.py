@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
-from .mlp import check_arrays, glorot_uniform, sigmoid, softmax
+from .mlp import check_arrays, glorot_uniform, seeded_rng, sigmoid, softmax
 from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
@@ -306,7 +306,7 @@ def export_channel_maps(model, patch, channel):
 
 def cnn_init(seed):
     """Glorot-uniform conv/linear weights, zero biases, unit band stats."""
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     arrays = {name: glorot_uniform(rng, shape) if name.endswith("_w")
               else np.zeros(shape) for name, shape in SHAPES.items()}
     arrays["band_std"] = np.ones(PATCH_BINS)
@@ -383,7 +383,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     band_mean, band_std = band_stats
     model = replace(cnn_init(seed), band_mean=band_mean, band_std=band_std)
 
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     head_w = glorot_uniform(rng, (SHAPE_CHAIN[5][0], 2))
     head_b = np.zeros(2)
 

@@ -1,11 +1,12 @@
 """Pipeline configuration: every tunable of the processing chain with its
-documented default. Loadable from JSON (unknown keys rejected): the
-`--config` file, else the file TAANSEG_CONFIG names, else the defaults.
+documented default and range. Loadable from JSON (unknown keys rejected):
+the `--config` file, else the file TAANSEG_CONFIG names, else the defaults.
 """
 
 import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 
@@ -13,80 +14,71 @@ from .errors import DataError, open_text
 from .vocal import HARMONIC_CEILING_HZ
 
 ENV_VAR = "TAANSEG_CONFIG"
+# the bounds a field's range may set, each named as its `operator` test
+BOUNDS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}
+
+
+def _f(default, **bounds):
+    """A field with its default and its range: `gt=0, le=600` is (0, 600]."""
+    return dataclasses.field(default=default, metadata=bounds)
 
 
 @dataclasses.dataclass
 class PipelineConfig:
-    # pitch tracking
-    f0_min_hz: float = 80.0
-    f0_max_hz: float = 600.0
-    f0_grid_cents: float = 10.0
-    harmonic_tol_cents: float = 30.0
-    n_harmonics: int = 10
-    voicing_factor: float = 3.0
+    # pitch tracking: F0 from one DFT bin to the Nyquist frequency at 8 kHz,
+    # 9 octaves: a grid step past their 10800 cents leaves f0_min_hz alone
+    f0_min_hz: float = _f(80.0, ge=8000 / 1024, le=4000)
+    f0_max_hz: float = _f(600.0, ge=8000 / 1024, le=4000)
+    f0_grid_cents: float = _f(10.0, ge=1, le=10800)
+    harmonic_tol_cents: float = _f(30.0, gt=0, le=600)
+    n_harmonics: int = _f(10, ge=1)
+    voicing_factor: float = _f(3.0, gt=0)
     # vocal activity
-    vocal_min_run_s: float = 0.2
-    vocal_max_gap_s: float = 0.1
+    vocal_min_run_s: float = _f(0.2, gt=0)
+    vocal_max_gap_s: float = _f(0.1, gt=0)
     # features
-    feature_gap_frac: float = 0.2
-    smooth_window_s: float = 5.0
-    norm_var_floor: float = 1e-12
+    feature_gap_frac: float = _f(0.2, ge=0, lt=1)
+    smooth_window_s: float = _f(5.0, gt=0)
+    norm_var_floor: float = _f(1e-12, ge=0)
     # MLP
-    mlp_hidden: int = 300
-    mlp_lr: float = 0.05
-    mlp_epochs: int = 200
-    mlp_batch: int = 32
-    mlp_seed: int = 0
+    mlp_hidden: int = _f(300, ge=1, le=4096)
+    mlp_lr: float = _f(0.05, gt=0)
+    mlp_epochs: int = _f(200, ge=0)
+    mlp_batch: int = _f(32, ge=1)
+    mlp_seed: int = _f(0, ge=0)
     class_balance: bool = True
-    taan_threshold: float = 0.5
+    taan_threshold: float = _f(0.5, ge=0, le=1)
     # CNN
-    cnn_epochs: int = 60
-    cnn_lr0: float = 0.1
-    cnn_halve_every: int = 10
-    cnn_batch: int = 32
-    cnn_seed: int = 0
+    cnn_epochs: int = _f(60, ge=0)
+    cnn_lr0: float = _f(0.1, gt=0)
+    cnn_halve_every: int = _f(10, ge=1)
+    cnn_batch: int = _f(32, ge=1)
+    cnn_seed: int = _f(0, ge=0)
     # segmentation
-    novelty_half_width_s: float = 5.0
+    novelty_half_width_s: float = _f(5.0, gt=0)
     gaussian_taper: bool = True
-    pick_neighborhood_s: float = 5.0
-    pick_rel_threshold: float = 0.3
-    group_vocal_gap_s: float = 20.0
-    group_instr_gap_s: float = 50.0
+    pick_neighborhood_s: float = _f(5.0, gt=0)
+    pick_rel_threshold: float = _f(0.3, ge=0, le=1)
+    group_vocal_gap_s: float = _f(20.0, ge=0)
+    group_instr_gap_s: float = _f(50.0, ge=0)
 
     def validate(self):
-        """DataError naming the field unless every value is in range. Beyond
-        signs and unit intervals: 8000/1024 <= f0_min_hz < f0_max_hz <= 4000
-        (one DFT bin, and the Nyquist frequency, at 8 kHz), f0_grid_cents
-        >= 1, harmonic_tol_cents <= 600, mlp_hidden <= 4096, n_harmonics <=
-        ceil(HARMONIC_CEILING_HZ / f0_min_hz): higher ones are never used."""
-        if not 8000 / 1024 <= self.f0_min_hz < self.f0_max_hz <= 4000:
-            raise DataError("need 7.8125 <= f0_min_hz < f0_max_hz <= 4000")
-        for name in ("harmonic_tol_cents", "voicing_factor",
-                     "vocal_min_run_s", "vocal_max_gap_s", "smooth_window_s",
-                     "mlp_lr", "cnn_lr0", "novelty_half_width_s",
-                     "pick_neighborhood_s"):
-            if getattr(self, name) <= 0:
-                raise DataError(f"{name} must be positive")
-        for name in ("f0_grid_cents", "n_harmonics", "mlp_hidden", "mlp_batch",
-                     "cnn_batch", "cnn_halve_every"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be >= 1")
-        caps = {"harmonic_tol_cents": 600, "mlp_hidden": 4096,
-                "n_harmonics": math.ceil(HARMONIC_CEILING_HZ / self.f0_min_hz)}
-        for name, cap in caps.items():
-            if getattr(self, name) > cap:
-                raise DataError(f"{name} must be <= {cap}")
-        for name in ("mlp_epochs", "cnn_epochs"):
-            if getattr(self, name) < 0:
-                raise DataError(f"{name} must be >= 0")
-        if not 0.0 <= self.taan_threshold <= 1.0:
-            raise DataError("taan_threshold must be in [0, 1]")
-        if not 0.0 <= self.feature_gap_frac < 1.0:
-            raise DataError("feature_gap_frac must be in [0, 1)")
-        if not 0.0 <= self.pick_rel_threshold <= 1.0:
-            raise DataError("pick_rel_threshold must be in [0, 1]")
-        if self.group_vocal_gap_s < 0 or self.group_instr_gap_s < 0:
-            raise DataError("grouping gaps must be non-negative")
+        """DataError naming the first field out of its range, else unless
+        f0_min_hz < f0_max_hz and n_harmonics <= ceil(HARMONIC_CEILING_HZ /
+        f0_min_hz), as higher harmonics are never used."""
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            for key, bound in f.metadata.items():
+                if not getattr(operator, key)(value, bound):
+                    raise DataError(f"{f.name} must be {BOUNDS[key]} {bound}, "
+                                    f"not {value!r}")
+        if self.f0_min_hz >= self.f0_max_hz:
+            raise DataError(f"f0_min_hz must be < f0_max_hz "
+                            f"({self.f0_max_hz!r}), not {self.f0_min_hz!r}")
+        cap = math.ceil(HARMONIC_CEILING_HZ / self.f0_min_hz)
+        if self.n_harmonics > cap:
+            raise DataError(f"n_harmonics must be <= {cap}, "
+                            f"not {self.n_harmonics!r}")
         return self
 
 
@@ -98,8 +90,9 @@ def load_config(path=None):
         return PipelineConfig().validate()
     with open_text(path) as fh:
         data = json.load(fh)
-    fields = dataclasses.fields(PipelineConfig)
-    check_object(path, "config", data, {f.name: f.type for f in fields}, ())
+    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    check_object(path, "config", data, types, ())
+    data = {k: float(v) if types[k] is float else v for k, v in data.items()}
     try:
         return PipelineConfig(**data).validate()
     except DataError as exc:

@@ -27,6 +27,13 @@ def check_arrays(model, kind, shapes):
         raise InvalidArgumentError(f"non-finite values in {', '.join(bad)}")
 
 
+def seeded_rng(seed):
+    """np.random.default_rng(seed), but InvalidArgumentError if seed < 0."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed {seed} is negative")
+    return np.random.default_rng(seed)
+
+
 def glorot_uniform(rng, shape):
     """U(-r, r) draws, r = sqrt(6 / (fan_in + fan_out)), for a dense (n_in,
     n_out) or a conv (out, in, kh, kw) weight, whose fans span the kernel."""
@@ -94,7 +101,7 @@ def mlp_init(hidden, seed, n_in=3):
     """Glorot-uniform weights, zero biases; deterministic given seed."""
     if hidden < 1:
         raise InvalidArgumentError("hidden layer needs at least one unit")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     return MlpModel(
         w1=glorot_uniform(rng, (n_in, hidden)),
         b1=np.zeros(hidden),
@@ -187,7 +194,7 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
     losses = list(sgd_epochs(
         (model.w1, model.b1, model.w2, model.b2), (1, 1, 1, 1),
         lambda xb, yb, wb: _grads(model, xb, yb, wb), x, y, weights,
-        np.random.default_rng(seed), lr, epochs, batch, halve_every))
+        seeded_rng(seed), lr, epochs, batch, halve_every))
     model.meta.update({"epochs": epochs, "lr": lr,
                        "loss_history": [float(v) for v in losses]})
     return model, losses

@@ -15,6 +15,7 @@ from .config import check_object
 from .dsp import AudioClip, accepted_rate
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_text)
+from .mlp import seeded_rng
 from .pool import ordered_map
 from .segmentation import Section, SectionTimeline
 
@@ -92,7 +93,8 @@ def script_from_json(path):
 
 
 def script_to_json(script, path):
-    data = {"seed": script.seed, "sample_rate": script.sample_rate,
+    data = {"seed": script.seed,
+            "sample_rate": accepted_rate(script.sample_rate),
             "sections": [dataclasses.asdict(s) for s in script.sections]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
@@ -249,15 +251,13 @@ def synth_concert(script):
     """
     if not script.sections:
         raise InvalidArgumentError("script has no sections")
-    if script.seed < 0:
-        raise InvalidArgumentError(f"seed {script.seed} is negative")
     sr = accepted_rate(script.sample_rate)
     total = script.total_duration()
     if total > MAX_DURATION_S:
         raise ResourceLimitError(
             f"script of {total:.0f} s exceeds the {MAX_DURATION_S:.0f} s cap"
         )
-    rng = np.random.default_rng(script.seed)
+    rng = seeded_rng(script.seed)
     draws = [_draw_section(spec, sr, rng) for spec in script.sections]
     lengths = [int(round(spec.duration_s * sr)) for spec in script.sections]
     x = np.empty(sum(lengths))

@@ -16,7 +16,7 @@ from textgrid_forms import short_form
 
 from taanseg import cnn
 from taanseg import features as feat_mod
-from taanseg import pipeline, pool, wavio
+from taanseg import bootstrap, pipeline, pool, wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
 from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
@@ -583,9 +583,10 @@ class TestInspectCnn:
 
 
 class TestBootstrapLabels:
-    def test_recovers_clusters(self, tmp_path):
+    def _two_clusters(self, tmp_path, n):
+        """argv of bootstrap-labels on two clusters of n frames each, two
+        frames of each seeded."""
         rng = np.random.default_rng(0)
-        n = 40
         feats = np.vstack([
             rng.normal(loc=[-1.5, -1.5, 0.0], scale=0.3, size=(n, 3)),
             rng.normal(loc=[1.5, 1.5, 0.0], scale=0.3, size=(n, 3)),
@@ -598,13 +599,26 @@ class TestBootstrapLabels:
         seed_path = tmp_path / "seed.tsv"
         seed_path.write_text(
             "0.0\tnon-taan\n1.0\tnon-taan\n40.0\ttaan\n41.0\ttaan\n")
-        out = tmp_path / "labels.tsv"
-        rc = main(["bootstrap-labels", "--features", str(feat_path),
-                   "--seed-labels", str(seed_path), "--out", str(out)])
+        return ["bootstrap-labels", "--features", str(feat_path),
+                "--seed-labels", str(seed_path),
+                "--out", str(tmp_path / "labels.tsv")]
+
+    def test_recovers_clusters(self, tmp_path):
+        n = 40
+        rc = main(self._two_clusters(tmp_path, n))
         assert rc == 0
-        _, labels = read_frame_labels(out)
+        _, labels = read_frame_labels(tmp_path / "labels.tsv")
         assert labels[:n].count("non-taan") >= 0.9 * n
         assert labels[n:].count("taan") >= 0.9 * n
+
+    def test_no_fixpoint_is_one_warning_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        run = bootstrap.bootstrap_labels
+        monkeypatch.setattr(bootstrap, "bootstrap_labels",
+                            lambda x, seed: (run(x, seed)[0], 50, False))
+        assert main(self._two_clusters(tmp_path, 40)) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: no fixpoint after 50 rounds\n"
 
     @pytest.mark.parametrize("rows, where, message", [
         # 30.6 s and 31.4 s would both seed frame 31
@@ -629,6 +643,20 @@ class TestBootstrapLabels:
         assert rc == 2
         assert f"{seeds}{where} {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestConfigValues:
+    def test_int_for_float_field_gives_the_same_features(
+            self, small_concert, tmp_path):
+        out = []
+        for value in ("100", "100.0"):
+            cfg = tmp_path / f"cfg_{value}.json"
+            cfg.write_text(f'{{"f0_min_hz": {value}}}')
+            out.append(tmp_path / f"features_{value}.csv")
+            assert main(["--config", str(cfg), "features", "--audio",
+                         str(small_concert["wav"]),
+                         "--out", str(out[-1])]) == 0
+        assert out[0].read_bytes() == out[1].read_bytes()
 
 
 class TestExitCodes:
@@ -954,7 +982,7 @@ class TestNonFiniteInputs:
         # float overflow) or in train-mlp (mlp_hidden); the config is
         # checked before any command runs
         ('{"f0_grid_cents": 1e-300}', ": f0_grid_cents must be >= 1"),
-        ('{"f0_min_hz": 1e-320}', ": need 7.8125 <= f0_min_hz"),
+        ('{"f0_min_hz": 1e-320}', ": f0_min_hz must be >= 7.8125"),
         ('{"harmonic_tol_cents": 1e300}', ": harmonic_tol_cents must be <="),
         ('{"n_harmonics": 1000000000000}', ": n_harmonics must be <= 63"),
         ('{"mlp_hidden": 1000000000000}', ": mlp_hidden must be <= 4096")])

@@ -432,6 +432,14 @@ class TestTraining:
         with pytest.raises(InvalidArgumentError):
             cnn_train(patches, [1, 1, 1, 1], stats, epochs=1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="seed -1 is negative"):
+            cnn_init(-1)
+        patches = [_rand_patch(i) for i in range(4)]
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        with pytest.raises(InvalidArgumentError, match="seed -1 is negative"):
+            cnn_train(patches, [0, 1, 0, 1], stats, epochs=1, seed=-1)
+
     def test_bad_band_stats_rejected_before_training(self, monkeypatch):
         """The start model is built with the band statistics, so a zero
         band_std fails its check before any forward pass or SGD epoch."""

@@ -613,6 +613,7 @@ class TestConfig:
                         '"class_balance": false}')
         cfg = load_config(path)
         assert cfg.f0_min_hz == 100 and cfg.taan_threshold == 1
+        assert {type(cfg.f0_min_hz), type(cfg.taan_threshold)} == {float}
         assert cfg.class_balance is False
 
     @pytest.mark.parametrize("text", ['{"mlp_hidden": 50.0}',
@@ -638,7 +639,8 @@ class TestConfig:
         path.write_text('{"f0_min_hz": 700.0}')
         with pytest.raises(DataError) as info:
             load_config(path)
-        assert str(info.value).startswith(f"{path}: need 7.8125 <= f0_min_hz")
+        assert str(info.value) == (f"{path}: f0_min_hz must be < f0_max_hz "
+                                   "(600.0), not 700.0")
 
     def test_env_var(self, tmp_path, monkeypatch):
         path = tmp_path / "cfg.json"

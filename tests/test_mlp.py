@@ -70,6 +70,10 @@ class TestInit:
         with pytest.raises(InvalidArgumentError):
             mlp_init(0, seed=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(InvalidArgumentError, match="seed -1 is negative"):
+            mlp_init(3, seed=-1)
+
 
 class TestForward:
     def test_zero_model_is_uniform(self):
@@ -178,6 +182,11 @@ class TestTraining:
         b, _ = mlp_train(mlp_init(8, seed=2), x, y, epochs=20, seed=3,
                          halve_every=5)
         assert not np.array_equal(a.w1, b.w1)
+
+    def test_negative_shuffle_seed_rejected(self):
+        x, y = self._blobs(n=10)
+        with pytest.raises(InvalidArgumentError, match="seed -2 is negative"):
+            mlp_train(mlp_init(8, seed=2), x, y, epochs=1, seed=-2)
 
     def test_single_class_rejected(self):
         x = np.zeros((10, 3))

@@ -319,6 +319,15 @@ class TestScriptIo:
         assert back.sample_rate == script.sample_rate
         assert back.sections == script.sections
 
+    def test_whole_float_rate_round_trips(self, tmp_path):
+        script = ConcertScript([SectionSpec("instrumental", 1.0)], seed=3,
+                               sample_rate=8000.0)
+        path = tmp_path / "script.json"
+        script_to_json(script, path)
+        back = script_from_json(path)
+        assert type(back.sample_rate) is int and back.sample_rate == 8000
+        assert back.sections == script.sections and back.seed == 3
+
     def test_defaults_when_absent(self, tmp_path):
         path = tmp_path / "script.json"
         path.write_text(
