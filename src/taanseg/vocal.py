@@ -5,6 +5,7 @@ candidate grid. Externally computed pitch tracks can be ingested from CSV
 instead (header: time_s,f0_hz,energy_db,voiced at exactly 10 ms rows).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ UNVOICED_DB = -120.0
 HARMONIC_CEILING_HZ = 5000.0
 # F0 candidates summed at once in the harmonic-sum search
 CAND_BLOCK = 32
+# magnitude bins compared at once in the voicing count
+VOICING_ROWS = 64
 
 
 @dataclass
@@ -60,15 +63,77 @@ def _harmonic_bin_ranges(f0, n_bins, bin_hz, tol_cents=30.0, n_harmonics=10):
 
 def _range_argmax(a, lo, hi, frames):
     """Row of the max of a[lo[i]:hi[i], frames[i]] for each i, first on
-    ties, by one masked gather over the widest range; every range must be
-    non-empty."""
+    ties, by one masked gather over the widest range through flat indices
+    into a; every range must be non-empty."""
     rows = lo[:, None] + np.arange((hi - lo).max())
-    vals = a[np.minimum(rows, a.shape[0] - 1), frames[:, None]]
+    flat = np.minimum(rows, a.shape[0] - 1) * a.shape[1] + frames[:, None]
+    vals = np.take(a, flat)
     vals[rows >= hi[:, None]] = -np.inf
     return lo + np.argmax(vals, axis=1)
 
 
-def _best_candidates(mags, lo, hi, usable):
+@dataclass(frozen=True)
+class _SearchPlan:
+    """What the F0 search needs besides the magnitudes, fixed by the
+    config and the bin layout; every array is read-only. Harmonic h of
+    candidate c spans bins lo[h - 1, c] up to hi[h - 1, c] where
+    usable[h - 1, c]; keys are the distinct usable (lo, hi) pairs in
+    ascending order, and rows[h - 1, c] is the row of that harmonic's
+    slice maximum in the table, len(keys) (the zero row) where
+    unusable."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    usable: np.ndarray
+    weight_sum: np.ndarray
+    keys: tuple
+    rows: np.ndarray
+
+
+@functools.lru_cache(maxsize=8, typed=True)
+def _search_plan(n_bins, bin_hz, f_min, f_max, grid_cents, tol_cents,
+                 n_harmonics):
+    """The _SearchPlan of a candidate grid from f_min up to f_max in steps
+    of grid_cents, over n_bins bins of bin_hz."""
+    n_cands = int(np.floor(1200.0 * np.log2(f_max / f_min) / grid_cents)) + 1
+    candidates = f_min * 2.0 ** (grid_cents * np.arange(n_cands) / 1200.0)
+    lo, hi, usable = _harmonic_bin_ranges(candidates, n_bins, bin_hz,
+                                          tol_cents, n_harmonics)
+    weight_sum = np.zeros(n_cands)
+    for row in range(n_harmonics):
+        weight_sum += np.where(usable[row], 1.0 / (row + 1), 0.0)
+    if not weight_sum.any():
+        raise InvalidArgumentError("empty candidate grid")
+    keys, inverse = np.unique(np.stack((lo[usable], hi[usable]), axis=1),
+                              axis=0, return_inverse=True)
+    rows = np.full(lo.shape, len(keys))
+    rows[usable] = inverse.ravel()
+    for a in (lo, hi, usable, weight_sum, rows):
+        a.flags.writeable = False
+    return _SearchPlan(lo, hi, usable, weight_sum,
+                       tuple(map(tuple, keys.tolist())), rows)
+
+
+def _slice_maxima(mags, keys):
+    """Table of np.max(mags[a:b], axis=0) for each key (a, b), in order,
+    and a last row of zeros. A key that starts where the one before it
+    does extends that row by its new bins: max is exact and carries NaN
+    as np.max does, so the rows are the same bits."""
+    table = np.empty((len(keys) + 1, mags.shape[1]))
+    prev_a = prev_b = None
+    for r, (a, b) in enumerate(keys):
+        if a == prev_a:
+            np.maximum(table[r - 1], mags[prev_b], out=table[r])
+            for k in range(prev_b + 1, b):
+                np.maximum(table[r], mags[k], out=table[r])
+        else:
+            np.max(mags[a:b], axis=0, out=table[r])
+        prev_a, prev_b = a, b
+    table[-1] = 0.0
+    return table
+
+
+def _best_candidates(mags, plan):
     """Per frame, the first candidate with the largest 1/h-weighted
     harmonic sum, and that sum, as np.argmax over the (n_cands, n_frames)
     sum matrix would give them, NaN sums aside; each sum adds its usable
@@ -79,19 +144,14 @@ def _best_candidates(mags, lo, hi, usable):
     zero. The sums of CAND_BLOCK candidates at a time add, per harmonic h,
     the gathered table rows divided by h (zero where unusable, which
     leaves a non-negative sum as it is), and a running maximum over the
-    blocks keeps the first winner. So the array operations are few and
-    long, and the interpreter lock is free for most of the search."""
+    blocks keeps the first winner. Harmonic 1 is gathered straight into
+    the sums, as 0 + x is x for every non-negative or NaN x, and h = 2, 4
+    and 8 multiply by 1/h, which is exact. So the array operations are
+    few and long, and the interpreter lock is free for most of the
+    search."""
     n_frames = mags.shape[1]
-    n_cands = lo.shape[1]
-    keys, inverse = np.unique(np.stack((lo[usable], hi[usable]), axis=1),
-                              axis=0, return_inverse=True)
-    rows = np.full(lo.shape, len(keys))
-    rows[usable] = inverse.ravel()
-    table = np.empty((len(keys) + 1, n_frames))
-    for r, (a, b) in enumerate(keys.tolist()):
-        np.max(mags[a:b], axis=0, out=table[r])
-    table[-1] = 0.0
-
+    n_cands = plan.rows.shape[1]
+    table = _slice_maxima(mags, plan.keys)
     best = np.zeros(n_frames, dtype=np.intp)
     best_sum = np.full(n_frames, -np.inf)
     sums = np.empty((min(CAND_BLOCK, n_cands), n_frames))
@@ -99,14 +159,22 @@ def _best_candidates(mags, lo, hi, usable):
     for c0 in range(0, n_cands, CAND_BLOCK):
         c1 = min(c0 + CAND_BLOCK, n_cands)
         acc, part = sums[:c1 - c0], term[:c1 - c0]
-        acc.fill(0.0)
-        for h, (row, use) in enumerate(zip(rows[:, c0:c1],
-                                           usable[:, c0:c1].any(axis=1)),
+        uses = plan.usable[:, c0:c1].any(axis=1).tolist()
+        if not uses[0]:
+            acc.fill(0.0)
+        for h, (row, use) in enumerate(zip(plan.rows[:, c0:c1], uses),
                                        start=1):
-            if use:
-                np.take(table, row, axis=0, out=part)
+            if not use:
+                continue
+            if h == 1:
+                np.take(table, row, axis=0, out=acc)
+                continue
+            np.take(table, row, axis=0, out=part)
+            if h & (h - 1):
                 part /= h
-                acc += part
+            else:
+                part *= 1.0 / h
+            acc += part
         # the block's largest non-NaN sum and its first candidate; a later
         # block must beat it strictly, as the first maximum does
         top = np.fmax.reduce(acc, axis=0)
@@ -114,6 +182,31 @@ def _best_candidates(mags, lo, hi, usable):
         np.copyto(best, c0 + np.argmax(acc == top, axis=0), where=better)
         np.copyto(best_sum, top, where=better)
     return best, best_sum
+
+
+def _voiced(mags, best_sum, scale):
+    """best_sum > scale * np.median(mags, axis=0), bit for bit, without
+    sorting each frame's bins. Rounding scale * x keeps its order in x
+    when scale is finite and > 0, so for an odd bin count the median's
+    product lies below best_sum exactly when more than half of the bins'
+    do. Those are counted VOICING_ROWS bins at a time (a product that
+    overflows to inf counts as the rounded product does); a frame with a
+    NaN bin, whose median is NaN, stays unvoiced. An even bin count, or a
+    scale that is not finite and > 0, takes the median."""
+    n_bins, n_frames = mags.shape
+    if n_bins % 2 == 0 or not np.all((scale > 0) & (scale < np.inf)):
+        return best_sum > scale * np.median(mags, axis=0)
+    below = np.zeros(n_frames, dtype=np.intp)
+    prod = np.empty((min(VOICING_ROWS, n_bins), n_frames))
+    for r in range(0, n_bins, VOICING_ROWS):
+        part = prod[:min(VOICING_ROWS, n_bins - r)]
+        with np.errstate(over="ignore"):
+            np.multiply(mags[r:r + VOICING_ROWS], scale, out=part)
+        below += np.count_nonzero(part < best_sum, axis=0)
+    voiced = below > n_bins // 2
+    if np.isnan(np.max(mags, initial=0.0)):
+        voiced &= ~np.isnan(mags).any(axis=0)
+    return voiced
 
 
 def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
@@ -126,7 +219,8 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     tone and its subharmonics. A frame is unvoiced when the winning sum
     does not exceed voicing_factor * weight_sum * median frame magnitude.
     Every step is frame-local, so any split of the spectrogram into
-    frame blocks gives the same track.
+    frame blocks gives the same track. The candidate grid and its bin
+    ranges are planned once per config and bin layout.
     """
     if f_min >= f_max:
         raise InvalidArgumentError("f_min must be below f_max")
@@ -135,26 +229,14 @@ def detect_f0_baseline(spec, f_min=80.0, f_max=600.0, voicing_factor=3.0,
     if spec.bin_hz > 8.0:
         raise InvalidArgumentError("bin spacing too coarse for F0 search")
 
-    n_cands = int(np.floor(1200.0 * np.log2(f_max / f_min) / grid_cents)) + 1
-    candidates = f_min * 2.0 ** (grid_cents * np.arange(n_cands) / 1200.0)
+    plan = _search_plan(spec.n_bins, spec.bin_hz, f_min, f_max, grid_cents,
+                        tol_cents, n_harmonics)
+    lo, hi, usable = plan.lo, plan.hi, plan.usable
     mags = spec.magnitudes()  # (n_bins, n_frames)
     n_frames = mags.shape[1]
-
-    lo, hi, usable = _harmonic_bin_ranges(candidates, spec.n_bins, spec.bin_hz,
-                                          tol_cents, n_harmonics)
-    weight_sum = np.zeros(n_cands)
-    for row in range(n_harmonics):
-        weight_sum += np.where(usable[row], 1.0 / (row + 1), 0.0)
-    if not weight_sum.any():
-        raise InvalidArgumentError("empty candidate grid")
-    best, best_sum = _best_candidates(mags, lo, hi, usable)
-
-    # the median is one order statistic per frame: exact on a frame-major
-    # copy, which it may reorder in place
-    frame_median = np.median(dsp.contiguous_transpose(mags), axis=1,
-                             overwrite_input=True)
-    threshold = voicing_factor * np.maximum(weight_sum[best], 1e-12) * frame_median
-    voiced = best_sum > threshold
+    best, best_sum = _best_candidates(mags, plan)
+    voiced = _voiced(mags, best_sum, voicing_factor
+                     * np.maximum(plan.weight_sum[best], 1e-12))
 
     # refine the winning candidate from its harmonic peak bins: parabolic
     # interpolation of the log magnitude around each peak, averaged over

@@ -485,10 +485,10 @@ class TestCandidateBlocks:
 
 
 def test_f0_working_set():
-    # the magnitudes (1x the spectrogram) and the cached slice maxima
+    # the magnitudes (1x the spectrogram) and the table of slice maxima
     # (about 1.7x) set the peak; a (n_cands, n_frames) sum matrix (0.7x),
-    # a second copy for the median (1x), or the slice cache kept alive
-    # next to the median's frame-major copy (1x) each push it past 3x
+    # or a second copy of the magnitudes (1x) next to the table, such as
+    # a frame-major copy for a per-frame median, each push it past 3x
     rng = np.random.default_rng(2)
     clip = AudioClip(samples=0.1 * rng.standard_normal(30 * SR),
                      sample_rate=SR)
