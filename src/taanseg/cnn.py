@@ -10,17 +10,14 @@ import numpy as np
 
 from . import dsp, mlp as mlp_mod
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
-from .mlp import check_arrays, glorot_uniform, seeded_rng, sigmoid, softmax
+from .mlp import (check_arrays, glorot_uniform, matmul, seeded_rng, sigmoid,
+                  softmax)
 from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
 PATCH_FRAMES = 50       # 1 s at 20 ms hop
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block, one block per pool work item
-# OpenBLAS runs a GEMM of m*n*k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4) on
-# the calling thread and starts its own threads for a bigger one, which
-# would oversubscribe the cores the pool's workers already use
-GEMM_SLAB = 262_144
 # patches, and every array of the conv stack, are float32; the model keeps
 # its weights in float64 and the stack casts them on every call
 PATCH_DTYPE = np.float32
@@ -90,9 +87,9 @@ def spectrogram_band_stats(specs):
     else:
         counts = np.array([b.shape[1] for b in bands], dtype=np.float64)
         means = np.array([b.mean(axis=1) for b in bands])
-        sq_dev = counts @ np.array([b.var(axis=1) for b in bands])
-        mean = counts @ means / counts.sum()
-        var = (sq_dev + counts @ (means - mean) ** 2) / counts.sum()
+        sq_dev = matmul(counts, np.array([b.var(axis=1) for b in bands]))
+        mean = matmul(counts, means) / counts.sum()
+        var = (sq_dev + matmul(counts, (means - mean) ** 2)) / counts.sum()
     return mean, np.sqrt(np.maximum(var, BAND_VAR_FLOOR))
 
 
@@ -136,7 +133,7 @@ def _im2col(x, kh, kw):
     """Patch matrix of a valid kh x kw correlation: x (B,C,H,W) -> (kh*kw*C,
     n), rows in (i, j, c) order and columns in (b, h, w) order, built as
     kh*kw shifted slice copies of x's channel-major (C,B,H,W) view. n is
-    B*H'*W' rounded up to a multiple of 16 with zero columns (see _slab)."""
+    B*H'*W' rounded up to a multiple of 16 with zero columns (see matmul)."""
     b, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     n = b * ho * wo
@@ -150,41 +147,6 @@ def _im2col(x, kh, kw):
     return cols
 
 
-def _slab(m, k):
-    """im2col columns per GEMM: at most GEMM_SLAB m*n*k, and a multiple of
-    16, so every column takes the same BLAS kernel path and its result does
-    not depend on the columns beside it."""
-    return max(16, GEMM_SLAB // (m * k) // 16 * 16)
-
-
-def _gemm(a, b, out=None):
-    """a @ b, into out if given: the one BLAS call of the conv stack, so
-    that a test can see every GEMM's m, n and k."""
-    return np.matmul(a, b, out=out)
-
-
-def _mm(a, cols):
-    """a @ cols in _slab-wide column slabs of cols, whose width must be a
-    multiple of 16."""
-    out = np.empty((len(a), cols.shape[1]), dtype=np.result_type(a, cols))
-    step = _slab(*a.shape)
-    for s in range(0, cols.shape[1], step):
-        _gemm(a, cols[:, s : s + step], out=out[:, s : s + step])
-    return out
-
-
-def _mm_t(d, cols):
-    """d @ cols.T summed over _slab-wide column slabs of both, d zero-padded
-    to the width of cols."""
-    if d.shape[1] < cols.shape[1]:
-        d = np.pad(d, ((0, 0), (0, cols.shape[1] - d.shape[1])))
-    step = _slab(len(d), len(cols))
-    out = _gemm(d[:, :step], cols[:, :step].T)
-    for s in range(step, d.shape[1], step):
-        out += _gemm(d[:, s : s + step], cols[:, s : s + step].T)
-    return out
-
-
 def _conv_valid(x, w, b, cols=None):
     """Valid cross-correlation as im2col + GEMMs, in x's dtype. x (B,C,H,W),
     w (F,C,kh,kw) -> (B,F,H',W'), an NCHW view of channel-major (F,B,H',W')
@@ -194,7 +156,7 @@ def _conv_valid(x, w, b, cols=None):
     ho, wo = h - kh + 1, wd - kw + 1
     if cols is None:
         cols = _im2col(x, kh, kw)
-    z = _mm(w.transpose(0, 2, 3, 1).reshape(f, -1).astype(cols.dtype), cols)
+    z = matmul(w.transpose(0, 2, 3, 1).reshape(f, -1).astype(x.dtype), cols)
     z += np.asarray(b, dtype=z.dtype).reshape(-1, 1)
     return z[:, : bsz * ho * wo].reshape(f, bsz, ho, wo).transpose(1, 0, 2, 3)
 
@@ -208,8 +170,10 @@ def _conv_backward(x, w, d_out, input_grad=True, cols=None):
         cols = _im2col(x, kh, kw)
     d_cm = d_out.transpose(1, 0, 2, 3)
     d = d_cm.reshape(f, -1)
-    gw = _mm_t(d, cols).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     gb = d.sum(axis=1)
+    if d.shape[1] < cols.shape[1]:  # to the zero-padded width of cols
+        d = np.pad(d, ((0, 0), (0, cols.shape[1] - d.shape[1])))
+    gw = matmul(d, cols.T).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return gw, gb, None
     pad = np.pad(d_cm, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
@@ -319,10 +283,10 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
     acts = _conv_stack_forward(model, xb, keep_cols=True)
     rows = np.arange(len(xb))
     feat = (acts["flat"] - mu) * inv_sd
-    p = softmax(feat @ head_w + head_b)
+    p = softmax(matmul(feat, head_w) + head_b)
     delta = p.copy()
     delta[rows, yb] -= 1.0
-    d_p2 = ((delta @ head_w.T) * inv_sd).reshape(acts["p2"].shape)
+    d_p2 = (matmul(delta, head_w.T) * inv_sd).reshape(acts["p2"].shape)
     d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
     d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
     g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2,
@@ -333,7 +297,7 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
                                  cols=acts["cols1"])
     nll = float(np.sum(-np.log(np.maximum(p[rows, yb].astype(np.float64),
                                           1e-300))))
-    return (g1w, g1b, g2w, g2b, feat.T @ delta, delta.sum(axis=0)), nll
+    return (g1w, g1b, g2w, g2b, matmul(feat.T, delta), delta.sum(0)), nll
 
 
 def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None,
@@ -422,5 +386,5 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
                 stage1_loss=[float(v) for v in stage1_loss],
                 stage2_loss=[float(v) for v in stage2_loss])
     return replace(model, fc_w=head.w1 / sd[:, None],
-                   fc_b=head.b1 - (mu / sd) @ head.w1, out_w=head.w2,
+                   fc_b=head.b1 - matmul(mu / sd, head.w1), out_w=head.w2,
                    out_b=head.b2, meta=meta)

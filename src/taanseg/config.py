@@ -32,7 +32,8 @@ class PipelineConfig:
     f0_grid_cents: float = _f(10.0, ge=1, le=10800)
     harmonic_tol_cents: float = _f(30.0, gt=0, le=600)
     n_harmonics: int = _f(10, ge=1)
-    voicing_factor: float = _f(3.0, gt=0)
+    # so that its product with the harmonic weight sum (< 8) stays finite
+    voicing_factor: float = _f(3.0, gt=0, le=1e300)
     # vocal activity
     vocal_min_run_s: float = _f(0.2, gt=0)
     vocal_max_gap_s: float = _f(0.1, gt=0)

@@ -35,20 +35,24 @@ class SectionMatchReport:
         return "\n".join(lines)
 
 
+def _masked(name, values, truth, mask):
+    """values and truth (as bools) on the frames mask keeps, all of them
+    when it is None; InvalidArgumentError unless the lengths agree."""
+    truth = np.asarray(truth, dtype=bool)
+    if len(values) != len(truth):
+        raise InvalidArgumentError(f"{name}/truth length mismatch")
+    if mask is None:
+        return values, truth
+    mask = np.asarray(mask, dtype=bool)
+    if len(mask) != len(values):
+        raise InvalidArgumentError("mask length mismatch")
+    return values[mask], truth[mask]
+
+
 def frame_metrics(pred, truth, mask=None):
     """Precision/recall/F1 over masked frames; empty denominators give 0
     with an `undefined` flag listing which metrics were degenerate."""
-    pred = np.asarray(pred, dtype=bool)
-    truth = np.asarray(truth, dtype=bool)
-    if len(pred) != len(truth):
-        raise InvalidArgumentError("pred/truth length mismatch")
-    if mask is None:
-        mask = np.ones(len(pred), dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if len(mask) != len(pred):
-            raise InvalidArgumentError("mask length mismatch")
-    p, t = pred[mask], truth[mask]
+    p, t = _masked("pred", np.asarray(pred, dtype=bool), truth, mask)
     tp = int(np.sum(p & t))
     fp = int(np.sum(p & ~t))
     fn = int(np.sum(~p & t))
@@ -78,11 +82,8 @@ def roc_curve(posteriors, truth, mask=None):
     One sort gives every point: the frames at or above a threshold are a
     suffix of the sorted posteriors, counted by cumulative sums.
     """
-    p = np.asarray(posteriors, dtype=np.float64)
-    truth = np.asarray(truth, dtype=bool)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        p, truth = p[mask], truth[mask]
+    p, truth = _masked("posteriors", np.asarray(posteriors, dtype=np.float64),
+                       truth, mask)
     if not truth.any() or truth.all():
         raise InvalidArgumentError("ROC needs both classes in the truth")
     if np.isnan(p).any():

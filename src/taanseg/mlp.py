@@ -11,6 +11,11 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+# OpenBLAS runs a GEMM of m*n*k <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4), or
+# a GEMV that size, on the calling thread; a bigger one is split over threads,
+# whose count changes its last bits and which oversubscribe the pool's cores
+GEMM_SLAB = 262_144
+
 
 def check_arrays(model, kind, shapes):
     """InvalidArgumentError naming the arrays of model that differ from
@@ -32,6 +37,35 @@ def seeded_rng(seed):
     if seed < 0:
         raise InvalidArgumentError(f"seed {seed} is negative")
     return np.random.default_rng(seed)
+
+
+def matmul(a, b):
+    """a @ b for a (m, k) or (k,) and b (k, n), the same bits at any BLAS
+    thread count. A product over GEMM_SLAB m*n*k is cut into fixed tiles:
+    from its shortest dimension up, each is kept whole while the longer ones
+    can still have 16 each, else cut to the largest multiple of 16 that
+    leaves them that, and each output tile adds its k chunks in order. So a
+    dimension padded to a multiple of 16 is cut only at multiples of 16, and
+    each of its columns takes the same BLAS kernel path."""
+    if a.size * b.shape[1] <= GEMM_SLAB:
+        return np.matmul(a, b)
+    a2 = np.atleast_2d(a)
+    (m, k), n = a2.shape, b.shape[1]
+    tile, room = [m, n, k], GEMM_SLAB
+    for done, d in enumerate(sorted(range(3), key=tile.__getitem__)):
+        if tile[d] * 16 ** (2 - done) > room:
+            tile[d] = room // 16 ** (2 - done) // 16 * 16
+        room //= tile[d]
+    tm, tn, tk = tile
+    out = np.empty((m, n), dtype=np.result_type(a, b))
+    for i in range(0, m, tm):
+        for j in range(0, n, tn):
+            o = out[i : i + tm, j : j + tn]
+            np.matmul(a2[i : i + tm, :tk], b[:tk, j : j + tn], out=o)
+            for s in range(tk, k, tk):
+                o += np.matmul(a2[i : i + tm, s : s + tk],
+                               b[s : s + tk, j : j + tn])
+    return out if a.ndim == 2 else out[0]
 
 
 def glorot_uniform(rng, shape):
@@ -118,23 +152,23 @@ def mlp_forward(model, x):
         raise InvalidArgumentError("non-finite input to mlp_forward")
     single = x.ndim == 1
     xb = np.atleast_2d(x)
-    h = sigmoid(xb @ model.w1 + model.b1)
-    p = softmax(h @ model.w2 + model.b2)
+    h = sigmoid(matmul(xb, model.w1) + model.b1)
+    p = softmax(matmul(h, model.w2) + model.b2)
     return p[0] if single else p
 
 
 def _grads(model, xb, yb, weights):
     """Cross-entropy gradients for one batch; weights are per-sample."""
-    h = sigmoid(xb @ model.w1 + model.b1)
-    p = softmax(h @ model.w2 + model.b2)
+    h = sigmoid(matmul(xb, model.w1) + model.b1)
+    p = softmax(matmul(h, model.w2) + model.b2)
     n = len(xb)
     delta2 = p.copy()
     delta2[np.arange(n), yb] -= 1.0
     delta2 *= weights[:, None]
-    gw2 = h.T @ delta2
+    gw2 = matmul(h.T, delta2)
     gb2 = delta2.sum(axis=0)
-    delta1 = (delta2 @ model.w2.T) * h * (1.0 - h)
-    gw1 = xb.T @ delta1
+    delta1 = matmul(delta2, model.w2.T) * h * (1.0 - h)
+    gw1 = matmul(xb.T, delta1)
     gb1 = delta1.sum(axis=0)
     nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))
                        * weights))
@@ -144,10 +178,11 @@ def _grads(model, xb, yb, weights):
 def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
                batch, halve_every=None):
     """Shuffled mini-batch SGD on the arrays in params, in place; yields
-    each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (grads in
-    params order, summed weighted loss). A batch steps by lr over its
-    weight sum, divided by the parameter's scale. A non-finite epoch loss
-    is yielded, then raises InvalidArgumentError: training diverged."""
+    each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (fresh
+    grads in params order, summed weighted loss); a batch steps by lr over
+    its weight sum, divided by the parameter's scale, scaling each gradient
+    in place in its parameter's dtype. A non-finite epoch loss is yielded,
+    then raises InvalidArgumentError: training diverged."""
     for epoch in range(epochs):
         lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
         order = rng.permutation(len(x))
@@ -159,7 +194,9 @@ def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
             bw = wb.sum()
             step = lr_e / max(bw, 1e-12)
             for arr, grad, scale in zip(params, grads, scales):
-                arr -= step / scale * grad
+                grad = grad.astype(arr.dtype, copy=False)  # float32: a copy
+                grad *= step / scale
+                arr -= grad
             total += loss
             wsum += bw
         mean = total / wsum

@@ -16,7 +16,7 @@ from textgrid_forms import short_form
 
 from taanseg import cnn
 from taanseg import features as feat_mod
-from taanseg import bootstrap, pipeline, pool, wavio
+from taanseg import bootstrap, pipeline, pool, vocal, wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
 from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
@@ -731,11 +731,15 @@ class TestLibraryWarnings:
         assert json.loads(out)["exact"] == 2
 
     def test_overflow_on_a_pool_thread(self, small_concert, mlp_model,
-                                       tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"voicing_factor": 1e308}')
-        rc = main(["--config", str(cfg), "segment", "--audio",
-                   str(small_concert["wav"]), "--model", str(mlp_model),
+                                       tmp_path, capsys, monkeypatch):
+        def overflow_unvoiced(mags, best_sum, scale):
+            np.full(1, 1e308) * 10.0
+            return np.zeros(len(best_sum), dtype=bool)
+
+        # every tracked block overflows on a worker, and nothing is voiced
+        monkeypatch.setattr(vocal, "_voiced", overflow_unvoiced)
+        rc = main(["segment", "--audio", str(small_concert["wav"]),
+                   "--model", str(mlp_model),
                    "--out", str(tmp_path / "t.tsv")])
         assert rc == 2
         assert capsys.readouterr().err == (
@@ -985,7 +989,10 @@ class TestNonFiniteInputs:
         ('{"f0_min_hz": 1e-320}', ": f0_min_hz must be >= 7.8125"),
         ('{"harmonic_tol_cents": 1e300}', ": harmonic_tol_cents must be <="),
         ('{"n_harmonics": 1000000000000}', ": n_harmonics must be <= 63"),
-        ('{"mlp_hidden": 1000000000000}', ": mlp_hidden must be <= 4096")])
+        ('{"mlp_hidden": 1000000000000}', ": mlp_hidden must be <= 4096"),
+        # its product with the harmonic weight sum overflowed, and `tracks`
+        # exited 0 with numpy's overflow warning and nothing voiced
+        ('{"voicing_factor": 1e308}', ": voicing_factor must be <= 1e+300")])
     def test_config(self, half_second_wav, tmp_path, capsys, text, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(text)

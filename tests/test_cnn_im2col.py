@@ -1,7 +1,7 @@
 """Equivalence tests for the channel-major im2col convolution, the
 blocked whole-set forward pass, the blocked stage-1 gradients and the
 branch-free sigmoid; the float32 path against float64, every pass at 1, 2
-and 3 workers, and the slab rule every GEMM keeps.
+and 3 workers, and the GEMM rule every matrix product keeps.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
@@ -9,14 +9,19 @@ reshape-mean pooling, the batch-at-once stage-1 gradients, the
 boolean-mask sigmoid and the out-of-place branch-free sigmoid.
 """
 
+import ast
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from taanseg import cnn, pool
+from taanseg import cnn, mlp, pool
 from taanseg.cnn import (
     FORWARD_BLOCK,
     PATCH_BINS,
@@ -35,7 +40,8 @@ from taanseg.cnn import (
     export_channel_maps,
 )
 from taanseg.errors import InternalError
-from taanseg.mlp import MlpModel, mlp_forward, sigmoid, softmax
+from taanseg.mlp import (GEMM_SLAB, MlpModel, mlp_forward, mlp_init,
+                         mlp_train, sigmoid, softmax)
 
 
 def _forward(model, xb):
@@ -374,30 +380,156 @@ class TestWorkerCount:
         assert threading.active_count() == before
 
 
+def _dims(a, b):
+    """(m, n, k) of a @ b, a vector a counting as one row."""
+    return (len(a) if a.ndim == 2 else 1, b.shape[1], b.shape[0])
+
+
+def _spy_products(monkeypatch):
+    """Each mlp.matmul product's (m, n, k), with the (m, n, k) of each BLAS
+    call it makes, on whichever thread it runs."""
+    products, here = [], threading.local()
+    real_product, real_call = mlp.matmul, np.matmul
+
+    def product(a, b):
+        here.calls = []
+        products.append((_dims(a, b), here.calls))
+        return real_product(a, b)
+
+    def call(a, b, out=None):
+        here.calls.append(_dims(a, b))
+        return real_call(a, b, out=out)
+
+    for module in (mlp, cnn):
+        monkeypatch.setattr(module, "matmul", product)
+    monkeypatch.setattr(np, "matmul", call)
+    return products
+
+
 class TestGemmRule:
-    """Every GEMM of the conv stack is at most GEMM_SLAB m*n*k, so OpenBLAS
-    runs it on the calling thread, and covers a multiple of 16 im2col
-    columns: n for a product into `out`, k for a weight-gradient sum."""
+    """Every BLAS call of a matrix product is at most GEMM_SLAB m*n*k, so
+    OpenBLAS runs it on the calling thread, and a product within it is one
+    call. Along each dimension a call spans the product's whole extent, a
+    multiple of 16, or what is left after a multiple of 16; so the conv
+    stack, whose im2col columns (n, or k for a weight gradient) are padded
+    to a multiple of 16, covers a multiple of 16 of them in every call."""
+
+    def _check(self, products):
+        assert products
+        for dims, calls in products:
+            assert calls
+            if np.prod(dims) <= GEMM_SLAB:
+                assert calls == [dims]
+            for call in calls:
+                assert np.prod(call) <= GEMM_SLAB
+                for whole, part in zip(dims, call):
+                    assert (part == whole or part % 16 == 0
+                            or (whole - part) % 16 == 0)
+        return [len(calls) for _, calls in products]
 
     @pytest.mark.parametrize("n", [1, 7, 9, 599])
     def test_every_gemm(self, monkeypatch, n):
-        real, shapes = cnn._gemm, []
-
-        def spy(a, b, out=None):
-            shapes.append((a.shape[0], b.shape[1], a.shape[1], out is not None))
-            return real(a, b, out=out)
-
-        monkeypatch.setattr(cnn, "_gemm", spy)
+        products = _spy_products(monkeypatch)
         model = cnn_init(seed=n)
         x = _patch_batch(n, seed=n).astype(np.float32)
         cnn_posteriors(model, x[:, 0])
-        products = len(shapes)
         head_w, head_b, _, y, stats = _stage1_inputs(n)
         _stage1_grads(model, head_w, head_b, x, y, stats)
-        assert 0 < products < len(shapes)
-        for m, cols, k, into_out in shapes:
-            assert m * cols * k <= cnn.GEMM_SLAB
-            assert (cols if into_out else k) % 16 == 0
+        assert max(self._check(products)) > 1
+        # the ten filters (or channels) of a conv layer by im2col columns
+        for (m, cols, k), _ in products:
+            assert m != 10 or cols % 16 == 0 or k % 16 == 0
+
+    @pytest.mark.parametrize("n_in", [3, 2100])
+    def test_mlp_train_and_forward(self, monkeypatch, n_in):
+        rng = np.random.default_rng(n_in)
+        x = rng.normal(size=(45, n_in))
+        y = np.arange(45) % 2
+        products = _spy_products(monkeypatch)
+        model, _ = mlp_train(mlp_init(300, seed=0, n_in=n_in), x, y,
+                             epochs=1)
+        calls = self._check(products)
+        # batches of 32 and 13: only the 2100-d input's are tiled
+        assert (max(calls) > 1) == (n_in == 2100)
+        products.clear()
+        mlp_forward(model, rng.normal(size=(599, n_in)))
+        assert max(self._check(products)) > 1
+
+    def test_cnn_train_head_and_bias_fold(self, monkeypatch):
+        x = _patch_batch(40, seed=3)[:, 0]
+        y = np.arange(40) % 2
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        products = _spy_products(monkeypatch)
+        cnn_train(x, y, stats, epochs=1, head_epochs=1)
+        self._check(products)
+        dims = [d for d, _ in products]
+        assert (32, 300, 2100) in dims          # stage 2's forward product
+        assert (2100, 300, 32) in dims          # and its weight gradient
+        assert dims[-1] == (1, 300, 2100)       # the bias fold
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((32, 3), (3, 300)), ((3, 32), (32, 300)), ((32, 300), (300, 2)),
+        ((8, 2100), (2100, 2)), ((2100,), (2100, 2)), ((5,), (5, 94)),
+        ((10, 49), (49, 528))])
+    def test_within_slab_is_numpys_product(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape))
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        for lhs in (a, np.asfortranarray(a.T).T):
+            got = mlp.matmul(lhs, b)
+            assert got.tobytes() == (lhs @ b).tobytes()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((599, 2100), (2100, 300)), ((32, 2100), (2100, 300)),
+        ((2100,), (2100, 300)), ((599, 3), (3, 300)), ((10, 49), (49, 30976))])
+    def test_tiled_product(self, a_shape, b_shape):
+        rng = np.random.default_rng(len(a_shape))
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        ref = a @ b
+        np.testing.assert_allclose(mlp.matmul(a, b), ref, rtol=0,
+                                   atol=1e-13 * np.abs(ref).max())
+
+    def test_one_helper_makes_every_product(self):
+        # no `@` in mlp.py or cnn.py, and numpy's products only in matmul
+        products = {"matmul", "dot", "einsum", "tensordot", "inner", "vdot"}
+        outside = []
+        for module in (mlp, cnn):
+            tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+            helper = [n for n in tree.body if isinstance(n, ast.FunctionDef)
+                      and n.name == "matmul"]
+            assert len(helper) == (module is mlp)
+            inside = {id(n) for h in helper for n in ast.walk(h)}
+            outside += [
+                (module.__name__, node.lineno)
+                for node in ast.walk(tree) if id(node) not in inside
+                and (isinstance(node, (ast.BinOp, ast.AugAssign))
+                     and isinstance(node.op, ast.MatMult)
+                     or isinstance(node, ast.Attribute)
+                     and node.attr in products)]
+        assert outside == []
+
+    def test_same_bits_at_any_blas_thread_count(self):
+        # the head's products under one and two OpenBLAS threads, each in a
+        # new interpreter, since OpenBLAS reads its thread count on import
+        code = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from taanseg.mlp import matmul
+            rng = np.random.default_rng(0)
+            x = rng.normal(size=(599, 2100))
+            w, d = rng.normal(size=(2100, 300)), rng.normal(size=(32, 300))
+            h = hashlib.sha256()
+            for p in (matmul(x, w), matmul(x[:32], w), matmul(x[:32].T, d),
+                      matmul(x[0], w)):
+                h.update(p.tobytes())
+            print(h.hexdigest())
+            """)
+        src = str(Path(mlp.__file__).parents[1])
+        digests = {subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True,
+            text=True, env=dict(os.environ, PYTHONPATH=src,
+                                OPENBLAS_NUM_THREADS=str(threads))).stdout
+            for threads in (1, 2)}
+        assert len(digests) == 1
 
 
 class TestFloat32AgainstFloat64:

@@ -86,6 +86,14 @@ class TestRoc:
         with pytest.raises(InvalidArgumentError):
             roc_curve([0.1, 0.9], [True, True])
 
+    @pytest.mark.parametrize("args, message", [
+        (([0.1, 0.9, 0.5], [0, 1]), "posteriors/truth length mismatch"),
+        (([0.1, 0.9], [0, 1], [True]), "mask length mismatch")])
+    def test_length_mismatch_rejected(self, args, message):
+        # both were bare IndexErrors
+        with pytest.raises(InvalidArgumentError, match=message):
+            roc_curve(*args)
+
     def test_mask_applied(self):
         post = [0.9, 0.1, 0.5, 0.5]
         truth = [True, False, True, False]

@@ -1,5 +1,7 @@
 """Tests for the feed-forward classifier and its from-scratch backprop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from taanseg.mlp import (
     mlp_forward,
     mlp_init,
     mlp_train,
+    sgd_epochs,
     sigmoid,
     softmax,
     _grads,
@@ -256,6 +259,27 @@ def test_shared_sgd_loop_is_bit_identical(class_balance, halve_every):
     assert losses == ref_losses
     for k in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(model, k), getattr(ref, k))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sgd_step_scales_the_gradient_in_place(dtype):
+    # bit for bit `w -= step / scale * grad`, without its weight-sized
+    # product for a float64 gradient such as the CNN head's 2100 x 300;
+    # a float32 one (the conv stack's) is scaled in a float64 copy
+    rng = np.random.default_rng(5)
+    w = rng.normal(size=(2100, 300))
+    g = rng.normal(size=w.shape).astype(dtype)
+    ref = w - 0.5 / np.float64(2.0) / 3 * g
+    tracemalloc.start()
+    try:
+        list(sgd_epochs((w,), (3,), lambda xb, yb, wb: ((g.copy(),), 0.0),
+                        np.zeros((2, 1)), np.zeros(2, dtype=int), np.ones(2),
+                        np.random.default_rng(0), 0.5, 1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(w, ref)
+    assert peak < g.nbytes + (w.nbytes if dtype == np.float32 else 0) + 2**20
 
 
 class TestClassifyFrames:
