@@ -131,19 +131,18 @@ def make_patches(spec, band_stats=None):
 
 def _im2col(x, kh, kw):
     """Patch matrix of a valid kh x kw correlation: x (B,C,H,W) -> (kh*kw*C,
-    n), rows in (i, j, c) order and columns in (b, h, w) order, built as
-    kh*kw shifted slice copies of x's channel-major (C,B,H,W) view. n is
-    B*H'*W' rounded up to a multiple of 16 with zero columns (see matmul)."""
+    n), rows in (i, j, c) order and columns in (b, h, w) order, one copy of
+    the windows of x's channel-major (C,B,H,W) view. n is B*H'*W' rounded
+    up to a multiple of 16 with zero columns (see matmul)."""
     b, c, h, w = x.shape
     ho, wo = h - kh + 1, w - kw + 1
     n = b * ho * wo
     cols = np.empty((kh * kw * c, -(-n // 16) * 16), dtype=x.dtype)
     cols[:, n:] = 0
-    taps = cols[:, :n].reshape(kh, kw, c, b, ho, wo)
-    xc = x.transpose(1, 0, 2, 3)
-    for i in range(kh):
-        for j in range(kw):
-            taps[i, j] = xc[:, :, i : i + ho, j : j + wo]
+    win = np.lib.stride_tricks.sliding_window_view(
+        x.transpose(1, 0, 2, 3), (kh, kw), axis=(2, 3))
+    cols[:, :n].reshape(kh, kw, c, b, ho, wo)[...] = win.transpose(
+        4, 5, 0, 1, 2, 3)
     return cols
 
 
@@ -165,26 +164,29 @@ def _conv_backward(x, w, d_out, input_grad=True, cols=None):
     """Gradients of a valid cross-correlation wrt weights, bias and, with
     input_grad, input (else None), which is the zero-padded d_out correlated
     with the flipped, channel-swapped kernel; cols: x's im2col, if built."""
-    f, c, kh, kw = w.shape
+    (f, c, kh, kw), (b, _, ho, wo) = w.shape, d_out.shape
     if cols is None:
         cols = _im2col(x, kh, kw)
     d_cm = d_out.transpose(1, 0, 2, 3)
     d = d_cm.reshape(f, -1)
     gb = d.sum(axis=1)
     if d.shape[1] < cols.shape[1]:  # to the zero-padded width of cols
-        d = np.pad(d, ((0, 0), (0, cols.shape[1] - d.shape[1])))
+        d = np.hstack((d, np.zeros((f, cols.shape[1] - d.shape[1]), d.dtype)))
     gw = matmul(d, cols.T).reshape(f, kh, kw, c).transpose(0, 3, 1, 2)
     if not input_grad:
         return gw, gb, None
-    pad = np.pad(d_cm, ((0, 0), (0, 0), (kh - 1, kh - 1), (kw - 1, kw - 1)))
+    pad = np.zeros((f, b, ho + 2 * kh - 2, wo + 2 * kw - 2), d_cm.dtype)
+    pad[:, :, kh - 1 : kh - 1 + ho, kw - 1 : kw - 1 + wo] = d_cm
     return gw, gb, _conv_valid(pad.transpose(1, 0, 2, 3),
                                w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 0.0)
 
 
 def _pool2(x):
     """2x2 mean pooling; the result keeps x's memory layout."""
-    return (x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
-            + x[:, :, 1::2, 0::2] + x[:, :, 1::2, 1::2]) / 4.0
+    out = x[:, :, 0::2, 0::2] + x[:, :, 0::2, 1::2]
+    out += x[:, :, 1::2, 0::2]
+    out += x[:, :, 1::2, 1::2]
+    return np.divide(out, 4.0, out=out)
 
 
 def _pool2_backward(d_out, in_shape):

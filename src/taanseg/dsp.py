@@ -145,15 +145,15 @@ def _log_spectrum(windows, w, n_dft, values, rows):
     # so the FFT needs no padded copy of its own
     padded = np.zeros((rows, n_dft))
     spectrum = np.empty((rows, n_dft // 2 + 1), dtype=np.complex128)
-    mag = np.empty((rows, n_dft // 2 + 1))
+    mag = np.empty((rows, len(values)))
     for c in range(0, len(windows), rows):
         n = min(rows, len(windows) - c)
         np.multiply(windows[c:c + n], w, out=padded[:n, :len(w)])
         np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
-        np.abs(spectrum[:n], out=mag[:n])
+        np.abs(spectrum[:n, :len(values)], out=mag[:n])
         np.maximum(mag[:n], LOG_FLOOR, out=mag[:n])
         np.log(mag[:n], out=mag[:n])
-        values[:, c:c + n] = mag[:n, :len(values)].T
+        values[:, c:c + n] = mag[:n].T
 
 
 def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=FRAME_BLOCK,

@@ -39,6 +39,11 @@ def seeded_rng(seed):
     return np.random.default_rng(seed)
 
 
+def _tiles(x, rows, cols):
+    """(p, q, rows, cols) view of the rows x cols tiles of a 2-D x."""
+    return x.reshape(len(x) // rows, rows, -1, cols).swapaxes(1, 2)
+
+
 def matmul(a, b):
     """a @ b for a (m, k) or (k,) and b (k, n), the same bits at any BLAS
     thread count. A product over GEMM_SLAB m*n*k is cut into fixed tiles:
@@ -46,7 +51,11 @@ def matmul(a, b):
     can still have 16 each, else cut to the largest multiple of 16 that
     leaves them that, and each output tile adds its k chunks in order. So a
     dimension padded to a multiple of 16 is cut only at multiples of 16, and
-    each of its columns takes the same BLAS kernel path."""
+    each of its columns takes the same BLAS kernel path. A region of equal
+    tiles is one stacked np.matmul per k chunk (the same BLAS calls, one GIL
+    release); the chunks add in order, by np.add.reduce from -0.0 if they
+    stack into GEMM_SLAB elements of tiles over one element (numpy sums a
+    one-element stack pairwise), else a few row tiles at a time."""
     if a.size * b.shape[1] <= GEMM_SLAB:
         return np.matmul(a, b)
     a2 = np.atleast_2d(a)
@@ -56,15 +65,29 @@ def matmul(a, b):
         if tile[d] * 16 ** (2 - done) > room:
             tile[d] = room // 16 ** (2 - done) // 16 * 16
         room //= tile[d]
-    tm, tn, tk = tile
+    # each dimension's full tiles, then its rest if any, as (span, tile)
+    m_cuts, n_cuts, k_cuts = (
+        [(slice(0, d - d % t), t)]
+        + [(slice(d - d % t, d), d % t)] * (d % t > 0)
+        for d, t in zip((m, n, k), tile))
     out = np.empty((m, n), dtype=np.result_type(a, b))
-    for i in range(0, m, tm):
-        for j in range(0, n, tn):
-            o = out[i : i + tm, j : j + tn]
-            np.matmul(a2[i : i + tm, :tk], b[:tk, j : j + tn], out=o)
-            for s in range(tk, k, tk):
-                o += np.matmul(a2[i : i + tm, s : s + tk],
-                               b[s : s + tk, j : j + tn])
+    for rows, r in m_cuts:
+        for cols, c in n_cuts:
+            o = _tiles(out[rows, cols], r, c)
+            (x, y), *rest = [  # (chunks, p, 1, r, t) @ (chunks, 1, q, t, c)
+                (_tiles(a2[rows, ks], r, t).swapaxes(0, 1)[:, :, None],
+                 _tiles(b[ks, cols], t, c)[:, None]) for ks, t in k_cuts]
+            if 1 < len(x) <= GEMM_SLAB // o.size and r * c > 1:
+                np.add.reduce(np.matmul(x, y), axis=0, out=o, initial=-0.0)
+            else:  # a few row tiles at a time: their sums stay in cache
+                step = max(1, GEMM_SLAB // 4 // o[0].size)
+                for g in range(0, len(o), step):
+                    og, xg = o[g : g + step], x[:, g : g + step]
+                    np.matmul(xg[0], y[0], out=og)
+                    for s in range(1, len(x)):
+                        og += np.matmul(xg[s], y[s])
+            for x, y in rest:
+                o += np.matmul(x[0], y[0])
     return out if a.ndim == 2 else out[0]
 
 
@@ -116,9 +139,9 @@ class PosteriorSeq:
 def sigmoid(x):
     """Branch-free stable logistic: with e = exp(-|x|) in [0, 1], the
     numerator max(e, x >= 0) is 1 for x >= 0 and e below. Computed in
-    place on two full-size arrays, e and the result, once |x| is freed."""
-    e = -np.abs(x)
-    np.exp(e, out=e)
+    place on two full-size arrays, e and the result."""
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
     num = np.maximum(e, x >= 0)
     e += 1.0
     num /= e

@@ -381,13 +381,15 @@ class TestWorkerCount:
 
 
 def _dims(a, b):
-    """(m, n, k) of a @ b, a vector a counting as one row."""
-    return (len(a) if a.ndim == 2 else 1, b.shape[1], b.shape[0])
+    """(m, n, k) of a @ b, or of each matrix product in a stacked a @ b,
+    from the operands' last two axes; a vector a counts as one row."""
+    return (a.shape[-2] if a.ndim > 1 else 1, b.shape[-1], b.shape[-2])
 
 
 def _spy_products(monkeypatch):
-    """Each mlp.matmul product's (m, n, k), with the (m, n, k) of each BLAS
-    call it makes, on whichever thread it runs."""
+    """Each mlp.matmul product's (m, n, k), with the np.matmul calls it
+    makes on whichever thread it runs, each call as the list of its BLAS
+    calls' (m, n, k): one per matrix of a stacked call."""
     products, here = [], threading.local()
     real_product, real_call = mlp.matmul, np.matmul
 
@@ -397,7 +399,8 @@ def _spy_products(monkeypatch):
         return real_product(a, b)
 
     def call(a, b, out=None):
-        here.calls.append(_dims(a, b))
+        stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+        here.calls.append([_dims(a, b)] * int(np.prod(stack)))
         return real_call(a, b, out=out)
 
     for module in (mlp, cnn):
@@ -415,17 +418,21 @@ class TestGemmRule:
     to a multiple of 16, covers a multiple of 16 of them in every call."""
 
     def _check(self, products):
+        """The BLAS-call count of each product, once its calls are checked."""
         assert products
+        counts = []
         for dims, calls in products:
-            assert calls
+            blas = [call for stack in calls for call in stack]
+            assert blas
             if np.prod(dims) <= GEMM_SLAB:
-                assert calls == [dims]
-            for call in calls:
+                assert blas == [dims]
+            for call in blas:
                 assert np.prod(call) <= GEMM_SLAB
                 for whole, part in zip(dims, call):
                     assert (part == whole or part % 16 == 0
                             or (whole - part) % 16 == 0)
-        return [len(calls) for _, calls in products]
+            counts.append(len(blas))
+        return counts
 
     @pytest.mark.parametrize("n", [1, 7, 9, 599])
     def test_every_gemm(self, monkeypatch, n):
@@ -439,6 +446,21 @@ class TestGemmRule:
         # the ten filters (or channels) of a conv layer by im2col columns
         for (m, cols, k), _ in products:
             assert m != 10 or cols % 16 == 0 or k % 16 == 0
+
+    def test_a_conv_block_is_few_numpy_calls(self, monkeypatch):
+        # conv1's forward product on FORWARD_BLOCK patches is 59 BLAS calls,
+        # 58 full 528-column tiles and the rest, made by 2 np.matmul calls;
+        # no product of a block's forward and backward pass makes more
+        products = _spy_products(monkeypatch)
+        model = cnn_init(seed=0)
+        head_w, head_b, x, y, stats = _stage1_inputs(FORWARD_BLOCK)
+        _features(model, x)
+        (dims, calls), *_ = products
+        assert dims == (10, FORWARD_BLOCK * 88 * 44, 49)
+        assert (len(calls), sum(map(len, calls))) == (2, 59)
+        _stage1_grads(model, head_w, head_b, x, y, stats)
+        assert max(self._check(products)) > 1
+        assert max(len(calls) for _, calls in products) <= 2
 
     @pytest.mark.parametrize("n_in", [3, 2100])
     def test_mlp_train_and_forward(self, monkeypatch, n_in):
@@ -508,8 +530,9 @@ class TestGemmRule:
         assert outside == []
 
     def test_same_bits_at_any_blas_thread_count(self):
-        # the head's products under one and two OpenBLAS threads, each in a
-        # new interpreter, since OpenBLAS reads its thread count on import
+        # the head's products and a conv layer's forward and weight-gradient
+        # products under one and two OpenBLAS threads, each in a new
+        # interpreter, since OpenBLAS reads its thread count on import
         code = textwrap.dedent("""
             import hashlib
             import numpy as np
@@ -517,9 +540,12 @@ class TestGemmRule:
             rng = np.random.default_rng(0)
             x = rng.normal(size=(599, 2100))
             w, d = rng.normal(size=(2100, 300)), rng.normal(size=(32, 300))
+            f = rng.normal(size=(10, 49)).astype(np.float32)
+            cols = rng.normal(size=(49, 30976)).astype(np.float32)
             h = hashlib.sha256()
             for p in (matmul(x, w), matmul(x[:32], w), matmul(x[:32].T, d),
-                      matmul(x[0], w)):
+                      matmul(x[0], w), matmul(f, cols),
+                      matmul(cols[:10], cols.T)):
                 h.update(p.tobytes())
             print(h.hexdigest())
             """)

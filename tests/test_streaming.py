@@ -350,6 +350,18 @@ class TestSpectrogramLayout:
         assert np.array_equal(bands.values,
                               oneshot_values(clip, 0.04, hop_s, 1024)[:94])
 
+    @pytest.mark.parametrize("hop_s", [0.01, 0.02])
+    def test_blocks_of_the_lowest_bins(self, reference, hop_s):
+        # the log of the kept bins only: the lowest rows of the full blocks
+        clip = reference[0]
+        full = list(log_spectrogram_blocks(clip, 0.04, hop_s, 1024))
+        bands = list(log_spectrogram_blocks(clip, 0.04, hop_s, 1024,
+                                            n_bins=94))
+        assert len(bands) == len(full) > 1
+        for band, block in zip(bands, full):
+            assert band.values.flags.c_contiguous
+            assert np.array_equal(band.values, block.values[:94])
+
     def test_blocks_tile_the_spectrogram(self, reference):
         clip = reference[0]
         blocks = list(log_spectrogram_blocks(clip, 0.04, 0.01, 1024))
