@@ -12,6 +12,8 @@ from .table import Table, finite
 
 COV_EIG_FLOOR = 1e-8
 LOG_2PI = np.log(2.0 * np.pi)
+MAX_ROUNDS = 50     # relabelling rounds before giving up
+EM_ITER = 20        # EM iterations in each round
 
 
 @dataclass
@@ -116,7 +118,7 @@ def gmm_fit_em(x, init, max_iter=100, tol=1e-6):
     return gmm, trace
 
 
-def bootstrap_labels(x, seed_labels, max_rounds=50, em_iter=20, tol=1e-6):
+def bootstrap_labels(x, seed_labels):
     """Iterative self-training from a sparse seed-label map.
 
     seed_labels maps frame index -> class (0/1), each class seeded with
@@ -136,15 +138,14 @@ def bootstrap_labels(x, seed_labels, max_rounds=50, em_iter=20, tol=1e-6):
     gmm = gmm_from_labels(x[seed_idx], seed_vals)
     labels = np.argmax(gmm_log_likelihood(gmm, x), axis=1)
     labels[seed_idx] = seed_vals
-    for rounds in range(1, max_rounds + 1):
-        gmm, _ = gmm_fit_em(x, gmm_from_labels(x, labels),
-                            max_iter=em_iter, tol=tol)
+    for rounds in range(1, MAX_ROUNDS + 1):
+        gmm, _ = gmm_fit_em(x, gmm_from_labels(x, labels), max_iter=EM_ITER)
         new = np.argmax(gmm_log_likelihood(gmm, x), axis=1)
         new[seed_idx] = seed_vals
         if np.array_equal(new, labels):
             return labels, rounds, True
         labels = new
-    return labels, max_rounds, False
+    return labels, MAX_ROUNDS, False
 
 
 def _label_rows(rows, first_line):

@@ -190,7 +190,7 @@ def _run(args, cfg):
         model = modelio.load_model(args.model)
         if not isinstance(model, cnn.CnnModel):
             raise DataError("inspect-cnn needs a CNN model")
-        clip = dsp.resample(wavio.read_wav(args.audio), 8000)
+        clip = dsp.resample(wavio.read_wav(args.audio), dsp.ANALYSIS_HZ)
         win, hop, n_frames = dsp._frame_count(clip, **cnn.PATCH_FRAMING)
         last = n_frames // cnn.PATCH_FRAMES - 1
         if last < 0:
@@ -200,7 +200,7 @@ def _run(args, cfg):
         # frame only the second the map reads, as the whole clip frames it
         t0 = args.second * cnn.PATCH_FRAMES * hop
         cut = clip.samples[t0 : t0 + (cnn.PATCH_FRAMES - 1) * hop + win]
-        spec = cnn.patch_spectrogram(dsp.AudioClip(cut, 8000))
+        spec = cnn.patch_spectrogram(dsp.AudioClip(cut, dsp.ANALYSIS_HZ))
         pats, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
         cmap = cnn.export_channel_maps(model, pats[0], args.channel)
         if args.out_csv:

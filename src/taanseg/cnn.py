@@ -8,21 +8,21 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import dsp, mlp as mlp_mod
+from . import dsp, mlp as mlp_mod, vocal
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
 from .mlp import (check_arrays, glorot_uniform, matmul, seeded_rng, sigmoid,
                   softmax)
 from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
-PATCH_FRAMES = 50       # 1 s at 20 ms hop
+PATCH_HOP_S = 2 * vocal.TRACK_HOP_S     # 20 ms: the tracker's even frames
+PATCH_FRAMES = round(1 / PATCH_HOP_S)   # 50 hops in one 1 s frame
+PATCH_FRAMING = {"win_s": dsp.WIN_S, "hop_s": PATCH_HOP_S, "n_dft": dsp.N_DFT}
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block, one block per pool work item
 # patches, and every array of the conv stack, are float32; the model keeps
 # its weights in float64 and the stack casts them on every call
 PATCH_DTYPE = np.float32
-# framing of the 8 kHz log spectrogram that patches are cut from
-PATCH_FRAMING = {"win_s": 0.04, "hop_s": 0.02, "n_dft": 1024}
 
 # shape chain for the full forward pass
 SHAPE_CHAIN = (
@@ -94,24 +94,25 @@ def spectrogram_band_stats(specs):
 
 
 def patch_spectrogram(clip):
-    """The PATCH_BINS lowest bands of the log spectrogram patches are cut
-    from, PATCH_FRAMING at 8 kHz; no wider band is kept past the FFT."""
-    return dsp.log_spectrogram(dsp.resample(clip, 8000), **PATCH_FRAMING,
-                               n_bins=PATCH_BINS)
+    """The PATCH_BINS lowest bands of the PATCH_FRAMING log spectrogram
+    patches are cut from; no wider band is kept past the FFT."""
+    return dsp.log_spectrogram(dsp.resample(clip, dsp.ANALYSIS_HZ),
+                               **PATCH_FRAMING, n_bins=PATCH_BINS)
 
 
 def make_patches(spec, band_stats=None):
     """Cut a log spectrogram into band-normalized 94x50 patches.
 
-    The spectrogram must come from 8 kHz audio with a 1024-point DFT at
-    20 ms hop. Returns (patches, (band_mean, band_std)): patches is one
-    C-contiguous (n, 94, 50) PATCH_DTYPE array, patch k holding frames
-    50k..50k+49, normalized in float64 and rounded once; statistics are
-    computed from this data when band_stats is None.
+    The spectrogram must have PATCH_FRAMING's bins and hop. Returns
+    (patches, (band_mean, band_std)): one C-contiguous (n, 94, 50)
+    PATCH_DTYPE array, patch k holding frames 50k..50k+49, normalized in
+    float64 and rounded once, and the statistics, from this data if None.
     """
-    if abs(spec.bin_hz - 8000.0 / 1024) > 1e-9 or abs(spec.hop_s - 0.02) > 1e-9:
-        raise InvalidArgumentError("patches require an 8 kHz / 1024-point DFT"
-                                   " / 20 ms hop spectrogram")
+    if (abs(spec.bin_hz - dsp.ANALYSIS_HZ / dsp.N_DFT) > 1e-9
+            or abs(spec.hop_s - PATCH_HOP_S) > 1e-9):
+        raise InvalidArgumentError(
+            f"patches require an {dsp.ANALYSIS_HZ // 1000} kHz / {dsp.N_DFT}"
+            f"-point DFT / {round(PATCH_HOP_S * 1000)} ms hop spectrogram")
     if spec.n_bins < PATCH_BINS:
         raise InvalidArgumentError("spectrogram has too few bins")
     stats = spectrogram_band_stats([spec]) if band_stats is None else band_stats
@@ -264,8 +265,9 @@ def cnn_posteriors(model, patches):
 
 def export_channel_maps(model, patch, channel):
     """One 21x10 channel map of a 94x50 patch from the second pooling layer."""
-    if not 0 <= channel <= 9:
-        raise InvalidArgumentError("channel must be in 0..9")
+    last = SHAPE_CHAIN[4][0] - 1
+    if not 0 <= channel <= last:
+        raise InvalidArgumentError(f"channel must be in 0..{last}")
     return _features(model, _stack_patches([patch])).reshape(
         SHAPE_CHAIN[4])[channel]
 

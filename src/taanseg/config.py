@@ -10,6 +10,7 @@ import operator
 import os
 import sys
 
+from .dsp import ANALYSIS_HZ, N_DFT
 from .errors import DataError, open_text
 from .vocal import HARMONIC_CEILING_HZ
 
@@ -25,10 +26,10 @@ def _f(default, **bounds):
 
 @dataclasses.dataclass
 class PipelineConfig:
-    # pitch tracking: F0 from one DFT bin to the Nyquist frequency at 8 kHz,
-    # 9 octaves: a grid step past their 10800 cents leaves f0_min_hz alone
-    f0_min_hz: float = _f(80.0, ge=8000 / 1024, le=4000)
-    f0_max_hz: float = _f(600.0, ge=8000 / 1024, le=4000)
+    # pitch tracking: F0 from one DFT bin to the grid's Nyquist frequency, 9
+    # octaves: a grid step past their 10800 cents leaves f0_min_hz alone
+    f0_min_hz: float = _f(80.0, ge=ANALYSIS_HZ / N_DFT, le=ANALYSIS_HZ // 2)
+    f0_max_hz: float = _f(600.0, ge=ANALYSIS_HZ / N_DFT, le=ANALYSIS_HZ // 2)
     f0_grid_cents: float = _f(10.0, ge=1, le=10800)
     harmonic_tol_cents: float = _f(30.0, gt=0, le=600)
     n_harmonics: int = _f(10, ge=1)

@@ -15,6 +15,11 @@ from .errors import EmptyInputError, InvalidArgumentError, UnsupportedOperationE
 
 ACCEPTED_RATES = (8000, 16000, 22050, 44100, 48000)
 
+# the analysis grid both models frame audio on: rate, window (s), DFT size
+ANALYSIS_HZ = 8000
+WIN_S = 0.04
+N_DFT = 1024
+
 LOG_FLOOR = 1e-10
 
 # frames per spectrogram block: bounds the working set of streamed tracking
@@ -26,6 +31,7 @@ FFT_ROWS = 256
 
 # output samples per resampling chunk: bounds the working set of `resample`
 RESAMPLE_CHUNK = 1 << 16
+LOWPASS_TAPS = 64   # of the windowed-sinc anti-aliasing filter of `resample`
 
 
 def accepted_rate(hz):
@@ -156,23 +162,22 @@ def _log_spectrum(windows, w, n_dft, values, rows):
         values[:, c:c + n] = mag[:n].T
 
 
-def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, block=FRAME_BLOCK,
-                           n_bins=None):
-    """Framed log-magnitude spectrum of `clip`, `block` frames at a time.
+def log_spectrogram_blocks(clip, win_s, hop_s, n_dft, n_bins=None):
+    """Framed log-magnitude spectrum of `clip`, FRAME_BLOCK frames at a time.
 
     Frame t covers samples [t*hop, t*hop + win); each frame is Hamming
     windowed, zero-padded to n_dft and transformed; a final partial frame
     is dropped. Output values are ln(max(|X|, 1e-10)). Yields one
     C-contiguous [n_bins x n_block_frames] LogSpectrogram per run of
-    `block` frames (the last may be shorter), so the working set is
-    O(block) whatever the clip length; n_bins keeps the lowest bins only
+    FRAME_BLOCK frames (the last may be shorter), so the working set is
+    O(FRAME_BLOCK) whatever the clip length; n_bins keeps the lowest bins only
     (None: all n_dft // 2 + 1). Blocks are computed one after another on
     the calling thread. Input errors are raised when iteration starts.
     """
     windows, w, hop, n_frames = _framing(clip, win_s, hop_s, n_dft)
-    for b0 in range(0, n_frames, block):
+    for b0 in range(0, n_frames, FRAME_BLOCK):
         values = np.empty((n_bins or n_dft // 2 + 1,
-                           min(block, n_frames - b0)))
+                           min(FRAME_BLOCK, n_frames - b0)))
         _log_spectrum(windows[b0:b0 + values.shape[1]], w, n_dft, values,
                       FFT_ROWS)
         yield LogSpectrogram(values=values, bin_hz=clip.sample_rate / n_dft,
@@ -198,12 +203,12 @@ def log_spectrogram(clip, win_s, hop_s, n_dft, n_bins=None):
                           hop_s=hop / clip.sample_rate)
 
 
-def _lowpass_taps(cutoff_norm, n_taps=64):
+def _lowpass_taps(cutoff_norm):
     # windowed-sinc FIR; cutoff_norm = cutoff / sample_rate
-    n = np.arange(n_taps)
-    center = (n_taps - 1) / 2.0
+    n = np.arange(LOWPASS_TAPS)
+    center = (LOWPASS_TAPS - 1) / 2.0
     h = 2.0 * cutoff_norm * np.sinc(2.0 * cutoff_norm * (n - center))
-    h *= hamming_window(n_taps)
+    h *= hamming_window(LOWPASS_TAPS)
     return h / h.sum()
 
 

@@ -14,13 +14,15 @@ from .dsp import seconds_to_frames
 from .errors import (EmptyInputError, FormatError, InvalidArgumentError,
                      ParseError)
 from .table import Table
+from .vocal import TRACK_HOP_S
 
 REF_HZ = 55.0
-WIN_LEN = 100           # 1 s of 10 ms samples
-HOP_LEN = 50            # 500 ms
-RAW_HOP_S = 0.5         # HOP_LEN track samples
+WIN_LEN = round(1 / TRACK_HOP_S)    # 1 s of track samples: 100
+HOP_LEN = WIN_LEN // 2              # 500 ms: 50 samples
+RAW_HOP_S = HOP_LEN * TRACK_HOP_S   # 0.5
+FRAME_HOPS = round(1 / RAW_HOP_S)   # raw hops per 1 s frame: 2
 MOD_DFT = 128
-MOD_BIN_HZ = 100.0 / MOD_DFT
+MOD_BIN_HZ = 1 / TRACK_HOP_S / MOD_DFT  # the 100 Hz track rate over the DFT
 PEAK_BIN_LO = 2         # 1.5625 Hz; bin 1 excluded, drift is detrended
 PEAK_BIN_HI = 25        # 19.53 Hz
 PEAK_HALFWIDTH = 2      # +/- 1.6 Hz neighborhood = 5 bins
@@ -175,8 +177,8 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
     smoothed = np.full((k, 3), np.nan)
     smoothed[valid] = total[valid] / count[valid, None]
     # decimate 500 ms -> 1 s
-    sm = smoothed[::2]
-    mask = valid[::2] & np.isfinite(sm).all(axis=1)
+    sm = smoothed[::FRAME_HOPS]
+    mask = valid[::FRAME_HOPS] & np.isfinite(sm).all(axis=1)
     if not mask.any():
         raise EmptyInputError("no valid window on the 1 s frame grid: "
                               "nothing to normalize")
@@ -185,13 +187,6 @@ def smooth_and_normalize(feats, valid, smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
     var = sm[mask].var(axis=0)
     out[mask] = (sm[mask] - mu) / np.sqrt(np.maximum(var, var_floor))
     return StyleFeatureSeq(features=out, vocal_mask=mask, raw=sm)
-
-
-def extract_features(track, vocal_mask, max_gap_frac=MAX_GAP_FRAC,
-                     smooth_s=SMOOTH_S, var_floor=VAR_FLOOR):
-    """Full feature path: raw windows, smoothing, concert normalization."""
-    feats, valid = raw_features(track, vocal_mask, max_gap_frac)
-    return smooth_and_normalize(feats, valid, smooth_s, var_floor)
 
 
 FEATURE_NAMES = ("mod_rate", "mod_energy", "energy_zcr")

@@ -38,9 +38,9 @@ def extract_track(clip, cfg=None):
     pool.WORKERS blocks in flight.
     """
     cfg = cfg or PipelineConfig()
-    clip = dsp.resample(clip, 8000)
-    blocks = dsp.log_spectrogram_blocks(clip, win_s=0.04, hop_s=0.01,
-                                        n_dft=1024)
+    clip = dsp.resample(clip, dsp.ANALYSIS_HZ)
+    blocks = dsp.log_spectrogram_blocks(clip, dsp.WIN_S, vocal.TRACK_HOP_S,
+                                        dsp.N_DFT)
     parts = ordered_map(functools.partial(_track_block, cfg=cfg), blocks)
     f0, energy, voiced = zip(*parts)
     return vocal.PitchEnergyTrack(f0_hz=np.concatenate(f0),
@@ -53,10 +53,9 @@ def track_features(track, cfg=None):
     cfg = cfg or PipelineConfig()
     mask = vocal.detect_vocal_activity(track, min_run_s=cfg.vocal_min_run_s,
                                        max_gap_s=cfg.vocal_max_gap_s)
-    return features.extract_features(track, mask,
-                                     max_gap_frac=cfg.feature_gap_frac,
-                                     smooth_s=cfg.smooth_window_s,
-                                     var_floor=cfg.norm_var_floor)
+    feats, valid = features.raw_features(track, mask, cfg.feature_gap_frac)
+    return features.smooth_and_normalize(feats, valid, cfg.smooth_window_s,
+                                         cfg.norm_var_floor)
 
 
 def segment_posteriors(posteriors, decisions, cfg=None):

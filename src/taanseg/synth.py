@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import check_object
-from .dsp import AudioClip, accepted_rate
+from .dsp import ANALYSIS_HZ, AudioClip, accepted_rate
 from .errors import (DataError, InvalidArgumentError, ResourceLimitError,
                      open_text)
 from .mlp import seeded_rng
@@ -60,7 +60,7 @@ class SectionSpec:
 class ConcertScript:
     sections: list
     seed: int = 0
-    sample_rate: int = 8000
+    sample_rate: int = ANALYSIS_HZ
 
     def total_duration(self):
         return sum(s.duration_s for s in self.sections)
@@ -77,7 +77,7 @@ def script_from_json(path):
     check_object(path, "script", data, _SCRIPT_TYPES, ("sections",))
     types = {f.name: f.type for f in dataclasses.fields(SectionSpec)}
     try:
-        sample_rate = accepted_rate(data.get("sample_rate", 8000))
+        sample_rate = accepted_rate(data.get("sample_rate", ANALYSIS_HZ))
     except InvalidArgumentError as exc:
         raise DataError(str(exc), path=path) from None
     sections = []

@@ -14,6 +14,7 @@ from .segmentation import (LABELS, Section, SectionTimeline, read_timeline,
                            write_timeline)
 
 TAAN_LABELS = {"taan", "akar taan", "akartaan"}
+TIER_NAME = "sections"      # the interval tier a written timeline fills
 
 
 @dataclass
@@ -179,10 +180,10 @@ def tier_to_timeline(tier):
     return SectionTimeline(sections)
 
 
-def timeline_to_doc(timeline, tier_name="sections"):
+def timeline_to_doc(timeline):
     xmin, xmax = timeline.span()
     tier = IntervalTier(
-        name=tier_name, xmin=xmin, xmax=xmax,
+        name=TIER_NAME, xmin=xmin, xmax=xmax,
         intervals=[Interval(s.start_s, s.end_s, s.label) for s in timeline],
     )
     return TextGridDoc(xmin=xmin, xmax=xmax, tiers=[tier])

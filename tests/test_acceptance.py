@@ -116,8 +116,10 @@ class TestCriterion1FeatureOracle:
                                 mod_depth_cents=150.0)
         steady = _synthetic_track("steady-vocal", f0_hz=220.0)
         mask = np.ones(6000, dtype=bool)
-        seq_t = features.extract_features(taan, mask)
-        seq_s = features.extract_features(steady, mask)
+        seq_t = features.smooth_and_normalize(
+            *features.raw_features(taan, mask))
+        seq_s = features.smooth_and_normalize(
+            *features.raw_features(steady, mask))
         rates = seq_t.raw[seq_t.vocal_mask, 0]
         taan_energy = np.median(seq_t.raw[seq_t.vocal_mask, 1])
         steady_energy = seq_s.raw[seq_s.vocal_mask, 1].max()

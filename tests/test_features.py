@@ -10,7 +10,6 @@ from taanseg.features import (
     StyleFeatureSeq,
     detrend_poly3,
     energy_zcr,
-    extract_features,
     hz_to_cents,
     modulation_peak_features,
     modulation_spectrum,
@@ -204,7 +203,8 @@ def fm_track(rate_hz=6.0, depth=150.0, dur_s=30.0, base=2400.0, ramp=True):
 class TestFullPath:
     def test_taan_mod_rate_in_band(self):
         track = fm_track()
-        seq = extract_features(track, np.ones(len(track), dtype=bool))
+        seq = smooth_and_normalize(
+            *raw_features(track, np.ones(len(track), dtype=bool)))
         rates = seq.raw[seq.vocal_mask, 0]
         assert np.mean((rates >= 5) & (rates <= 10)) >= 0.9
 
@@ -231,7 +231,7 @@ class TestFullPath:
         track = fm_track(dur_s=20.0)
         mask = np.ones(len(track), dtype=bool)
         mask[:500] = False
-        seq = extract_features(track, mask)
+        seq = smooth_and_normalize(*raw_features(track, mask))
         assert not seq.vocal_mask[:4].any()
         assert np.isnan(seq.features[~seq.vocal_mask]).all()
 
@@ -246,7 +246,8 @@ class TestFullPath:
 class TestFeatureCsv:
     def test_round_trip(self, tmp_path):
         track = fm_track(dur_s=20.0)
-        seq = extract_features(track, np.ones(len(track), dtype=bool))
+        seq = smooth_and_normalize(
+            *raw_features(track, np.ones(len(track), dtype=bool)))
         path = tmp_path / "feats.csv"
         write_features(seq, path)
         back = read_features(path)

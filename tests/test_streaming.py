@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from taanseg import dsp, pipeline, pool, vocal
+from taanseg import cnn, dsp, pipeline, pool, vocal
 from taanseg.cli import main
 from taanseg.config import PipelineConfig
 from taanseg.dsp import (
@@ -29,6 +29,7 @@ from taanseg.dsp import (
     resample,
 )
 from taanseg.errors import DataError, EmptyInputError, InternalError
+from taanseg.synth import default_test_script, synth_concert
 from taanseg.vocal import (
     HARMONIC_CEILING_HZ,
     UNVOICED_DB,
@@ -391,6 +392,30 @@ class TestSpectrogramLayout:
                               oneshot_values(clip, 1024 / SR, 0.01, 1024))
 
 
+class TestPatchesOnTheTrackGrid:
+    """The CNN's patch spectrogram is the even frames of the tracker's
+    grid, cut to its PATCH_BINS lowest bins: one FFT pass can feed both
+    models."""
+
+    @pytest.mark.parametrize("sr, n, frames", [
+        (None, None, 29_999), (16000, 208_001, 649), (44100, 309_001, 349)])
+    def test_even_track_frames(self, sr, n, frames):
+        if sr is None:  # the default test concert
+            clip = synth_concert(default_test_script(seed=7))[0]
+        else:           # odd-length noise, resampled to the grid
+            rng = np.random.default_rng(sr)
+            clip = AudioClip(rng.uniform(-0.5, 0.5, n), sr)
+        patch = cnn.patch_spectrogram(clip).values
+        assert patch.shape == (cnn.PATCH_BINS, frames)
+        clip8 = resample(clip, dsp.ANALYSIS_HZ)
+        grid = (clip8, dsp.WIN_S, vocal.TRACK_HOP_S, dsp.N_DFT)
+        whole = log_spectrogram(*grid, n_bins=cnn.PATCH_BINS)
+        assert np.array_equal(patch, whole.values[:, ::2])
+        blocks = log_spectrogram_blocks(*grid, n_bins=cnn.PATCH_BINS)
+        assert np.array_equal(patch, np.concatenate(
+            [b.values for b in blocks], axis=1)[:, ::2])
+
+
 class TestWholeClipOnThePool:
     """log_spectrogram splits its frames into pool.WORKERS spans computed on
     the pool's threads: bit for bit the streamed blocks side by side."""
@@ -403,10 +428,10 @@ class TestWholeClipOnThePool:
     def test_matches_the_streamed_blocks(self, reference, monkeypatch,
                                          workers, n_bins, frames):
         monkeypatch.setattr(pool, "WORKERS", workers)
+        monkeypatch.setattr(dsp, "FRAME_BLOCK", 100)
         clip = AudioClip(reference[0].samples[:WIN + (frames - 1) * HOP], SR)
         spec = log_spectrogram(clip, 0.04, 0.01, 1024, n_bins=n_bins)
-        blocks = log_spectrogram_blocks(clip, 0.04, 0.01, 1024, block=100,
-                                        n_bins=n_bins)
+        blocks = log_spectrogram_blocks(clip, 0.04, 0.01, 1024, n_bins=n_bins)
         assert spec.values.shape == (n_bins or 513, frames)
         assert spec.values.flags.c_contiguous
         assert np.array_equal(

@@ -1,15 +1,19 @@
 """The one time base: pitch tracks at vocal.TRACK_HOP_S (10 ms) and
 feature, posterior and frame-label rows at 1 s, which no object or call
-sets for itself; and the one rule, dsp.seconds_to_frames, that turns a
-duration into a count of frames."""
+sets for itself; the one rule, dsp.seconds_to_frames, that turns a
+duration into a count of frames; and the one analysis grid both models
+frame their audio on."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from taanseg import cnn, dsp, features, pipeline, vocal
 from taanseg.bootstrap import write_frame_labels
-from taanseg.dsp import seconds_to_frames
+from taanseg.config import PipelineConfig
+from taanseg.dsp import AudioClip, seconds_to_frames
 from taanseg.errors import InvalidArgumentError
 from taanseg.features import StyleFeatureSeq
 from taanseg.mlp import PosteriorSeq
@@ -99,3 +103,44 @@ class TestNoTimeBaseKnob:
             timeline.frame_labels(4, 2.0)
         with pytest.raises(TypeError):
             write_frame_labels(["taan"], tmp_path / "l.tsv", frame_s=2.0)
+
+
+class TestAnalysisGrid:
+    """Both models read dsp.ANALYSIS_HZ audio in dsp.WIN_S windows through
+    a dsp.N_DFT-point DFT, the tracker at vocal.TRACK_HOP_S and the CNN at
+    every other tracker frame; the feature windows and the config's F0
+    range derive from the same declarations."""
+
+    def test_both_models_frame_on_the_grid(self, monkeypatch):
+        calls, real = [], dsp._framing
+
+        def spy(clip, win_s, hop_s, n_dft):
+            calls.append((clip.sample_rate, win_s, hop_s, n_dft))
+            return real(clip, win_s, hop_s, n_dft)
+
+        monkeypatch.setattr(dsp, "_framing", spy)
+        clip = AudioClip(np.random.default_rng(0).uniform(-0.5, 0.5, 48000),
+                         16000)
+        pipeline.extract_track(clip)
+        cnn.patch_spectrogram(clip)
+        grid = (dsp.ANALYSIS_HZ, dsp.WIN_S, dsp.N_DFT)
+        assert [(sr, win, n_dft) for sr, win, _, n_dft in calls] == [grid] * 2
+        assert [hop for _, _, hop, _ in calls] == [vocal.TRACK_HOP_S,
+                                                   cnn.PATCH_HOP_S]
+
+    def test_hops_and_windows(self):
+        assert cnn.PATCH_HOP_S == 2 * vocal.TRACK_HOP_S
+        assert cnn.PATCH_FRAMES * cnn.PATCH_HOP_S == 1.0
+        assert features.WIN_LEN * vocal.TRACK_HOP_S == 1.0
+        assert features.HOP_LEN * vocal.TRACK_HOP_S == features.RAW_HOP_S
+        assert features.FRAME_HOPS * features.RAW_HOP_S == 1.0
+        assert features.MOD_BIN_HZ * features.MOD_DFT * vocal.TRACK_HOP_S == 1
+        assert (cnn.PATCH_FRAMES, features.WIN_LEN, features.HOP_LEN,
+                features.RAW_HOP_S, features.MOD_BIN_HZ) == (
+                    50, 100, 50, 0.5, 0.78125)
+
+    @pytest.mark.parametrize("name", ["f0_min_hz", "f0_max_hz"])
+    def test_f0_range_is_one_bin_to_nyquist(self, name):
+        field = {f.name: f for f in dataclasses.fields(PipelineConfig)}[name]
+        assert dict(field.metadata) == {"ge": dsp.ANALYSIS_HZ / dsp.N_DFT,
+                                        "le": dsp.ANALYSIS_HZ / 2}
