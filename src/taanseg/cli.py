@@ -200,9 +200,10 @@ def _run(args, cfg):
         # frame only the second the map reads, as the whole clip frames it
         t0 = args.second * cnn.PATCH_FRAMES * hop
         cut = clip.samples[t0 : t0 + (cnn.PATCH_FRAMES - 1) * hop + win]
-        spec = cnn.patch_spectrogram(dsp.AudioClip(cut, dsp.ANALYSIS_HZ))
-        pats, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
-        cmap = cnn.export_channel_maps(model, pats[0], args.channel)
+        pats, _ = cnn.make_patches(cnn.patch_spectrogram(dsp.AudioClip(
+            cut, dsp.ANALYSIS_HZ)), (model.band_mean, model.band_std))
+        cmap = cnn.frame_features(model, pats).reshape(
+            cnn.SHAPE_CHAIN[4])[args.channel]
         if args.out_csv:
             modelio.write_matrix_csv(cmap, args.out_csv)
         if args.out_pgm:

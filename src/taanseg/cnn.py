@@ -73,6 +73,11 @@ class CnnModel:
             raise InvalidArgumentError(f"{', '.join(bad)} beyond float32's "
                                        "range")
 
+    @property
+    def head(self):
+        """The 2100 -> 300 -> 2 fully connected head as an MlpModel."""
+        return mlp_mod.MlpModel(self.fc_w, self.fc_b, self.out_w, self.out_b)
+
 
 def spectrogram_band_stats(specs):
     """Mean and floored std of the PATCH_BINS lowest bands over specs.
@@ -256,20 +261,15 @@ def _stack_patches(patches):
     return x[:, None]
 
 
+def frame_features(model, patches):
+    """The CNN's frame features, which `model.head` scores: (n, 2100) rows
+    of the second pooling layer, SHAPE_CHAIN[4] maps, per (n, 94, 50) patch."""
+    return _features(model, _stack_patches(patches))
+
+
 def cnn_posteriors(model, patches):
     """Batched taan posteriors (unit 1) for an (n, 94, 50) patch array."""
-    head = mlp_mod.MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
-    feats = _features(model, _stack_patches(patches))
-    return mlp_mod.mlp_forward(head, feats)[:, 1]
-
-
-def export_channel_maps(model, patch, channel):
-    """One 21x10 channel map of a 94x50 patch from the second pooling layer."""
-    last = SHAPE_CHAIN[4][0] - 1
-    if not 0 <= channel <= last:
-        raise InvalidArgumentError(f"channel must be in 0..{last}")
-    return _features(model, _stack_patches([patch])).reshape(
-        SHAPE_CHAIN[4])[channel]
+    return mlp_mod.mlp_forward(model.head, frame_features(model, patches))[:, 1]
 
 
 def cnn_init(seed):

@@ -81,6 +81,13 @@ class LogSpectrogram:
     bin_hz: float
     hop_s: float
 
+    def __post_init__(self):
+        # the grid alone is checked: the values are not scanned
+        if np.ndim(self.values) != 2 or not all(
+                np.isfinite(v) and v > 0 for v in (self.bin_hz, self.hop_s)):
+            raise InvalidArgumentError("a LogSpectrogram needs 2-D values and"
+                                       " finite bin_hz and hop_s > 0")
+
     @property
     def n_bins(self):
         return self.values.shape[0]

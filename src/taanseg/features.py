@@ -37,10 +37,10 @@ FLAT_CENTS = 1e-6
 
 @dataclass
 class StyleFeatureSeq:
-    """Normalized 3-d style features (mod_rate, mod_energy, energy_zcr)
-    at 1 s frame rate, defined on vocal frames only."""
+    """Any model's frame features at 1 s rate, on vocal frames only: the 3-d
+    style features (mod_rate, mod_energy, energy_zcr) or cnn.frame_features."""
 
-    features: np.ndarray      # (n, 3), z-normalized; NaN on non-vocal frames
+    features: np.ndarray      # (n, d); NaN on non-vocal frames
     vocal_mask: np.ndarray    # (n,)
     raw: np.ndarray = None    # smoothed, pre-normalization values
 

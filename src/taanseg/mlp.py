@@ -261,8 +261,8 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
 
 
 def classify_frames(model, feature_seq, threshold=0.5):
-    """Posteriors and taan decisions on the vocal frames of a feature
-    sequence; taan posterior is output unit 1."""
+    """Posteriors and taan decisions (unit 1) on the vocal frames of any
+    model's frame features: style features, or a CNN's frame_features."""
     if not 0.0 <= threshold <= 1.0:
         raise InvalidArgumentError("threshold must lie in [0, 1]")
     feats = feature_seq.features

@@ -75,20 +75,19 @@ def segment_posteriors(posteriors, decisions, cfg=None):
 
 
 def classify_audio(clip, model, cfg=None):
-    """(PosteriorSeq, taan decisions) of a concert, the one place that
-    branches on the model kind. MLP: extract_track -> track_features ->
-    classify_frames. CNN: patch_spectrogram -> make_patches under the
-    model's band statistics -> cnn_posteriors, with every patch vocal (the
-    CNN has no vocal detector), so a CNN timeline never has `instrumental`.
-    """
+    """classify_frames' (PosteriorSeq, taan decisions) of a concert; the one
+    model-kind branch picks its frame features. MLP: extract_track ->
+    track_features. CNN: patch_spectrogram -> make_patches under its band
+    statistics -> frame_features, scored by its head with every frame vocal
+    (no vocal detector), so a CNN timeline never has `instrumental`."""
     cfg = cfg or PipelineConfig()
     if isinstance(model, cnn.CnnModel):
-        spec = cnn.patch_spectrogram(clip)
-        patches, _ = cnn.make_patches(spec, (model.band_mean, model.band_std))
-        p = cnn.cnn_posteriors(model, patches)
-        return (mlp.PosteriorSeq(p_taan=p, vocal_mask=np.ones(len(p), bool)),
-                p >= cfg.taan_threshold)
-    seq = track_features(extract_track(clip, cfg), cfg)
+        feats = cnn.frame_features(model, cnn.make_patches(
+            cnn.patch_spectrogram(clip), (model.band_mean, model.band_std))[0])
+        seq = features.StyleFeatureSeq(feats, np.ones(len(feats), bool))
+        model = model.head
+    else:
+        seq = track_features(extract_track(clip, cfg), cfg)
     return mlp.classify_frames(model, seq, threshold=cfg.taan_threshold)
 
 

@@ -19,7 +19,7 @@ from taanseg import features as feat_mod
 from taanseg import bootstrap, pipeline, pool, vocal, wavio
 from taanseg.bootstrap import read_frame_labels
 from taanseg.cli import main
-from taanseg.cnn import (PATCH_BINS, cnn_init, export_channel_maps,
+from taanseg.cnn import (PATCH_BINS, SHAPE_CHAIN, cnn_init, frame_features,
                          make_patches)
 from taanseg.dsp import AudioClip, log_spectrogram, resample
 from taanseg.errors import InternalError
@@ -537,10 +537,11 @@ class TestInspectCnn:
         spec = log_spectrogram(resample(wavio.read_wav(wav), 8000),
                                win_s=0.04, hop_s=0.02, n_dft=1024)
         patches, _ = make_patches(spec, (model.band_mean, model.band_std))
+        maps = frame_features(model, patches).reshape(
+            (len(patches),) + SHAPE_CHAIN[4])
         for second in (0, len(patches) - 1):
             for channel in (0, 9):
-                write_matrix_csv(export_channel_maps(
-                    model, patches[second], channel), tmp_path / "want.csv")
+                write_matrix_csv(maps[second, channel], tmp_path / "want.csv")
                 rc = main(["inspect-cnn", "--model", str(model_path),
                            "--audio", str(wav), "--second", str(second),
                            "--channel", str(channel),

@@ -23,7 +23,7 @@ from taanseg.cnn import (
     cnn_init,
     cnn_posteriors,
     cnn_train,
-    export_channel_maps,
+    frame_features,
     make_patches,
     patch_spectrogram,
     spectrogram_band_stats,
@@ -34,7 +34,8 @@ from taanseg.errors import EmptyInputError, InternalError, InvalidArgumentError
 from taanseg.mlp import PosteriorSeq
 from taanseg.pipeline import (classify_audio, segment_audio,
                               segment_posteriors)
-from taanseg.synth import ConcertScript, SectionSpec, synth_concert
+from taanseg.synth import (ConcertScript, SectionSpec, default_test_script,
+                           synth_concert)
 
 
 def _tiny_model(seed=0, scale=0.3):
@@ -56,8 +57,7 @@ def _tiny_model(seed=0, scale=0.3):
 def _forward(model, xb):
     """Posteriors (B, 2) of a patch batch (B, 1, 94, 50) in its own dtype's
     conv stack: cnn_posteriors, short of the float32 cast and column 1."""
-    head = mlp.MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
-    return mlp.mlp_forward(head, cnn._features(model, xb))
+    return mlp.mlp_forward(model.head, _conv_stack_forward(model, xb)["flat"])
 
 
 def _rand_patch(seed=0):
@@ -169,8 +169,8 @@ class TestPatches:
                 .astype(np.float32))
 
     def test_patch_validation(self):
-        # patches are checked once, where cnn_posteriors, cnn_train and
-        # export_channel_maps take them in
+        # patches are checked once, where frame_features (and through it
+        # cnn_posteriors) and cnn_train take them in
         model = _tiny_model()
         stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
         nan = np.zeros((2, PATCH_BINS, PATCH_FRAMES))
@@ -187,6 +187,8 @@ class TestPatches:
                            (inf, InvalidArgumentError),
                            (empty, EmptyInputError)):
             with pytest.raises(error):
+                frame_features(model, bad)
+            with pytest.raises(error):
                 cnn_posteriors(model, bad)
             with pytest.raises(error):
                 cnn_train(bad, [0, 1], stats, epochs=1)
@@ -194,7 +196,7 @@ class TestPatches:
                       np.zeros((1, PATCH_BINS, PATCH_FRAMES)),
                       [np.zeros(PATCH_FRAMES), np.zeros(10)]):
             with pytest.raises(InvalidArgumentError):
-                export_channel_maps(model, patch, channel=0)
+                frame_features(model, [patch])
 
     def test_too_short_for_a_patch(self):
         patches, _ = make_patches(self._spec(seconds=0.5))
@@ -484,12 +486,23 @@ class TestTraining:
 
 class TestChannelMaps:
     def test_map_shape(self):
-        out = export_channel_maps(_tiny_model(), _rand_patch(), channel=3)
-        assert out.shape == (21, 10)
+        feats = frame_features(_tiny_model(), [_rand_patch()])
+        assert feats.shape == (1,) + SHAPE_CHAIN[5]
+        assert feats[0].reshape(SHAPE_CHAIN[4])[3].shape == (21, 10)
 
-    def test_channel_out_of_range(self):
-        with pytest.raises(InvalidArgumentError):
-            export_channel_maps(_tiny_model(), _rand_patch(), channel=10)
+    def test_head_scores_the_frame_features(self):
+        # the head is the model's own fully connected arrays, and the
+        # posteriors are the head over the frame features, bit for bit
+        model = _tiny_model(seed=5)
+        head = model.head
+        assert isinstance(head, mlp.MlpModel) and head.n_in == 2100
+        for name, arr in (("w1", model.fc_w), ("b1", model.fc_b),
+                          ("w2", model.out_w), ("b2", model.out_b)):
+            assert getattr(head, name) is arr
+        patches = np.stack([_rand_patch(k) for k in range(3)])
+        np.testing.assert_array_equal(
+            cnn_posteriors(model, patches),
+            mlp.mlp_forward(head, frame_features(model, patches))[:, 1])
 
 
 class TestSegmentAudio:
@@ -524,3 +537,31 @@ class TestSegmentAudio:
         np.testing.assert_array_equal(decisions, p >= cfg.taan_threshold)
         assert len(expected) > 1
         assert segment_audio(clip, model, cfg).sections == expected.sections
+
+    def test_memory_peaks_at_the_largest_stage(self):
+        """On a 10-minute concert, classify_audio with a CNN model holds
+        the spectrogram (S) only while make_patches cuts it (own peak M),
+        and the patches through the forward pass (peak F with them held):
+        its peak is the larger stage, not the spectrogram beside the
+        forward pass."""
+        clip = synth_concert(default_test_script(seed=11))[0]
+        model = cnn_init(seed=0)
+        spec = patch_spectrogram(clip)
+        assert spec.values.shape == (PATCH_BINS, 29999)
+        size = spec.values.nbytes
+        tracemalloc.start()
+        try:
+            patches = make_patches(spec, (model.band_mean, model.band_std))[0]
+            cut = tracemalloc.get_traced_memory()[1]
+            del spec
+            tracemalloc.reset_peak()
+            cnn_posteriors(model, patches)
+            forward = tracemalloc.get_traced_memory()[1]
+            del patches
+            tracemalloc.stop()
+            tracemalloc.start()
+            classify_audio(clip, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(size + cut, forward) + 2 * 2**20

@@ -26,6 +26,7 @@ from taanseg.cnn import (
     FORWARD_BLOCK,
     PATCH_BINS,
     PATCH_FRAMES,
+    SHAPE_CHAIN,
     _conv_backward,
     _conv_stack_forward,
     _conv_valid,
@@ -37,18 +38,17 @@ from taanseg.cnn import (
     cnn_init,
     cnn_posteriors,
     cnn_train,
-    export_channel_maps,
+    frame_features,
 )
 from taanseg.errors import InternalError
-from taanseg.mlp import (GEMM_SLAB, MlpModel, mlp_forward, mlp_init,
-                         mlp_train, sigmoid, softmax)
+from taanseg.mlp import (GEMM_SLAB, mlp_forward, mlp_init, mlp_train,
+                         sigmoid, softmax)
 
 
 def _forward(model, xb):
     """Posteriors (B, 2) of a patch batch (B, 1, 94, 50) in its own dtype's
     conv stack: cnn_posteriors, short of the float32 cast and column 1."""
-    head = MlpModel(model.fc_w, model.fc_b, model.out_w, model.out_b)
-    return mlp_forward(head, _features(model, xb))
+    return mlp_forward(model.head, _features(model, xb))
 
 
 def _oracle_conv_valid(x, w, b):
@@ -215,8 +215,10 @@ class TestBlockedForward:
             p2 = _conv_stack_forward(model, x[k : k + 1])["p2"][0]
             p2_32 = _conv_stack_forward(
                 model, x[k : k + 1].astype(np.float32))["p2"][0]
+            maps = frame_features(model, x[k : k + 1, 0]).reshape(
+                SHAPE_CHAIN[4])
             for channel in range(len(p2)):
-                cmap = export_channel_maps(model, x[k, 0], channel)
+                cmap = maps[channel]
                 np.testing.assert_array_equal(cmap, p2_32[channel])
                 np.testing.assert_allclose(cmap, p2[channel], rtol=0,
                                            atol=FEATURE_ATOL)

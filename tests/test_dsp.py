@@ -8,6 +8,7 @@ from taanseg import pipeline, wavio
 from taanseg.dsp import (
     AudioClip,
     LOG_FLOOR,
+    LogSpectrogram,
     hamming_window,
     log_spectrogram,
     resample,
@@ -49,6 +50,18 @@ class TestHammingWindow:
 
 
 class TestLogSpectrogram:
+    @pytest.mark.parametrize("field", ["bin_hz", "hop_s"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_grid_must_be_finite_and_positive(self, field, bad):
+        grid = {"bin_hz": 8000 / 1024, "hop_s": 0.02, field: bad}
+        with pytest.raises(InvalidArgumentError, match="bin_hz and hop_s"):
+            LogSpectrogram(np.zeros((94, 100)), **grid)
+
+    @pytest.mark.parametrize("shape", [(), (100,), (94, 100, 1)])
+    def test_values_must_be_2d(self, shape):
+        with pytest.raises(InvalidArgumentError, match="2-D values"):
+            LogSpectrogram(np.zeros(shape), 8000 / 1024, 0.02)
+
     def test_silence_is_log_floor(self):
         clip = AudioClip(samples=np.zeros(8000), sample_rate=8000)
         spec = log_spectrogram(clip, 0.04, 0.02, 1024)
