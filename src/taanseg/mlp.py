@@ -44,20 +44,20 @@ def _tiles(x, rows, cols):
     return x.reshape(len(x) // rows, rows, -1, cols).swapaxes(1, 2)
 
 
-def matmul(a, b):
+def matmul(a, b, out=None):
     """a @ b for a (m, k) or (k,) and b (k, n), the same bits at any BLAS
-    thread count. A product over GEMM_SLAB m*n*k is cut into fixed tiles:
-    from its shortest dimension up, each is kept whole while the longer ones
-    can still have 16 each, else cut to the largest multiple of 16 that
-    leaves them that, and each output tile adds its k chunks in order. So a
-    dimension padded to a multiple of 16 is cut only at multiples of 16, and
-    each of its columns takes the same BLAS kernel path. A region of equal
-    tiles is one stacked np.matmul per k chunk (the same BLAS calls, one GIL
-    release); the chunks add in order, by np.add.reduce from -0.0 if they
-    stack into GEMM_SLAB elements of tiles over one element (numpy sums a
-    one-element stack pairwise), else a few row tiles at a time."""
+    thread count, written into out if given. A product over GEMM_SLAB m*n*k is
+    cut into fixed tiles: from its shortest dimension up, each is kept whole
+    while the longer ones can still have 16 each, else cut to the largest
+    multiple of 16 that leaves them that, and each output tile adds its k
+    chunks in order. So a dimension padded to a multiple of 16 is cut only at
+    multiples of 16, and each of its columns takes the same BLAS kernel path.
+    A region of equal tiles is one stacked np.matmul per k chunk (the same
+    BLAS calls, one GIL release); the chunks add in order, by np.add.reduce
+    from -0.0 if they stack into GEMM_SLAB elements of tiles over one element
+    (numpy sums a one-element stack pairwise), else a few row tiles at once."""
     if a.size * b.shape[1] <= GEMM_SLAB:
-        return np.matmul(a, b)
+        return np.matmul(a, b, out=out)
     a2 = np.atleast_2d(a)
     (m, k), n = a2.shape, b.shape[1]
     tile, room = [m, n, k], GEMM_SLAB
@@ -70,10 +70,12 @@ def matmul(a, b):
         [(slice(0, d - d % t), t)]
         + [(slice(d - d % t, d), d % t)] * (d % t > 0)
         for d, t in zip((m, n, k), tile))
-    out = np.empty((m, n), dtype=np.result_type(a, b))
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,), dtype=np.result_type(a, b))
+    out2 = np.atleast_2d(out)
     for rows, r in m_cuts:
         for cols, c in n_cuts:
-            o = _tiles(out[rows, cols], r, c)
+            o = _tiles(out2[rows, cols], r, c)
             (x, y), *rest = [  # (chunks, p, 1, r, t) @ (chunks, 1, q, t, c)
                 (_tiles(a2[rows, ks], r, t).swapaxes(0, 1)[:, :, None],
                  _tiles(b[ks, cols], t, c)[:, None]) for ks, t in k_cuts]
@@ -88,7 +90,7 @@ def matmul(a, b):
                         og += np.matmul(xg[s], y[s])
             for x, y in rest:
                 o += np.matmul(x[0], y[0])
-    return out if a.ndim == 2 else out[0]
+    return out
 
 
 def glorot_uniform(rng, shape):
@@ -117,10 +119,6 @@ class MlpModel:
     @property
     def n_in(self):
         return self.w1.shape[0]
-
-    def copy(self):
-        return MlpModel(self.w1.copy(), self.b1.copy(),
-                        self.w2.copy(), self.b2.copy(), dict(self.meta))
 
 
 @dataclass
@@ -180,32 +178,62 @@ def mlp_forward(model, x):
     return p[0] if single else p
 
 
-def _grads(model, xb, yb, weights):
-    """Cross-entropy gradients for one batch; weights are per-sample."""
-    h = sigmoid(matmul(xb, model.w1) + model.b1)
-    p = softmax(matmul(h, model.w2) + model.b2)
-    n = len(xb)
-    delta2 = p.copy()
-    delta2[np.arange(n), yb] -= 1.0
-    delta2 *= weights[:, None]
-    gw2 = matmul(h.T, delta2)
-    gb2 = delta2.sum(axis=0)
-    delta1 = matmul(delta2, model.w2.T) * h * (1.0 - h)
-    gw1 = matmul(xb.T, delta1)
-    gb1 = delta1.sum(axis=0)
-    nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))
-                       * weights))
-    return (gw1, gb1, gw2, gb2), nll
+def _mlp_views(flat, n_in, hidden):
+    """w1, b1, w2 and b2 as views of one flat vector, in that order."""
+    w1, b1, w2, b2 = np.split(flat, np.cumsum([n_in, 1, 2]) * hidden)
+    return w1.reshape(n_in, hidden), b1, w2.reshape(hidden, 2), b2
+
+
+def _grad_fn(model, rows):
+    """sgd_epochs' grad_fn for model: a batch's cross-entropy gradients, laid
+    out as _mlp_views in one vector, and weighted NLL. Its temporaries are
+    made here for up to rows rows; the sigmoid and softmax are sigmoid()'s
+    and softmax()'s operations, in order, in place."""
+    n_in, hidden = model.w1.shape
+    grad = np.empty((n_in + 3) * hidden + 2)
+    gw1, gb1, gw2, gb2 = _mlp_views(grad, n_in, hidden)
+    temps = [np.empty((rows, hidden)) for _ in range(3)] + [np.empty(
+        (rows, hidden), dtype=bool), np.empty((rows, 2)), np.empty((rows, 1))]
+    p_flat, twice_row = temps[4].reshape(-1), 2 * np.arange(rows)
+
+    def grads(xb, yb, weights):
+        h, e, delta1, mask, p, col = (t[: len(xb)] for t in temps)
+        matmul(xb, model.w1, out=h)
+        h += model.b1
+        np.abs(h, out=e)
+        np.exp(np.negative(e, out=e), out=e)
+        np.maximum(e, np.greater_equal(h, 0, out=mask), out=h)
+        e += 1.0
+        h /= e
+        matmul(h, model.w2, out=p)
+        p += model.b2
+        p -= p.max(axis=-1, keepdims=True, out=col)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True, out=col)
+        at = twice_row[: len(xb)] + yb  # each row's true class in p_flat
+        nll = float(np.add.reduce(-np.log(np.maximum(p_flat.take(at), 1e-300))
+                                  * weights))
+        p_flat[at] -= 1.0
+        p *= weights[:, None]
+        matmul(h.T, p, out=gw2)
+        p.sum(axis=0, out=gb2)
+        matmul(p, model.w2.T, out=delta1)
+        delta1 *= h
+        delta1 *= np.subtract(1.0, h, out=e)
+        matmul(xb.T, delta1, out=gw1)
+        delta1.sum(axis=0, out=gb1)
+        return (grad,), nll
+    return grads
 
 
 def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
                batch, halve_every=None):
     """Shuffled mini-batch SGD on the arrays in params, in place; yields
-    each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (fresh
-    grads in params order, summed weighted loss); a batch steps by lr over
-    its weight sum, divided by the parameter's scale, scaling each gradient
-    in place in its parameter's dtype. A non-finite epoch loss is yielded,
-    then raises InvalidArgumentError: training diverged."""
+    each epoch's weighted mean loss. grad_fn(xb, yb, wb) returns (grads in
+    params order, summed weighted loss); a batch steps by lr over its weight
+    sum, divided by the parameter's scale, scaling each gradient (grad_fn's
+    buffer or not) in place in its parameter's dtype. A non-finite epoch
+    loss is yielded, then raises InvalidArgumentError: training diverged."""
     for epoch in range(epochs):
         lr_e = lr if halve_every is None else lr * 0.5 ** (epoch // halve_every)
         order = rng.permutation(len(x))
@@ -240,20 +268,32 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
     y = np.asarray(y, dtype=np.int64)
     if len(x) == 0:
         raise InvalidArgumentError("empty training set")
+    if x.ndim != 2 or x.shape[1] != model.n_in:
+        raise InvalidArgumentError(f"model expects rows of {model.n_in} "
+                                   f"features, got an array of {x.shape}")
+    if y.shape != (len(x),):
+        raise InvalidArgumentError(f"{len(x)} feature rows but labels of "
+                                   f"shape {y.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidArgumentError("non-finite values in training features")
+    if batch < 1:
+        raise InvalidArgumentError(f"batch must be at least 1, got {batch}")
     classes, counts = np.unique(y, return_counts=True)
-    if len(classes) < 2:
-        raise InvalidArgumentError("training set must contain both classes")
+    if not np.array_equal(classes, (0, 1)):
+        raise InvalidArgumentError("training labels must be 0 and 1, both "
+                                   f"present, got {classes}")
     if class_balance:
         freq = counts / counts.sum()
-        wmap = dict(zip(classes, 1.0 / (len(classes) * freq)))
-        weights = np.array([wmap[c] for c in y])
+        weights = (1.0 / (len(classes) * freq))[y]
     else:
         weights = np.ones(len(y))
 
-    model = model.copy()
+    # the trained arrays are views of one vector, which one step updates
+    flat = np.concatenate([a.ravel() for a in (model.w1, model.b1, model.w2,
+                                               model.b2)], dtype=np.float64)
+    model = MlpModel(*_mlp_views(flat, *model.w1.shape), meta=dict(model.meta))
     losses = list(sgd_epochs(
-        (model.w1, model.b1, model.w2, model.b2), (1, 1, 1, 1),
-        lambda xb, yb, wb: _grads(model, xb, yb, wb), x, y, weights,
+        (flat,), (1,), _grad_fn(model, min(batch, len(x))), x, y, weights,
         seeded_rng(seed), lr, epochs, batch, halve_every))
     model.meta.update({"epochs": epochs, "lr": lr,
                        "loss_history": [float(v) for v in losses]})

@@ -395,10 +395,10 @@ def _spy_products(monkeypatch):
     products, here = [], threading.local()
     real_product, real_call = mlp.matmul, np.matmul
 
-    def product(a, b):
+    def product(a, b, out=None):
         here.calls = []
         products.append((_dims(a, b), here.calls))
-        return real_product(a, b)
+        return real_product(a, b, out=out)
 
     def call(a, b, out=None):
         stack = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])

@@ -132,6 +132,28 @@ def test_a_stack_of_k_chunks_is_capped():
     assert peak <= out.nbytes + 8 * GEMM_SLAB
 
 
+def _peak(fn, *args, **kwargs):
+    """fn's result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("a_shape", [(599, 2100), (2100,), (32, 3)])
+def test_a_product_writes_into_out(a_shape):
+    # a tiled product (the CNN head on a whole concert, or a vector) and a
+    # small one put their result straight into out: the peak is that of a
+    # product without out, less the out-sized array it allocates
+    rng = np.random.default_rng(3)
+    a, b = operands(rng, a_shape, (a_shape[-1], 300), np.float64, "C")
+    out = np.full(a_shape[:-1] + (300,), np.nan)
+    got, peak = _peak(matmul, a, b, out=out)
+    assert got is out and out.tobytes() == loop_matmul(a, b).tobytes()
+    assert peak + out.nbytes <= _peak(matmul, a, b)[1] + 4096
+
+
 DIM = st.one_of(st.integers(1, 20), st.integers(1, 700))
 
 

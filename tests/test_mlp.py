@@ -1,10 +1,25 @@
-"""Tests for the feed-forward classifier and its from-scratch backprop."""
+"""Tests for the feed-forward classifier and its from-scratch backprop.
 
+`mlp_train` runs its SGD step in per-run buffers on one flat parameter
+vector. `_oracle_mlp_train` below is the training it replaced, frozen with
+its own sigmoid, softmax and gradients, and every trained model and loss
+list must match it bit for bit, on fixed cases and on a `hypothesis` sample
+of sizes, batches and schedules.
+
+`python tests/test_mlp.py [n]` runs the property on n random training runs
+(default 2000); tier-1 runs a fixed sample of it.
+"""
+
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from taanseg import mlp
 from taanseg.errors import InvalidArgumentError
 from taanseg.features import StyleFeatureSeq
 from taanseg.mlp import (
@@ -16,8 +31,10 @@ from taanseg.mlp import (
     sgd_epochs,
     sigmoid,
     softmax,
-    _grads,
+    _grad_fn,
+    _mlp_views,
 )
+from test_gemm_tiles import loop_matmul
 
 
 class TestActivations:
@@ -124,10 +141,12 @@ class TestGradients:
         xb = rng.normal(size=(7, 3))
         yb = rng.integers(0, 2, size=7)
         weights = rng.uniform(0.5, 1.5, size=7)
-        grads, _ = _grads(m, xb, yb, weights)
+        step = _grad_fn(m, len(xb))
+        (flat,), _ = step(xb, yb, weights)
+        grads = _mlp_views(flat.copy(), 3, 5)  # the step reuses its buffer
 
         def loss(model):
-            _, nll = _grads(model, xb, yb, weights)
+            _, nll = step(xb, yb, weights)
             return nll
 
         eps = 1e-6
@@ -216,10 +235,51 @@ class TestTraining:
         assert np.mean(np.argmax(p, axis=1) == 1) >= 0.9
 
 
-def _oracle_mlp_train(model, x, y, lr, epochs, batch, seed, weights,
+def _oracle_sigmoid(x):
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.maximum(e, x >= 0)
+    e += 1.0
+    num /= e
+    return num
+
+
+def _oracle_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _oracle_grads(model, xb, yb, weights):
+    """Cross-entropy gradients for one batch; weights are per-sample."""
+    h = _oracle_sigmoid(loop_matmul(xb, model.w1) + model.b1)
+    p = _oracle_softmax(loop_matmul(h, model.w2) + model.b2)
+    n = len(xb)
+    delta2 = p.copy()
+    delta2[np.arange(n), yb] -= 1.0
+    delta2 *= weights[:, None]
+    gw2 = loop_matmul(h.T, delta2)
+    gb2 = delta2.sum(axis=0)
+    delta1 = loop_matmul(delta2, model.w2.T) * h * (1.0 - h)
+    gw1 = loop_matmul(xb.T, delta1)
+    gb1 = delta1.sum(axis=0)
+    nll = float(np.sum(-np.log(np.maximum(p[np.arange(n), yb], 1e-300))
+                       * weights))
+    return (gw1, gb1, gw2, gb2), nll
+
+
+def _oracle_mlp_train(model, x, y, lr, epochs, batch, seed, class_balance,
                       halve_every):
-    """mlp_train's own loop from before it moved into sgd_epochs."""
-    model = model.copy()
+    """mlp_train with one fresh array per gradient and temporary, as it was
+    before its step moved into per-run buffers: (model, every epoch's loss),
+    the model None once an epoch's loss is non-finite."""
+    model = MlpModel(model.w1.copy(), model.b1.copy(), model.w2.copy(),
+                     model.b2.copy())
+    classes, counts = np.unique(y, return_counts=True)
+    freq = counts / counts.sum()
+    wmap = dict(zip(classes, 1.0 / (len(classes) * freq)))
+    weights = (np.array([wmap[c] for c in y]) if class_balance
+               else np.ones(len(y)))
     rng = np.random.default_rng(seed)
     losses = []
     for epoch in range(epochs):
@@ -229,7 +289,7 @@ def _oracle_mlp_train(model, x, y, lr, epochs, batch, seed, weights,
         wsum = 0.0
         for s in range(0, len(x), batch):
             idx = order[s : s + batch]
-            grads, nll = _grads(model, x[idx], y[idx], weights[idx])
+            grads, nll = _oracle_grads(model, x[idx], y[idx], weights[idx])
             bw = weights[idx].sum()
             step = lr_e / max(bw, 1e-12)
             model.w1 -= step * grads[0]
@@ -239,7 +299,37 @@ def _oracle_mlp_train(model, x, y, lr, epochs, batch, seed, weights,
             total += nll
             wsum += bw
         losses.append(total / wsum)
+        if not np.isfinite(losses[-1]):
+            return None, losses
     return model, losses
+
+
+def assert_trains_like_the_oracle(init, x, y, lr=0.05, epochs=2, batch=32,
+                                  seed=0, class_balance=True,
+                                  halve_every=None):
+    """mlp_train's arrays and losses, or the losses up to its divergence,
+    byte for byte those of _oracle_mlp_train."""
+    want, want_losses = _oracle_mlp_train(init, x, y, lr, epochs, batch, seed,
+                                          class_balance, halve_every)
+    seen, real = [], mlp.sgd_epochs
+
+    def spy(*args):
+        for loss in real(*args):
+            seen.append(loss)
+            yield loss
+
+    with mock.patch.object(mlp, "sgd_epochs", spy):
+        if want is None:
+            with pytest.raises(InvalidArgumentError, match="diverged"):
+                mlp_train(init, x, y, lr, epochs, batch, seed, class_balance,
+                          halve_every)
+        else:
+            got, losses = mlp_train(init, x, y, lr, epochs, batch, seed,
+                                    class_balance, halve_every)
+            assert losses == seen
+            for k in ("w1", "b1", "w2", "b2"):
+                assert getattr(got, k).tobytes() == getattr(want, k).tobytes()
+    assert np.array(seen).tobytes() == np.array(want_losses).tobytes()
 
 
 @pytest.mark.parametrize("class_balance", [True, False])
@@ -248,17 +338,73 @@ def test_shared_sgd_loop_is_bit_identical(class_balance, halve_every):
     rng = np.random.default_rng(4)
     x = rng.normal(size=(75, 3))
     y = (x[:, 0] + 0.5 * rng.normal(size=75) > 0.6).astype(int)
-    init = mlp_init(hidden=6, seed=2)
-    model, losses = mlp_train(init, x, y, lr=0.2, epochs=5, batch=16, seed=9,
-                              class_balance=class_balance,
-                              halve_every=halve_every)
-    freq = np.bincount(y) / len(y)
-    weights = (1.0 / (2 * freq[y]) if class_balance else np.ones(len(y)))
-    ref, ref_losses = _oracle_mlp_train(init, x, y, 0.2, 5, 16, 9, weights,
-                                        halve_every)
-    assert losses == ref_losses
-    for k in ("w1", "b1", "w2", "b2"):
-        np.testing.assert_array_equal(getattr(model, k), getattr(ref, k))
+    assert_trains_like_the_oracle(mlp_init(hidden=6, seed=2), x, y, lr=0.2,
+                                  epochs=5, batch=16, seed=9,
+                                  class_balance=class_balance,
+                                  halve_every=halve_every)
+
+
+def test_the_tiled_head_trains_like_the_oracle():
+    # the CNN head's 2100-d input: its products go through the GEMM tiles
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(45, 2100))
+    y = np.arange(45) % 2
+    assert_trains_like_the_oracle(mlp_init(300, seed=1, n_in=2100), x, y,
+                                  lr=0.1, batch=32, class_balance=False,
+                                  halve_every=1)
+
+
+@pytest.mark.parametrize("lr, epochs_run", [(1e300, 4), (1e308, 2)])
+def test_huge_steps_train_and_stop_where_the_oracle_does(lr, epochs_run):
+    # at lr 1e300 the saturated sigmoid zeroes the hidden gradient and the
+    # NLL is clamped at 1e-300, so every loss stays finite; at 1e308 w2
+    # overflows and the second epoch's loss is NaN, where training stops
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(40, 3))
+    y = np.arange(40) % 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, losses = _oracle_mlp_train(mlp_init(8, seed=0), x, y, lr, 4, 8, 0,
+                                      True, None)
+        assert_trains_like_the_oracle(mlp_init(8, seed=0), x, y, lr=lr,
+                                      epochs=4, batch=8)
+    assert len(losses) == epochs_run
+    assert np.isfinite(losses).all() == (epochs_run == 4)
+
+
+@st.composite
+def training_runs(draw):
+    """A small training run: 1 to 300 rows of 1 to 5 features, 1 to 64 or
+    300 hidden units, batches from 1 to 5 past the row count, 0 to 4
+    epochs, with or without class balance and a halving schedule."""
+    n, n_in = draw(st.integers(1, 300)), draw(st.integers(1, 5))
+    hidden = draw(st.one_of(st.integers(1, 64), st.just(300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, n_in)) * draw(st.sampled_from([0.1, 1.0, 10.0]))
+    y = (rng.random(n) < draw(st.sampled_from([0.1, 0.5, 0.9]))).astype(int)
+    y[: min(n, 2)] = [0, 1][: min(n, 2)]    # both classes where n allows
+    return dict(init=mlp_init(hidden, seed=draw(st.integers(0, 99)),
+                              n_in=n_in),
+                x=x, y=y, lr=draw(st.sampled_from([0.05, 0.5, 5.0])),
+                epochs=draw(st.integers(0, 4)),
+                batch=draw(st.integers(1, n + 5)),
+                seed=draw(st.integers(0, 99)),
+                class_balance=draw(st.booleans()),
+                halve_every=draw(st.sampled_from([None, 1, 3])))
+
+
+def check_run(run):
+    if len(np.unique(run["y"])) < 2:    # one row: mlp_train refuses it
+        with pytest.raises(InvalidArgumentError, match="both"):
+            mlp_train(**{("model" if k == "init" else k): v
+                         for k, v in run.items()})
+    else:
+        assert_trains_like_the_oracle(**run)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(run=training_runs())
+def test_training_runs_match_the_oracle(run):
+    check_run(run)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -318,3 +464,57 @@ class TestClassifyFrames:
         seq = self._seq(np.zeros((2, 3)), np.ones(2, dtype=bool))
         with pytest.raises(InvalidArgumentError):
             classify_frames(m, seq)
+
+
+class TestTrainingInputChecks:
+    """Each fault is named before training starts, as InvalidArgumentError."""
+
+    def _set(self, n=30, n_in=3):
+        rng = np.random.default_rng(n)
+        return rng.normal(size=(n, n_in)), np.arange(n) % 2
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_label_outside_0_and_1(self, bad):
+        x, y = self._set()
+        y[3] = bad
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"labels must be 0 and 1.*{bad}"):
+            mlp_train(mlp_init(4, seed=0), x, y, epochs=1)
+
+    def test_too_few_feature_columns(self):
+        x, y = self._set(n_in=2)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"rows of 3 features, got an array of \(30, 2\)"):
+            mlp_train(mlp_init(4, seed=0), x, y, epochs=1)
+
+    def test_one_dimensional_features(self):
+        x, y = self._set()
+        with pytest.raises(InvalidArgumentError,
+                           match=r"rows of 3 features, got an array of \(30,\)"):
+            mlp_train(mlp_init(4, seed=0), x[:, 0], y, epochs=1)
+
+    def test_more_rows_than_labels(self):
+        x, y = self._set(n=40)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"40 feature rows but labels of shape \(30,\)"):
+            mlp_train(mlp_init(4, seed=0), x, y[:30], epochs=1)
+
+    def test_zero_batch(self):
+        x, y = self._set()
+        with pytest.raises(InvalidArgumentError,
+                           match="batch must be at least 1, got 0"):
+            mlp_train(mlp_init(4, seed=0), x, y, epochs=1, batch=0)
+
+    def test_nan_feature(self):
+        x, y = self._set()
+        x[5, 1] = np.nan
+        with pytest.raises(InvalidArgumentError,
+                           match="non-finite values in training features"):
+            mlp_train(mlp_init(4, seed=0), x, y, epochs=1)
+
+
+if __name__ == "__main__":
+    n = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    settings(max_examples=n, deadline=None, database=None)(
+        given(run=training_runs())(check_run))()
+    print(f"MLP SGD: {n} training runs match the frozen loop byte for byte")
