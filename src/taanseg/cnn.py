@@ -10,8 +10,8 @@ import numpy as np
 
 from . import dsp, mlp as mlp_mod, vocal
 from .errors import EmptyInputError, InternalError, InvalidArgumentError
-from .mlp import (check_arrays, glorot_uniform, matmul, seeded_rng, sigmoid,
-                  softmax)
+from .mlp import (check_arrays, cross_entropy, glorot_uniform, matmul,
+                  seeded_rng, sigmoid, softmax)
 from .pool import ordered_map, workers
 
 PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
@@ -215,14 +215,14 @@ def _conv_stack_forward(model, xb, keep_cols=False):
     """Shared conv/pool stack; returns intermediates for backprop, with
     keep_cols also both im2col matrices (else each is freed after use)."""
     cols1 = _im2col(xb, *model.conv1_w.shape[2:]) if keep_cols else None
-    a1 = sigmoid(_conv_valid(xb, model.conv1_w, model.conv1_b, cols1))
+    a1 = _conv_valid(xb, model.conv1_w, model.conv1_b, cols1)
     _check_shape(a1, SHAPE_CHAIN[1], "conv1")
-    p1 = _pool2(a1)
+    p1 = _pool2(sigmoid(a1, out=a1))
     _check_shape(p1, SHAPE_CHAIN[2], "pool1")
     cols2 = _im2col(p1, *model.conv2_w.shape[2:]) if keep_cols else None
-    a2 = sigmoid(_conv_valid(p1, model.conv2_w, model.conv2_b, cols2))
+    a2 = _conv_valid(p1, model.conv2_w, model.conv2_b, cols2)
     _check_shape(a2, SHAPE_CHAIN[3], "conv2")
-    p2 = _pool2(a2)
+    p2 = _pool2(sigmoid(a2, out=a2))
     _check_shape(p2, SHAPE_CHAIN[4], "pool2")
     flat = p2.reshape(len(xb), -1)      # (B, 2100) once pool2 checks out
     return {"cols1": cols1, "a1": a1, "p1": p1, "cols2": cols2, "a2": a2,
@@ -281,15 +281,13 @@ def cnn_init(seed):
     return CnnModel(**arrays, meta={"seed": seed})
 
 
-def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
+def _stage1_block_grads(model, head_w, head_b, xb, yb, wb, mu, inv_sd):
     """_stage1_grads of one block; its im2col matrices serve both passes,
     and every intermediate is freed on return."""
     acts = _conv_stack_forward(model, xb, keep_cols=True)
-    rows = np.arange(len(xb))
     feat = (acts["flat"] - mu) * inv_sd
-    p = softmax(matmul(feat, head_w) + head_b)
-    delta = p.copy()
-    delta[rows, yb] -= 1.0
+    delta = softmax(matmul(feat, head_w) + head_b)
+    nll = cross_entropy(delta, yb, wb)
     d_p2 = (matmul(delta, head_w.T) * inv_sd).reshape(acts["p2"].shape)
     d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
     d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
@@ -299,27 +297,24 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
     g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
                                  cols=acts["cols1"])
-    nll = float(np.sum(-np.log(np.maximum(p[rows, yb].astype(np.float64),
-                                          1e-300))))
     return (g1w, g1b, g2w, g2b, matmul(feat.T, delta), delta.sum(0)), nll
 
 
-def _stage1_grads(model, head_w, head_b, xb, yb, feat_stats=None,
+def _stage1_grads(model, head_w, head_b, xb, yb, wb, feat_stats=None,
                   run=ordered_map):
     """Gradients for conv stack + direct softmax head on one batch, and its
-    summed NLL, in xb's dtype, FORWARD_BLOCK patches at a time on `run`'s
-    worker threads (all is row-wise up to the batch sums, which add the
-    blocks in order, so the worker count changes nothing and blocking only
-    the order of those sums). feat_stats, if given, is a fixed (mean, std)
-    z-scoring the 2100-d pooling vectors before the head, which
-    preconditions it without changing the stack."""
+    NLL summed with the batch weights wb, in xb's dtype, FORWARD_BLOCK
+    patches at a time on `run`'s worker threads (all is row-wise up to the
+    batch sums, which add the blocks in order, so the worker count changes
+    nothing and blocking only the order of those sums). feat_stats, if
+    given, is a fixed (mean, std) z-scoring the 2100-d pooling vectors
+    before the head, which preconditions it without changing the stack."""
     mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
     head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype)
                                   for v in (head_w, head_b, mu, 1.0 / sd))
-    blocks = run(
-        lambda s: _stage1_block_grads(model, head_w, head_b,
-                                      xb[s : s + FORWARD_BLOCK],
-                                      yb[s : s + FORWARD_BLOCK], mu, inv_sd),
+    blocks = run(lambda s: _stage1_block_grads(
+        model, head_w, head_b,
+        *(v[s : s + FORWARD_BLOCK] for v in (xb, yb, wb)), mu, inv_sd),
         range(0, len(xb), FORWARD_BLOCK))
     grads = tuple(sum(g) for g in zip(*(g for g, _ in blocks)))
     return grads, sum(nll for _, nll in blocks)
@@ -370,8 +365,8 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
         stage1_loss = list(mlp_mod.sgd_epochs(
             (model.conv1_w, model.conv1_b, model.conv2_w, model.conv2_b,
              head_w, head_b), (n1, n1, n2, n2, 1, 1),
-            lambda xb, yb, _: _stage1_grads(model, head_w, head_b, xb, yb,
-                                            s1_stats, run),
+            lambda xb, yb, wb: _stage1_grads(model, head_w, head_b, xb, yb,
+                                             wb, s1_stats, run),
             x, labels, np.ones(len(x)), rng, lr0, epochs, batch,
             halve_every))
         feats = _features(model, x, run)
@@ -384,8 +379,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     head, stage2_loss = mlp_mod.mlp_train(
         head, (feats - mu) / sd, labels, lr=lr0,
         epochs=epochs if head_epochs is None else head_epochs,
-        batch=batch, seed=seed, class_balance=False, halve_every=halve_every,
-    )
+        batch=batch, seed=seed, class_balance=False, halve_every=halve_every)
     meta = dict(model.meta, epochs=epochs, lr0=lr0, halve_every=halve_every,
                 stage1_loss=[float(v) for v in stage1_loss],
                 stage2_loss=[float(v) for v in stage2_loss])

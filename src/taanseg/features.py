@@ -44,6 +44,11 @@ class StyleFeatureSeq:
     vocal_mask: np.ndarray    # (n,)
     raw: np.ndarray = None    # smoothed, pre-normalization values
 
+    def __post_init__(self):
+        f, m = np.shape(self.features), np.shape(self.vocal_mask)
+        if len(f) != 2 or m != f[:1]:
+            raise InvalidArgumentError(f"shapes {f}, {m}: not (n, d), (n,)")
+
     def __len__(self):
         return len(self.vocal_mask)
 

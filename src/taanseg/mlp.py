@@ -111,8 +111,7 @@ class MlpModel:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n_in, hidden = (self.w1.shape if self.w1.ndim == 2
-                        else (None, None))
+        n_in, hidden = self.w1.shape if self.w1.ndim == 2 else (None, None)
         check_arrays(self, "mlp", {"w1": (n_in, hidden), "b1": (hidden,),
                                    "w2": (hidden, 2), "b2": (2,)})
 
@@ -130,26 +129,50 @@ class PosteriorSeq:
     vocal_mask: np.ndarray
     frame_s: ClassVar[float] = 1.0
 
+    def __post_init__(self):
+        p, m = np.shape(self.p_taan), np.shape(self.vocal_mask)
+        if len(p) != 1 or m != p:
+            raise InvalidArgumentError(f"shapes {p}, {m}: not (n,), (n,)")
+
     def __len__(self):
         return len(self.p_taan)
 
 
-def sigmoid(x):
+def sigmoid(x, out=None, scratch=None):
     """Branch-free stable logistic: with e = exp(-|x|) in [0, 1], the
-    numerator max(e, x >= 0) is 1 for x >= 0 and e below. Computed in
-    place on two full-size arrays, e and the result."""
-    e = np.abs(x)
+    numerator max(e, x >= 0) is 1 for x >= 0 and e below. Made in out
+    (which may be x) and the scratch e if given, else in e and the result,
+    two new arrays that keep x's memory layout."""
+    e = np.abs(x, out=scratch)
     np.exp(np.negative(e, out=e), out=e)
-    num = np.maximum(e, x >= 0)
+    num = np.maximum(e, np.greater_equal(x, 0, out=out), out=out)
     e += 1.0
     num /= e
     return num
 
 
-def softmax(logits):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+def softmax(logits, out=None, scratch=None):
+    """Softmax over the last axis, made in out (which may be logits) if
+    given, with the (..., 1) scratch for each row's max and sum."""
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True, out=scratch),
+                    out=out)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True, out=scratch)
+    return z
+
+
+def cross_entropy(p, y, weights, twice_row=None):
+    """Summed weighted NLL, in float64, of labels y under C-order 2-class
+    softmax rows p, which become the weighted output delta (p - onehot(y))
+    * weights in place; twice_row, if kept, is 2 * arange(len(p) or more)."""
+    p_flat = p.reshape(-1)
+    at = y + (2 * np.arange(len(p)) if twice_row is None
+              else twice_row[: len(p)])  # each row's true class in p_flat
+    nll = float(np.add.reduce(-np.log(np.maximum(
+        p_flat.take(at), 1e-300, dtype=np.float64)) * weights))
+    p_flat[at] -= 1.0
+    p *= weights[:, None]
+    return nll
 
 
 def mlp_init(hidden, seed, n_in=3):
@@ -157,13 +180,20 @@ def mlp_init(hidden, seed, n_in=3):
     if hidden < 1:
         raise InvalidArgumentError("hidden layer needs at least one unit")
     rng = seeded_rng(seed)
-    return MlpModel(
-        w1=glorot_uniform(rng, (n_in, hidden)),
-        b1=np.zeros(hidden),
-        w2=glorot_uniform(rng, (hidden, 2)),
-        b2=np.zeros(2),
-        meta={"seed": seed},
-    )
+    return MlpModel(glorot_uniform(rng, (n_in, hidden)), np.zeros(hidden),
+                    glorot_uniform(rng, (hidden, 2)), np.zeros(2),
+                    meta={"seed": seed})
+
+
+def _forward(model, xb, h=None, p=None, e=None, col=None):
+    """(hidden activations, posteriors) of rows xb, each made in place in
+    one array, h and p if given, with the kernels' scratch e and col."""
+    h = matmul(xb, model.w1, out=h)
+    h += model.b1
+    sigmoid(h, out=h, scratch=e)
+    p = matmul(h, model.w2, out=p)
+    p += model.b2
+    return h, softmax(p, out=p, scratch=col)
 
 
 def mlp_forward(model, x):
@@ -171,11 +201,8 @@ def mlp_forward(model, x):
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError("non-finite input to mlp_forward")
-    single = x.ndim == 1
-    xb = np.atleast_2d(x)
-    h = sigmoid(matmul(xb, model.w1) + model.b1)
-    p = softmax(matmul(h, model.w2) + model.b2)
-    return p[0] if single else p
+    p = _forward(model, np.atleast_2d(x))[1]
+    return p[0] if x.ndim == 1 else p
 
 
 def _mlp_views(flat, n_in, hidden):
@@ -186,35 +213,18 @@ def _mlp_views(flat, n_in, hidden):
 
 def _grad_fn(model, rows):
     """sgd_epochs' grad_fn for model: a batch's cross-entropy gradients, laid
-    out as _mlp_views in one vector, and weighted NLL. Its temporaries are
-    made here for up to rows rows; the sigmoid and softmax are sigmoid()'s
-    and softmax()'s operations, in order, in place."""
+    out as _mlp_views in one vector, and weighted NLL; _forward and
+    cross_entropy run in temporaries made here for up to rows rows."""
     n_in, hidden = model.w1.shape
     grad = np.empty((n_in + 3) * hidden + 2)
     gw1, gb1, gw2, gb2 = _mlp_views(grad, n_in, hidden)
-    temps = [np.empty((rows, hidden)) for _ in range(3)] + [np.empty(
-        (rows, hidden), dtype=bool), np.empty((rows, 2)), np.empty((rows, 1))]
-    p_flat, twice_row = temps[4].reshape(-1), 2 * np.arange(rows)
+    temps = [np.empty((rows, k)) for k in (hidden, hidden, hidden, 2, 1)]
+    twice_row = 2 * np.arange(rows)
 
     def grads(xb, yb, weights):
-        h, e, delta1, mask, p, col = (t[: len(xb)] for t in temps)
-        matmul(xb, model.w1, out=h)
-        h += model.b1
-        np.abs(h, out=e)
-        np.exp(np.negative(e, out=e), out=e)
-        np.maximum(e, np.greater_equal(h, 0, out=mask), out=h)
-        e += 1.0
-        h /= e
-        matmul(h, model.w2, out=p)
-        p += model.b2
-        p -= p.max(axis=-1, keepdims=True, out=col)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True, out=col)
-        at = twice_row[: len(xb)] + yb  # each row's true class in p_flat
-        nll = float(np.add.reduce(-np.log(np.maximum(p_flat.take(at), 1e-300))
-                                  * weights))
-        p_flat[at] -= 1.0
-        p *= weights[:, None]
+        h, e, delta1, p, col = (t[: len(xb)] for t in temps)
+        _forward(model, xb, h, p, e, col)
+        nll = cross_entropy(p, yb, weights, twice_row)
         matmul(h.T, p, out=gw2)
         p.sum(axis=0, out=gb2)
         matmul(p, model.w2.T, out=delta1)
@@ -282,11 +292,8 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
     if not np.array_equal(classes, (0, 1)):
         raise InvalidArgumentError("training labels must be 0 and 1, both "
                                    f"present, got {classes}")
-    if class_balance:
-        freq = counts / counts.sum()
-        weights = (1.0 / (len(classes) * freq))[y]
-    else:
-        weights = np.ones(len(y))
+    weights = ((1.0 / (len(classes) * (counts / counts.sum())))[y]
+               if class_balance else np.ones(len(y)))
 
     # the trained arrays are views of one vector, which one step updates
     flat = np.concatenate([a.ravel() for a in (model.w1, model.b1, model.w2,
@@ -307,9 +314,8 @@ def classify_frames(model, feature_seq, threshold=0.5):
         raise InvalidArgumentError("threshold must lie in [0, 1]")
     feats = feature_seq.features
     if feats.shape[1] != model.n_in:
-        raise InvalidArgumentError(
-            f"model expects {model.n_in}-d features, got {feats.shape[1]}"
-        )
+        raise InvalidArgumentError(f"model expects {model.n_in}-d features, "
+                                   f"got {feats.shape[1]}")
     mask = feature_seq.vocal_mask
     p = np.full(len(mask), np.nan)
     if mask.any():

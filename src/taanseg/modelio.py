@@ -16,6 +16,7 @@ import numpy as np
 from .cnn import CnnModel
 from .errors import FormatError, InvalidArgumentError, ParseError, open_text
 from .mlp import MlpModel
+from .table import Table
 
 MAGIC = b"TSEG"
 VERSION = 1
@@ -132,4 +133,7 @@ def write_pgm(matrix, path):
 
 
 def write_matrix_csv(matrix, path):
-    np.savetxt(path, np.asarray(matrix), delimiter=",")
+    """A 2-D matrix as header-less CSV, one row per line, floats as repr."""
+    m = np.asarray(matrix, dtype=np.float64)
+    Table([(f"c{k}", "f8") for k in range(m.shape[1])], header=False).write(
+        path, m.T)

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cnn, dsp, features, mlp, segmentation, vocal
 from .config import PipelineConfig
-from .errors import InvalidArgumentError
+from .errors import EmptyInputError, InvalidArgumentError
 from .pool import ordered_map
 
 
@@ -112,6 +112,8 @@ def training_set(seq, labels):
 
 def _truth_labels(timeline, n):
     """The 1 s frame labels of a truth timeline up to its end, n at most."""
+    if not len(timeline):
+        raise EmptyInputError("a truth timeline has no sections")
     return timeline.frame_labels(min(math.floor(timeline.span()[1]), n))
 
 

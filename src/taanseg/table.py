@@ -1,5 +1,5 @@
-"""Delimited text tables: the one reader and writer of the package's CSV
-and TSV files (tracks, features, posteriors, timelines, frame labels).
+"""Delimited text tables: the one reader and writer of the package's CSV and
+TSV files (tracks, features, posteriors, timelines, frame labels, CNN maps).
 
 Text read through `errors.open_text` and written as UTF-8, one row per
 line, under an optional header line of the column names. Floats are

@@ -174,8 +174,8 @@ class TestCriterion2GradientChecks:
         head_w = rng.uniform(-r, r, size=(2100, 2))
         head_b = np.zeros(2)
         pxb = rng.normal(scale=0.5, size=(2, 1, 94, 50))
-        pyb = np.array([0, 1])
-        cgrads, _ = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb)
+        pyb, pwb = np.array([0, 1]), np.ones(2)
+        cgrads, _ = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb, pwb)
         eps = 1e-5
         params = ((cnn.conv1_w, cgrads[0]), (cnn.conv1_b, cgrads[1]),
                   (cnn.conv2_w, cgrads[2]), (cnn.conv2_b, cgrads[3]),
@@ -186,9 +186,11 @@ class TestCriterion2GradientChecks:
                                 replace=False):
                 orig = flat[k]
                 flat[k] = orig + eps
-                lp = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb)[1]
+                lp = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb,
+                                           pwb)[1]
                 flat[k] = orig - eps
-                lm = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb)[1]
+                lm = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb,
+                                           pwb)[1]
                 flat[k] = orig
                 worst = max(worst, self._rel(gflat[k], (lp - lm) / (2 * eps)))
 

@@ -363,10 +363,10 @@ class TestGradients:
         xb = rng.normal(scale=0.5, size=(2, 1, PATCH_BINS, PATCH_FRAMES))
         yb = np.array([0, 1])
 
-        grads, _ = _stage1_grads(model, head_w, head_b, xb, yb)
+        grads, _ = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2))
 
         def loss():
-            _, nll = _stage1_grads(model, head_w, head_b, xb, yb)
+            _, nll = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2))
             return nll
 
         eps = 1e-5

@@ -5,8 +5,9 @@ and 3 workers, and the GEMM rule every matrix product keeps.
 
 The oracles are in-test copies of the code these replaced: the
 sliding-window `einsum` forward, the per-tap `einsum` backward, the
-reshape-mean pooling, the batch-at-once stage-1 gradients, the
-boolean-mask sigmoid and the out-of-place branch-free sigmoid.
+reshape-mean pooling, the batch-at-once stage-1 gradients, the stage-1
+block loop with its own softmax, output delta and NLL, the boolean-mask
+sigmoid and the out-of-place branch-free sigmoid.
 """
 
 import ast
@@ -272,11 +273,91 @@ class TestBlockedStage1Grads:
                  rng.uniform(0.5, 2.0, size=2100))
         x = _patch_batch(n, seed=n)
         y = rng.integers(0, 2, size=n)
-        grads, nll = _stage1_grads(model, head_w, head_b, x, y, stats)
+        grads, nll = _stage1_grads(model, head_w, head_b, x, y, np.ones(n),
+                                   stats)
         ref, ref_nll = _oracle_stage1_grads(model, head_w, head_b, x, y, stats)
         for got, want in zip(grads, ref):
             _assert_close(got, want)
         assert abs(nll - ref_nll) <= 1e-12 * max(1.0, abs(ref_nll))
+
+
+def _frozen_softmax(logits):
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _frozen_conv_stack(model, xb):
+    """_conv_stack_forward(keep_cols=True) with the out-of-place sigmoid."""
+    cols1 = _im2col(xb, *model.conv1_w.shape[2:])
+    a1 = _out_of_place_sigmoid(_conv_valid(xb, model.conv1_w, model.conv1_b,
+                                           cols1))
+    p1 = _pool2(a1)
+    cols2 = _im2col(p1, *model.conv2_w.shape[2:])
+    a2 = _out_of_place_sigmoid(_conv_valid(p1, model.conv2_w, model.conv2_b,
+                                           cols2))
+    p2 = _pool2(a2)
+    return {"cols1": cols1, "a1": a1, "p1": p1, "cols2": cols2, "a2": a2,
+            "p2": p2, "flat": p2.reshape(len(xb), -1)}
+
+
+def _frozen_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
+    """_stage1_block_grads with its own softmax, output delta and NLL, as it
+    was before it called mlp.cross_entropy; the GEMM, im2col, pooling and
+    conv-backward helpers it shares with the code are called live."""
+    acts = _frozen_conv_stack(model, xb)
+    rows = np.arange(len(xb))
+    feat = (acts["flat"] - mu) * inv_sd
+    p = _frozen_softmax(mlp.matmul(feat, head_w) + head_b)
+    delta = p.copy()
+    delta[rows, yb] -= 1.0
+    d_p2 = (mlp.matmul(delta, head_w.T) * inv_sd).reshape(acts["p2"].shape)
+    d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
+    d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
+    g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2,
+                                    cols=acts["cols2"])
+    d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
+    d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
+    g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
+                                 cols=acts["cols1"])
+    nll = float(np.sum(-np.log(np.maximum(p[rows, yb].astype(np.float64),
+                                          1e-300))))
+    return (g1w, g1b, g2w, g2b, mlp.matmul(feat.T, delta), delta.sum(0)), nll
+
+
+def _frozen_stage1_grads(model, head_w, head_b, xb, yb, feat_stats):
+    """_stage1_grads as a block loop over _frozen_block_grads."""
+    mu, sd = feat_stats
+    head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype)
+                                  for v in (head_w, head_b, mu, 1.0 / sd))
+    blocks = [_frozen_block_grads(model, head_w, head_b,
+                                  xb[s : s + FORWARD_BLOCK],
+                                  yb[s : s + FORWARD_BLOCK], mu, inv_sd)
+              for s in range(0, len(xb), FORWARD_BLOCK)]
+    grads = tuple(sum(g) for g in zip(*(g for g, _ in blocks)))
+    return grads, sum(nll for _, nll in blocks)
+
+
+class TestStage1AgainstFrozenBlocks:
+    """The stage-1 gradients and NLL keep every bit of the block loop they
+    replaced, now that the softmax, delta and NLL are mlp's kernels."""
+
+    @pytest.mark.parametrize("n", [1, FORWARD_BLOCK - 1, FORWARD_BLOCK,
+                                   FORWARD_BLOCK + 1, 32, 33])
+    def test_byte_identical(self, n):
+        model = cnn_init(seed=n)
+        head_w, head_b, x, y, stats = _stage1_inputs(n)
+        assert x.dtype == np.float32
+        ref, ref_nll = _frozen_stage1_grads(model, head_w, head_b, x, y,
+                                            stats)
+        # the all-ones batch weights sgd_epochs hands cnn_train's stage 1
+        grads, nll = _stage1_grads(model, head_w, head_b, x, y, np.ones(n),
+                                   stats)
+        assert len(grads) == len(ref) == 6
+        for got, want in zip(grads, ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert np.float64(nll).tobytes() == np.float64(ref_nll).tobytes()
 
 
 SIZES = [1, FORWARD_BLOCK - 1, FORWARD_BLOCK, FORWARD_BLOCK + 1,
@@ -331,7 +412,8 @@ class TestWorkerCount:
         head_w, head_b, x, y, stats = _stage1_inputs(n)
 
         def run():
-            grads, nll = _stage1_grads(model, head_w, head_b, x, y, stats)
+            grads, nll = _stage1_grads(model, head_w, head_b, x, y,
+                                       np.ones(n), stats)
             return [*grads, nll]
 
         _assert_all_equal(_at_each_worker_count(monkeypatch, run))
@@ -443,7 +525,7 @@ class TestGemmRule:
         x = _patch_batch(n, seed=n).astype(np.float32)
         cnn_posteriors(model, x[:, 0])
         head_w, head_b, _, y, stats = _stage1_inputs(n)
-        _stage1_grads(model, head_w, head_b, x, y, stats)
+        _stage1_grads(model, head_w, head_b, x, y, np.ones(len(x)), stats)
         assert max(self._check(products)) > 1
         # the ten filters (or channels) of a conv layer by im2col columns
         for (m, cols, k), _ in products:
@@ -460,7 +542,7 @@ class TestGemmRule:
         (dims, calls), *_ = products
         assert dims == (10, FORWARD_BLOCK * 88 * 44, 49)
         assert (len(calls), sum(map(len, calls))) == (2, 59)
-        _stage1_grads(model, head_w, head_b, x, y, stats)
+        _stage1_grads(model, head_w, head_b, x, y, np.ones(len(x)), stats)
         assert max(self._check(products)) > 1
         assert max(len(calls) for _, calls in products) <= 2
 
@@ -530,6 +612,27 @@ class TestGemmRule:
                      or isinstance(node, ast.Attribute)
                      and node.attr in products)]
         assert outside == []
+
+    def test_exp_and_log_only_in_the_kernels(self):
+        # one sigmoid, one softmax and one cross-entropy step: no other
+        # function of mlp.py or cnn.py calls an exp or a log of its own
+        kernels = {"sigmoid", "softmax", "cross_entropy"}
+        outside, found = [], set()
+        for module in (mlp, cnn):
+            tree = ast.parse(Path(module.__file__).read_text("utf-8"))
+            for top in tree.body:
+                name = getattr(top, "name", None)
+                for node in ast.walk(top):
+                    if (isinstance(node, ast.Attribute)
+                            and node.attr in ("exp", "log")):
+                        if module is mlp and name in kernels:
+                            found.add((name, node.attr))
+                        else:
+                            outside.append((module.__name__, name,
+                                            node.lineno))
+        assert outside == []
+        assert found == {("sigmoid", "exp"), ("softmax", "exp"),
+                         ("cross_entropy", "log")}
 
     def test_same_bits_at_any_blas_thread_count(self):
         # the head's products and a conv layer's forward and weight-gradient

@@ -589,7 +589,17 @@ class TestMatrixExports:
         path = tmp_path / "m.csv"
         m = np.array([[1.5, -2.0], [0.0, 3.25]])
         write_matrix_csv(m, path)
-        assert np.allclose(np.loadtxt(path, delimiter=","), m)
+        assert np.array_equal(np.loadtxt(path, delimiter=","), m)
+
+    def test_csv_is_a_headerless_table_of_reprs(self, tmp_path):
+        # a float32 channel map reads back exactly, each cell its repr
+        path = tmp_path / "m.csv"
+        m = np.random.default_rng(0).normal(size=(21, 10)).astype(np.float32)
+        m[0, :3] = (0.1, -0.0, 1e-40)
+        write_matrix_csv(m, path)
+        assert np.array_equal(np.loadtxt(path, delimiter=",", ndmin=2), m)
+        first = path.read_text().splitlines()[0].split(",")
+        assert first[:3] == [repr(float(v)) for v in m[0, :3]]
 
 
 class TestConfig:

@@ -19,11 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taanseg import mlp
+from taanseg import mlp, pipeline
 from taanseg.errors import InvalidArgumentError
 from taanseg.features import StyleFeatureSeq
 from taanseg.mlp import (
     MlpModel,
+    PosteriorSeq,
     classify_frames,
     mlp_forward,
     mlp_init,
@@ -58,6 +59,46 @@ class TestActivations:
     def test_softmax_shift_invariance(self):
         logits = np.array([0.3, -1.2, 2.5])
         assert np.allclose(softmax(logits), softmax(logits + 17.0))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @np.errstate(invalid="ignore")  # a row of inf and -inf, or of NaN
+    def test_kernels_in_given_buffers_match_the_oracles(self, dtype):
+        # in place, with the scratch a caller keeps, every bit (NaN too) of
+        # the frozen sigmoid and softmax, in the MLP's float64 and the conv
+        # stack's float32
+        rng = np.random.default_rng(5)
+        x = np.concatenate((rng.normal(scale=30.0, size=600),
+                            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf,
+                             np.nan, -np.nan])).astype(dtype).reshape(-1, 2)
+        for kernel, oracle, scratch in (
+                (sigmoid, _oracle_sigmoid, np.empty_like(x)),
+                (softmax, _oracle_softmax, np.empty((len(x), 1), dtype))):
+            want, buf = oracle(x), x.copy()
+            got = kernel(buf, out=buf, scratch=scratch)
+            assert got is buf and got.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+            assert kernel(x).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_cross_entropy_matches_the_oracle(self, dtype):
+        # the NLL in float64 and the weighted delta in p's dtype, as the
+        # frozen step computed them, with or without a kept row index
+        rng = np.random.default_rng(6)
+        p = _oracle_softmax(rng.normal(scale=3.0, size=(9, 2))).astype(dtype)
+        p[0] = (1.0, 0.0)
+        y = rng.integers(0, 2, size=9)
+        y[0] = 1
+        w = rng.uniform(0.5, 2.0, size=9)
+        rows = np.arange(9)
+        delta = p.copy()
+        delta[rows, y] -= 1.0
+        delta *= w[:, None]
+        nll = float(np.sum(-np.log(np.maximum(
+            p[rows, y].astype(np.float64), 1e-300)) * w))
+        for twice_row in (None, 2 * np.arange(32)):
+            got = p.copy()
+            assert mlp.cross_entropy(got, y, w, twice_row) == nll
+            assert got.tobytes() == delta.tobytes()
 
 
 class TestInit:
@@ -464,6 +505,30 @@ class TestClassifyFrames:
         seq = self._seq(np.zeros((2, 3)), np.ones(2, dtype=bool))
         with pytest.raises(InvalidArgumentError):
             classify_frames(m, seq)
+
+
+class TestFrameSequenceShapes:
+    """A frame sequence built with the wrong shapes fails where it is made,
+    not later inside classify_frames or segment_posteriors."""
+
+    def test_features_not_two_dimensional(self):
+        with pytest.raises(InvalidArgumentError, match=r"not \(n, d\)"):
+            StyleFeatureSeq(np.zeros(20), np.ones(20, bool))
+
+    def test_feature_mask_of_another_length(self):
+        with pytest.raises(InvalidArgumentError, match=r"\(20, 3\), \(19,\)"):
+            classify_frames(mlp_init(4, seed=0), StyleFeatureSeq(
+                np.zeros((20, 3)), np.ones(19, bool)))
+
+    def test_posteriors_not_one_dimensional(self):
+        with pytest.raises(InvalidArgumentError, match=r"\(20, 1\)"):
+            PosteriorSeq(np.full((20, 1), 0.5), np.ones(20, bool))
+
+    def test_posterior_mask_of_another_length(self):
+        with pytest.raises(InvalidArgumentError, match=r"\(20,\), \(19,\)"):
+            pipeline.segment_posteriors(
+                PosteriorSeq(np.full(20, 0.5), np.ones(19, bool)),
+                np.zeros(20, bool))
 
 
 class TestTrainingInputChecks:

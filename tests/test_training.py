@@ -9,7 +9,8 @@ import pytest
 
 from taanseg import cnn, mlp, pipeline
 from taanseg.config import PipelineConfig
-from taanseg.errors import InvalidArgumentError
+from taanseg.errors import InvalidArgumentError, TaansegError
+from taanseg.features import StyleFeatureSeq
 from taanseg.segmentation import Section, SectionTimeline
 from taanseg.synth import ConcertScript, SectionSpec, synth_concert
 
@@ -61,6 +62,12 @@ class TestTrainMlp:
         with pytest.raises(InvalidArgumentError, match="no training pairs"):
             pipeline.train_mlp([], CFG)
 
+    def test_empty_truth_timeline(self):
+        # a data error naming the timeline, not an IndexError from its span
+        seq = StyleFeatureSeq(np.zeros((20, 3)), np.ones(20, bool))
+        with pytest.raises(TaansegError, match="truth timeline has no sec"):
+            pipeline.train_mlp([(seq, LONG), (seq, SectionTimeline([]))], CFG)
+
     def test_default_config(self, clips):
         seq = pipeline.track_features(pipeline.extract_track(clips[0]))
         model = pipeline.train_mlp([(seq, LONG)])
@@ -87,3 +94,7 @@ class TestTrainCnn:
     def test_no_pairs(self):
         with pytest.raises(InvalidArgumentError, match="no training pairs"):
             pipeline.train_cnn(iter([]), CFG)
+
+    def test_empty_truth_timeline(self, clips):
+        with pytest.raises(TaansegError, match="truth timeline has no sec"):
+            pipeline.train_cnn(zip(clips, [SHORT, SectionTimeline([])]), CFG)
