@@ -14,6 +14,7 @@ COV_EIG_FLOOR = 1e-8
 LOG_2PI = np.log(2.0 * np.pi)
 MAX_ROUNDS = 50     # relabelling rounds before giving up
 EM_ITER = 20        # EM iterations in each round
+EM_TOL = 1e-6       # a log-likelihood gain below this ends EM early
 
 
 @dataclass
@@ -80,7 +81,7 @@ def gmm_log_likelihood(gmm, x):
     ], axis=1)
 
 
-def gmm_fit_em(x, init, max_iter=100, tol=1e-6):
+def gmm_fit_em(x, init, max_iter=100):
     """EM for the 2-mixture GMM; returns (model, log-likelihood trace).
 
     The trace is non-decreasing up to numerical tolerance; covariance
@@ -113,7 +114,7 @@ def gmm_fit_em(x, init, max_iter=100, tol=1e-6):
             degenerate |= fl
             covs.append(cov)
         gmm = Gmm2(means, np.array(covs), nk / nk.sum(), degenerate=degenerate)
-        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < tol:
+        if len(trace) >= 2 and abs(trace[-1] - trace[-2]) < EM_TOL:
             break
     return gmm, trace
 

@@ -166,13 +166,11 @@ def _conv_valid(x, w, b, cols=None):
     return z[:, : bsz * ho * wo].reshape(f, bsz, ho, wo).transpose(1, 0, 2, 3)
 
 
-def _conv_backward(x, w, d_out, input_grad=True, cols=None):
-    """Gradients of a valid cross-correlation wrt weights, bias and, with
-    input_grad, input (else None), which is the zero-padded d_out correlated
-    with the flipped, channel-swapped kernel; cols: x's im2col, if built."""
+def _conv_backward(w, d_out, cols, input_grad=True):
+    """Gradients of a valid cross-correlation of input x wrt weights, bias
+    and, with input_grad, x (else None), which is the zero-padded d_out
+    correlated with the flipped, channel-swapped kernel; cols: x's im2col."""
     (f, c, kh, kw), (b, _, ho, wo) = w.shape, d_out.shape
-    if cols is None:
-        cols = _im2col(x, kh, kw)
     d_cm = d_out.transpose(1, 0, 2, 3)
     d = d_cm.reshape(f, -1)
     gb = d.sum(axis=1)
@@ -291,27 +289,25 @@ def _stage1_block_grads(model, head_w, head_b, xb, yb, wb, mu, inv_sd):
     d_p2 = (matmul(delta, head_w.T) * inv_sd).reshape(acts["p2"].shape)
     d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
     d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
-    g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2,
-                                    cols=acts["cols2"])
+    g2w, g2b, d_p1 = _conv_backward(model.conv2_w, d_z2, acts["cols2"])
     d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
-    g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
-                                 cols=acts["cols1"])
+    g1w, g1b, _ = _conv_backward(model.conv1_w, d_z1, acts["cols1"],
+                                 input_grad=False)
     return (g1w, g1b, g2w, g2b, matmul(feat.T, delta), delta.sum(0)), nll
 
 
-def _stage1_grads(model, head_w, head_b, xb, yb, wb, feat_stats=None,
+def _stage1_grads(model, head_w, head_b, xb, yb, wb, feat_stats,
                   run=ordered_map):
     """Gradients for conv stack + direct softmax head on one batch, and its
     NLL summed with the batch weights wb, in xb's dtype, FORWARD_BLOCK
     patches at a time on `run`'s worker threads (all is row-wise up to the
     batch sums, which add the blocks in order, so the worker count changes
-    nothing and blocking only the order of those sums). feat_stats, if
-    given, is a fixed (mean, std) z-scoring the 2100-d pooling vectors
-    before the head, which preconditions it without changing the stack."""
-    mu, sd = (0.0, 1.0) if feat_stats is None else feat_stats
-    head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype)
-                                  for v in (head_w, head_b, mu, 1.0 / sd))
+    nothing and blocking only the order of those sums). feat_stats is a
+    fixed (mean, std) z-scoring the 2100-d pooling vectors before the head,
+    which preconditions it without changing the stack."""
+    head_w, head_b, mu, inv_sd = (np.asarray(v, dtype=xb.dtype) for v in (
+        head_w, head_b, feat_stats[0], 1.0 / feat_stats[1]))
     blocks = run(lambda s: _stage1_block_grads(
         model, head_w, head_b,
         *(v[s : s + FORWARD_BLOCK] for v in (xb, yb, wb)), mu, inv_sd),
@@ -339,10 +335,8 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
     trains a 300-hidden fully connected head on the extracted vectors.
     Learning rate starts at lr0 and is halved every `halve_every` epochs.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(np.unique(labels)) < 2:
-        raise InvalidArgumentError("training set must contain both classes")
     x = _stack_patches(patches)
+    labels, weights = mlp_mod.training_labels(labels, len(x), batch)
     band_mean, band_std = band_stats
     model = replace(cnn_init(seed), band_mean=band_mean, band_std=band_std)
 
@@ -367,7 +361,7 @@ def cnn_train(patches, labels, band_stats, epochs=60, lr0=0.1, halve_every=10,
              head_w, head_b), (n1, n1, n2, n2, 1, 1),
             lambda xb, yb, wb: _stage1_grads(model, head_w, head_b, xb, yb,
                                              wb, s1_stats, run),
-            x, labels, np.ones(len(x)), rng, lr0, epochs, batch,
+            x, labels, weights, rng, lr0, epochs, batch,
             halve_every))
         feats = _features(model, x, run)
 

@@ -53,14 +53,14 @@ class StyleFeatureSeq:
         return len(self.vocal_mask)
 
 
-def hz_to_cents(f0_hz, ref_hz=REF_HZ):
-    """Cents relative to ref_hz; non-positive (unvoiced) entries become NaN."""
+def hz_to_cents(f0_hz):
+    """Cents relative to REF_HZ; non-positive (unvoiced) entries become NaN."""
     f0 = np.asarray(f0_hz, dtype=np.float64)
     if np.any(f0 < 0):
         raise InvalidArgumentError("negative f0 is invalid")
     cents = np.full(f0.shape, np.nan)
     v = f0 > 0
-    cents[v] = 1200.0 * np.log2(f0[v] / ref_hz)
+    cents[v] = 1200.0 * np.log2(f0[v] / REF_HZ)
     return cents
 
 

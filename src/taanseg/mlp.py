@@ -266,6 +266,25 @@ def sgd_epochs(params, scales, grad_fn, x, y, weights, rng, lr, epochs,
             raise InvalidArgumentError("training diverged: non-finite loss")
 
 
+def training_labels(y, rows, batch, class_balance=False):
+    """The one label rule of both trainers: (int64 labels, SGD weights) for
+    rows training rows, weighted inversely to class frequency with
+    class_balance, else ones. InvalidArgumentError unless y holds rows 0s
+    and 1s, both present, and batch is at least 1."""
+    y = np.asarray(y, dtype=np.int64)
+    if y.shape != (rows,):
+        raise InvalidArgumentError(f"{rows} feature rows but labels of "
+                                   f"shape {y.shape}")
+    if batch < 1:
+        raise InvalidArgumentError(f"batch must be at least 1, got {batch}")
+    classes, counts = np.unique(y, return_counts=True)
+    if not np.array_equal(classes, (0, 1)):
+        raise InvalidArgumentError("training labels must be 0 and 1, both "
+                                   f"present, got {classes}")
+    return y, ((1.0 / (len(classes) * (counts / counts.sum())))[y]
+               if class_balance else np.ones(rows))
+
+
 def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
               class_balance=True, halve_every=None):
     """Mini-batch SGD; returns (trained model, per-epoch mean loss).
@@ -275,25 +294,14 @@ def mlp_train(model, x, y, lr=0.05, epochs=200, batch=32, seed=0,
     epochs. Deterministic given the shuffle seed.
     """
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if len(x) == 0:
         raise InvalidArgumentError("empty training set")
     if x.ndim != 2 or x.shape[1] != model.n_in:
         raise InvalidArgumentError(f"model expects rows of {model.n_in} "
                                    f"features, got an array of {x.shape}")
-    if y.shape != (len(x),):
-        raise InvalidArgumentError(f"{len(x)} feature rows but labels of "
-                                   f"shape {y.shape}")
     if not np.isfinite(x).all():
         raise InvalidArgumentError("non-finite values in training features")
-    if batch < 1:
-        raise InvalidArgumentError(f"batch must be at least 1, got {batch}")
-    classes, counts = np.unique(y, return_counts=True)
-    if not np.array_equal(classes, (0, 1)):
-        raise InvalidArgumentError("training labels must be 0 and 1, both "
-                                   f"present, got {classes}")
-    weights = ((1.0 / (len(classes) * (counts / counts.sum())))[y]
-               if class_balance else np.ones(len(y)))
+    y, weights = training_labels(y, len(x), batch, class_balance)
 
     # the trained arrays are views of one vector, which one step updates
     flat = np.concatenate([a.ravel() for a in (model.w1, model.b1, model.w2,

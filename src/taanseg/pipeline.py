@@ -135,8 +135,11 @@ def train_cnn(pairs, cfg=None):
     iterable read once. Band statistics pool every clip's spectrogram, and
     each is dropped once cut, so training holds the patches alone."""
     cfg = cfg or PipelineConfig()
-    specs, timelines = map(list, list(zip(*(
-        (cnn.patch_spectrogram(clip), t) for clip, t in pairs))) or ([], []))
+    specs, timelines = [], []
+    for clip, t in pairs:
+        _truth_labels(t, 0)     # an empty truth fails before its spectrogram
+        specs.append(cnn.patch_spectrogram(clip))
+        timelines.append(t)
     if not specs:
         raise InvalidArgumentError("no training pairs")
     stats = cnn.spectrogram_band_stats(specs)
@@ -145,7 +148,7 @@ def train_cnn(pairs, cfg=None):
         pats = cnn.make_patches(specs.pop(0), band_stats=stats)[0]
         targets.append(labels_to_frame_targets(_truth_labels(t, len(pats)))[0])
         patches.append(pats[: len(targets[-1])])
-    del pats    # the concatenated patches alone go into training
+    del clip, pats  # the concatenated patches alone go into training
     patches = np.concatenate(patches)
     return cnn.cnn_train(patches, np.concatenate(targets), stats,
                          epochs=cfg.cnn_epochs, lr0=cfg.cnn_lr0,

@@ -101,7 +101,7 @@ def script_to_json(script, path):
         fh.write("\n")
 
 
-def synth_pitch_contour(section, rng=None):
+def synth_pitch_contour(section, rng):
     """Cents contour (re 55 Hz) at 10 ms hop, or None for instrumental.
 
     taan: alternating linear ascent/descent ramps spanning 700 cents plus
@@ -110,8 +110,6 @@ def synth_pitch_contour(section, rng=None):
     """
     if section.style == "instrumental":
         return None
-    if rng is None:
-        rng = np.random.default_rng(0)
     n = int(round(section.duration_s / CONTOUR_HOP_S))
     t = np.arange(n) * CONTOUR_HOP_S
     base = 1200.0 * np.log2(section.f0_hz / REF_HZ)

@@ -46,7 +46,7 @@ class PitchEnergyTrack:
         return len(self.f0_hz)
 
 
-def _harmonic_bin_ranges(f0, n_bins, bin_hz, tol_cents=30.0, n_harmonics=10):
+def _harmonic_bin_ranges(f0, n_bins, bin_hz, tol_cents, n_harmonics):
     """Bin slices [lo, hi) within +/- tol_cents of harmonics 1..n_harmonics
     of each F0 in the 1-D array f0, as (n_harmonics, len(f0)) arrays lo and
     hi, with a mask of the usable ones: below 5 kHz and non-empty within

@@ -175,7 +175,8 @@ class TestCriterion2GradientChecks:
         head_b = np.zeros(2)
         pxb = rng.normal(scale=0.5, size=(2, 1, 94, 50))
         pyb, pwb = np.array([0, 1]), np.ones(2)
-        cgrads, _ = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb, pwb)
+        cgrads, _ = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb, pwb,
+                                          (0.0, 1.0))
         eps = 1e-5
         params = ((cnn.conv1_w, cgrads[0]), (cnn.conv1_b, cgrads[1]),
                   (cnn.conv2_w, cgrads[2]), (cnn.conv2_b, cgrads[3]),
@@ -187,10 +188,10 @@ class TestCriterion2GradientChecks:
                 orig = flat[k]
                 flat[k] = orig + eps
                 lp = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb,
-                                           pwb)[1]
+                                           pwb, (0.0, 1.0))[1]
                 flat[k] = orig - eps
                 lm = cnn_mod._stage1_grads(cnn, head_w, head_b, pxb, pyb,
-                                           pwb)[1]
+                                           pwb, (0.0, 1.0))[1]
                 flat[k] = orig
                 worst = max(worst, self._rel(gflat[k], (lp - lm) / (2 * eps)))
 

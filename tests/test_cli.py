@@ -188,6 +188,20 @@ class TestTrainAndClassify:
         assert grid.read_text().startswith('File type = "ooTextFile"')
         assert read_sections(grid) == read_sections(out) == tl
 
+    def test_one_class_truth_same_error_from_both_trainers(
+            self, small_concert, features_csv, tmp_path, capsys):
+        truth = tmp_path / "all_taan.tsv"
+        truth.write_text("0.0\t600.0\ttaan\n")
+        errs = []
+        for command, source, path in (
+                ("train-mlp", "--features", features_csv),
+                ("train-cnn", "--audio", small_concert["wav"])):
+            assert main([command, source, str(path), "--labels", str(truth),
+                         "--out", str(tmp_path / f"{command}.tseg")]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1] == ("error: training labels must be 0 and "
+                                      "1, both present, got [1]\n")
+
     def test_unpaired_training_args(self, features_csv, small_concert,
                                     tmp_path):
         rc = main(["train-mlp", "--features", str(features_csv),

@@ -17,6 +17,7 @@ from taanseg.cnn import (
     _conv_backward,
     _conv_stack_forward,
     _conv_valid,
+    _im2col,
     _pool2,
     _pool2_backward,
     _stage1_grads,
@@ -339,7 +340,7 @@ class TestGradients:
         def loss(xx, ww, bb):
             return np.sum(_conv_valid(xx, ww, bb) * d_out)
 
-        gw, gb, gx = _conv_backward(x, w, d_out)
+        gw, gb, gx = _conv_backward(w, d_out, _im2col(x, 3, 3))
         eps = 1e-6
         for arr, grad in ((w, gw), (x, gx)):
             it = np.nditer(arr, flags=["multi_index"])
@@ -363,10 +364,12 @@ class TestGradients:
         xb = rng.normal(scale=0.5, size=(2, 1, PATCH_BINS, PATCH_FRAMES))
         yb = np.array([0, 1])
 
-        grads, _ = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2))
+        grads, _ = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2),
+                                 (0.0, 1.0))
 
         def loss():
-            _, nll = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2))
+            _, nll = _stage1_grads(model, head_w, head_b, xb, yb, np.ones(2),
+                                   (0.0, 1.0))
             return nll
 
         eps = 1e-5
@@ -454,6 +457,31 @@ class TestTraining:
         stats = (np.zeros(PATCH_BINS), np.zeros(PATCH_BINS))
         with pytest.raises(InvalidArgumentError, match="band_std"):
             cnn_train(patches, [0, 1, 0, 1], stats, epochs=1, head_epochs=1)
+
+    @pytest.mark.parametrize("labels, batch", [
+        ([0, 2] * 20, 32), ([-1, 0, 1, 0] * 10, 32), ([1] * 40, 32),
+        ([0, 1] * 19 + [0], 32), ([0, 1] * 20 + [0], 32), ([0, 1] * 20, 0)],
+        ids=["0-2", "minus1-0-1", "all-1", "39-labels", "41-labels",
+             "batch-0"])
+    def test_bad_labels_rejected_before_any_work(self, monkeypatch, labels,
+                                                 batch):
+        """cnn_train holds its labels to mlp_train's rule, with its message,
+        before the start model, any forward pass or any SGD epoch."""
+        with pytest.raises(InvalidArgumentError) as want:
+            mlp.mlp_train(mlp.mlp_init(2, seed=0), np.zeros((40, 3)), labels,
+                          epochs=1, batch=batch)
+
+        def ran(*args, **kwargs):
+            raise AssertionError("training ran")
+
+        for name in ("cnn_init", "_features"):
+            monkeypatch.setattr(cnn, name, ran)
+        monkeypatch.setattr(mlp, "sgd_epochs", ran)
+        patches = [_rand_patch(i) for i in range(40)]
+        stats = (np.zeros(PATCH_BINS), np.ones(PATCH_BINS))
+        with pytest.raises(InvalidArgumentError) as got:
+            cnn_train(patches, labels, stats, epochs=1, batch=batch)
+        assert str(got.value) == str(want.value)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stage1_stops_at_the_first_diverged_epoch(self, monkeypatch):

@@ -138,22 +138,27 @@ class TestConvAgainstEinsumOracle:
 
     def test_backward(self, layer, batch):
         x, w, _, d_out = self._inputs(layer, batch)
-        gw, gb, gx = _conv_backward(x, w, d_out)
+        gw, gb, gx = _conv_backward(w, d_out, _im2col(x, *w.shape[2:]))
         rw, rb, rx = _oracle_conv_backward(x, w, d_out)
         for got, ref in ((gw, rw), (gb, rb), (gx, rx)):
             _assert_close(got, ref)
 
     def test_backward_from_forward_columns(self, layer, batch):
+        """The conv stack keeps the columns of its channel-major maps; they
+        give the bits that the columns of a C-order copy give."""
         x, w, _, d_out = self._inputs(layer, batch)
-        cols = _im2col(x, *w.shape[2:])
-        for got, ref in zip(_conv_backward(None, w, d_out, cols=cols),
-                            _conv_backward(x, w, d_out)):
-            np.testing.assert_array_equal(got, ref)
+        x_cm = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(
+            1, 0, 2, 3)
+        got, ref = (_conv_backward(w, d_out, _im2col(a, *w.shape[2:]))
+                    for a in (x_cm, x))
+        for g, r in zip(got, ref):
+            np.testing.assert_array_equal(g, r)
 
     def test_backward_without_input_gradient(self, layer, batch):
         x, w, _, d_out = self._inputs(layer, batch)
-        gw, gb, gx = _conv_backward(x, w, d_out, input_grad=False)
-        full = _conv_backward(x, w, d_out)
+        cols = _im2col(x, *w.shape[2:])
+        gw, gb, gx = _conv_backward(w, d_out, cols, input_grad=False)
+        full = _conv_backward(w, d_out, cols)
         assert gx is None
         np.testing.assert_array_equal(gw, full[0])
         np.testing.assert_array_equal(gb, full[1])
@@ -314,12 +319,11 @@ def _frozen_block_grads(model, head_w, head_b, xb, yb, mu, inv_sd):
     d_p2 = (mlp.matmul(delta, head_w.T) * inv_sd).reshape(acts["p2"].shape)
     d_a2 = _pool2_backward(d_p2, acts["a2"].shape)
     d_z2 = d_a2 * acts["a2"] * (1.0 - acts["a2"])
-    g2w, g2b, d_p1 = _conv_backward(acts["p1"], model.conv2_w, d_z2,
-                                    cols=acts["cols2"])
+    g2w, g2b, d_p1 = _conv_backward(model.conv2_w, d_z2, acts["cols2"])
     d_a1 = _pool2_backward(d_p1, acts["a1"].shape)
     d_z1 = d_a1 * acts["a1"] * (1.0 - acts["a1"])
-    g1w, g1b, _ = _conv_backward(None, model.conv1_w, d_z1, input_grad=False,
-                                 cols=acts["cols1"])
+    g1w, g1b, _ = _conv_backward(model.conv1_w, d_z1, acts["cols1"],
+                                 input_grad=False)
     nll = float(np.sum(-np.log(np.maximum(p[rows, yb].astype(np.float64),
                                           1e-300))))
     return (g1w, g1b, g2w, g2b, mlp.matmul(feat.T, delta), delta.sum(0)), nll

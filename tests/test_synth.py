@@ -178,7 +178,7 @@ class TestPitchContour:
     def test_steady_zero_depth_is_constant(self):
         spec = SectionSpec("steady-vocal", 10.0, f0_hz=220.0,
                            mod_depth_cents=0.0)
-        cents = synth_pitch_contour(spec)
+        cents = synth_pitch_contour(spec, np.random.default_rng(0))
         base = 1200.0 * np.log2(220.0 / 55.0)
         assert np.allclose(cents, base)
 
@@ -223,10 +223,12 @@ class TestPitchContour:
         assert fast < 0.1 * mag2.sum()
 
     def test_instrumental_has_no_contour(self):
-        assert synth_pitch_contour(SectionSpec("instrumental", 10.0)) is None
+        assert synth_pitch_contour(SectionSpec("instrumental", 10.0),
+                                   np.random.default_rng(0)) is None
 
     def test_contour_length(self):
-        cents = synth_pitch_contour(SectionSpec("steady-vocal", 3.5))
+        cents = synth_pitch_contour(SectionSpec("steady-vocal", 3.5),
+                                    np.random.default_rng(0))
         assert len(cents) == 350
 
 

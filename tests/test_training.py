@@ -98,3 +98,26 @@ class TestTrainCnn:
     def test_empty_truth_timeline(self, clips):
         with pytest.raises(TaansegError, match="truth timeline has no sec"):
             pipeline.train_cnn(zip(clips, [SHORT, SectionTimeline([])]), CFG)
+
+    def test_truth_far_past_the_audio(self, clips):
+        """Truth labels stop at the last patch, however far the truth runs."""
+        far = SectionTimeline([Section(0.0, 20.0, "non-taan"),
+                               Section(20.0, 1e300, "taan")])
+        assert_same_model(pipeline.train_cnn([(clips[0], far)], CFG),
+                          pipeline.train_cnn([(clips[0], LONG)], CFG))
+
+    @pytest.mark.parametrize("empty_at", [0, 1])
+    def test_empty_truth_fails_before_its_spectrogram(self, clips,
+                                                      monkeypatch, empty_at):
+        calls, patch_spectrogram = [], cnn.patch_spectrogram
+
+        def spy(clip):
+            calls.append(clip)
+            return patch_spectrogram(clip)
+
+        monkeypatch.setattr(cnn, "patch_spectrogram", spy)
+        truths = [LONG, LONG]
+        truths[empty_at] = SectionTimeline([])
+        with pytest.raises(TaansegError, match="truth timeline has no sec"):
+            pipeline.train_cnn(zip(clips, truths), CFG)
+        assert len(calls) == empty_at
