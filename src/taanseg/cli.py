@@ -11,13 +11,13 @@ import warnings
 
 import numpy as np
 
-from . import cnn, dsp, evaluation, features, modelio, mlp, pipeline
+from . import cnn, evaluation, features, modelio, mlp, pipeline
 from . import bootstrap as bootstrap_mod
 from . import synth as synth_mod
 from . import vocal as vocal_mod
 from . import textgrid, wavio
 from .config import load_config
-from .errors import DataError, EmptyInputError, TaansegError
+from .errors import DataError, TaansegError
 from .table import Table
 
 POSTERIOR_TABLE = Table([("frame_s", "f8"), ("p_taan", "f8"), ("vocal", "i8")])
@@ -190,19 +190,12 @@ def _run(args, cfg):
         model = modelio.load_model(args.model)
         if not isinstance(model, cnn.CnnModel):
             raise DataError("inspect-cnn needs a CNN model")
-        clip = dsp.resample(wavio.read_wav(args.audio), dsp.ANALYSIS_HZ)
-        win, hop, n_frames = dsp._frame_count(clip, **cnn.PATCH_FRAMING)
-        last = n_frames // cnn.PATCH_FRAMES - 1
-        if last < 0:
-            raise EmptyInputError("no 1 s spectrogram patch: audio too short")
-        if not 0 <= args.second <= last:
-            raise UsageError(f"--second must be in 0..{last}")
-        # frame only the second the map reads, as the whole clip frames it
-        t0 = args.second * cnn.PATCH_FRAMES * hop
-        cut = clip.samples[t0 : t0 + (cnn.PATCH_FRAMES - 1) * hop + win]
-        pats, _ = cnn.make_patches(cnn.patch_spectrogram(dsp.AudioClip(
-            cut, dsp.ANALYSIS_HZ)), (model.band_mean, model.band_std))
-        cmap = cnn.frame_features(model, pats).reshape(
+        pats, _ = cnn.make_patches(cnn.patch_spectrogram(wavio.read_wav(
+            args.audio)), (model.band_mean, model.band_std))
+        # no patch at all is bad data, which frame_features reports
+        if len(pats) and not 0 <= args.second < len(pats):
+            raise UsageError(f"--second must be in 0..{len(pats) - 1}")
+        cmap = cnn.frame_features(model, pats[args.second:][:1]).reshape(
             cnn.SHAPE_CHAIN[4])[args.channel]
         if args.out_csv:
             modelio.write_matrix_csv(cmap, args.out_csv)

@@ -17,7 +17,6 @@ from .pool import ordered_map, workers
 PATCH_BINS = 94         # 0-727 Hz at 7.8125 Hz/bin (8 kHz, 1024-point DFT)
 PATCH_HOP_S = 2 * vocal.TRACK_HOP_S     # 20 ms: the tracker's even frames
 PATCH_FRAMES = round(1 / PATCH_HOP_S)   # 50 hops in one 1 s frame
-PATCH_FRAMING = {"win_s": dsp.WIN_S, "hop_s": PATCH_HOP_S, "n_dft": dsp.N_DFT}
 BAND_VAR_FLOOR = 1e-12
 FORWARD_BLOCK = 8       # patches per block, one block per pool work item
 # patches, and every array of the conv stack, are float32; the model keeps
@@ -99,16 +98,17 @@ def spectrogram_band_stats(specs):
 
 
 def patch_spectrogram(clip):
-    """The PATCH_BINS lowest bands of the PATCH_FRAMING log spectrogram
-    patches are cut from; no wider band is kept past the FFT."""
-    return dsp.log_spectrogram(dsp.resample(clip, dsp.ANALYSIS_HZ),
-                               **PATCH_FRAMING, n_bins=PATCH_BINS)
+    """The PATCH_BINS lowest bands of the log spectrogram patches are cut
+    from, at dsp.WIN_S windows every PATCH_HOP_S of the 8 kHz clip; no
+    wider band is kept past the FFT."""
+    return dsp.log_spectrogram(dsp.resample(clip, dsp.ANALYSIS_HZ), dsp.WIN_S,
+                               PATCH_HOP_S, dsp.N_DFT, n_bins=PATCH_BINS)
 
 
 def make_patches(spec, band_stats=None):
     """Cut a log spectrogram into band-normalized 94x50 patches.
 
-    The spectrogram must have PATCH_FRAMING's bins and hop. Returns
+    The spectrogram must have patch_spectrogram's bins and hop. Returns
     (patches, (band_mean, band_std)): one C-contiguous (n, 94, 50)
     PATCH_DTYPE array, patch k holding frames 50k..50k+49, normalized in
     float64 and rounded once, and the statistics, from this data if None.

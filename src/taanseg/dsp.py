@@ -120,8 +120,10 @@ def hamming_window(n):
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * k / (n - 1))
 
 
-def _frame_count(clip, win_s, hop_s, n_dft):
-    """(win, hop, n_frames) in samples for framing `clip`, validated."""
+def _framing(clip, win_s, hop_s, n_dft):
+    """(windows, w, hop, n_frames): frame t of `clip` is the strided view
+    windows[t], the samples [t*hop, t*hop + win), and w its Hamming window;
+    the framing is validated."""
     sr = clip.sample_rate
     win = int(round(win_s * sr))
     hop = int(round(hop_s * sr))
@@ -136,16 +138,8 @@ def _frame_count(clip, win_s, hop_s, n_dft):
         raise EmptyInputError(
             f"clip of {n} samples shorter than one {win}-sample window"
         )
-    return win, hop, (n - win) // hop + 1
-
-
-def _framing(clip, win_s, hop_s, n_dft):
-    """(windows, w, hop, n_frames): frame t of `clip` is the strided view
-    windows[t], the samples [t*hop, t*hop + win), and w its Hamming window;
-    the framing is validated."""
-    win, hop, n_frames = _frame_count(clip, win_s, hop_s, n_dft)
     windows = np.lib.stride_tricks.sliding_window_view(clip.samples, win)
-    return windows[::hop], hamming_window(win), hop, n_frames
+    return windows[::hop], hamming_window(win), hop, (n - win) // hop + 1
 
 
 def _log_spectrum(windows, w, n_dft, values, rows):

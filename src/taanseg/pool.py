@@ -1,7 +1,8 @@
 """The one worker-thread pool, which streamed tracking, the whole-clip
-spectrogram, concert synthesis and the CNN share: numpy and OpenBLAS release the interpreter lock inside
-their array operations, so work items that are mostly numpy overlap on
-the machine's cores. No other module starts a thread.
+spectrogram, concert synthesis and the CNN share: numpy and OpenBLAS
+release the interpreter lock inside their array operations, so work items
+that are mostly numpy overlap on the machine's cores. No other module
+starts a thread.
 """
 
 import contextvars

@@ -521,20 +521,21 @@ class TestInspectCnn:
         assert cmap.shape == (21, 10)
         assert pgm_path.read_bytes().startswith(b"P5\n10 21\n255\n")
 
-    def test_second_out_of_range(self, small_concert, tmp_path):
+    @pytest.mark.parametrize("second", ["-1", "5000"])
+    def test_second_out_of_range(self, small_concert, tmp_path, second):
         model_path = tmp_path / "cnn.tseg"
         save_model(cnn_init(seed=0), model_path)
         rc = main(["inspect-cnn", "--model", str(model_path),
                    "--audio", str(small_concert["wav"]),
-                   "--second", "5000"])
+                   "--second", second])
         assert rc == 1
 
-    @pytest.mark.parametrize("rate", [8000, 16000])
+    @pytest.mark.parametrize("rate", [8000, 16000, 44100])
     def test_map_equals_whole_clip_oracle(self, small_concert, tmp_path,
                                           rate):
-        """Framing only the inspected second gives the map of that patch
-        cut from the whole clip's spectrogram, at the first and the last
-        second; one past the last is a usage error."""
+        """The command's map is row --second of the library's maps of the
+        whole clip's patches, at the first and the last second; one past
+        the last is a usage error."""
         wav = small_concert["wav"]
         if rate != 8000:
             rng = np.random.default_rng(rate)

@@ -14,6 +14,7 @@ Tier-1 runs a fixed sample of the cases. Run every case with
 
 import contextlib
 import dataclasses
+import inspect
 import io
 import json
 import math
@@ -26,7 +27,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taanseg import cli, synth, textgrid, wavio
+from taanseg import (cli, cnn, features, mlp, segmentation, synth, textgrid,
+                     vocal, wavio)
 from taanseg.config import BOUNDS, PipelineConfig
 
 FIELDS = {f.name: f for f in dataclasses.fields(PipelineConfig)}
@@ -153,6 +155,50 @@ def test_every_numeric_field_has_a_range():
         assert bool(f.metadata) == (f.type is not bool), f.name
         assert set(f.metadata) <= set(BOUNDS), f.name
         assert in_range(f, f.default), f.name
+
+
+# (stage function, keyword, config field) for every keyword default that
+# repeats a PipelineConfig default: the library's own defaults
+STAGE_DEFAULTS = [
+    (vocal.detect_f0_baseline, "f_min", "f0_min_hz"),
+    (vocal.detect_f0_baseline, "f_max", "f0_max_hz"),
+    (vocal.detect_f0_baseline, "voicing_factor", "voicing_factor"),
+    (vocal.detect_f0_baseline, "grid_cents", "f0_grid_cents"),
+    (vocal.detect_f0_baseline, "tol_cents", "harmonic_tol_cents"),
+    (vocal.detect_f0_baseline, "n_harmonics", "n_harmonics"),
+    (vocal.harmonic_energy, "tol_cents", "harmonic_tol_cents"),
+    (vocal.harmonic_energy, "n_harmonics", "n_harmonics"),
+    (vocal.detect_vocal_activity, "min_run_s", "vocal_min_run_s"),
+    (vocal.detect_vocal_activity, "max_gap_s", "vocal_max_gap_s"),
+    (features.raw_features, "max_gap_frac", "feature_gap_frac"),
+    (features.smooth_and_normalize, "smooth_s", "smooth_window_s"),
+    (features.smooth_and_normalize, "var_floor", "norm_var_floor"),
+    (segmentation.novelty, "half_width_s", "novelty_half_width_s"),
+    (segmentation.novelty, "gaussian_taper", "gaussian_taper"),
+    (segmentation.pick_boundaries, "neighborhood_s", "pick_neighborhood_s"),
+    (segmentation.pick_boundaries, "rel_threshold", "pick_rel_threshold"),
+    (segmentation.group_sections, "vocal_gap_s", "group_vocal_gap_s"),
+    (segmentation.group_sections, "instr_gap_s", "group_instr_gap_s"),
+    (mlp.mlp_train, "lr", "mlp_lr"),
+    (mlp.mlp_train, "epochs", "mlp_epochs"),
+    (mlp.mlp_train, "batch", "mlp_batch"),
+    (mlp.mlp_train, "seed", "mlp_seed"),
+    (mlp.mlp_train, "class_balance", "class_balance"),
+    (cnn.cnn_train, "epochs", "cnn_epochs"),
+    (cnn.cnn_train, "lr0", "cnn_lr0"),
+    (cnn.cnn_train, "halve_every", "cnn_halve_every"),
+    (cnn.cnn_train, "batch", "cnn_batch"),
+    (cnn.cnn_train, "seed", "cnn_seed"),
+    (mlp.classify_frames, "threshold", "taan_threshold"),
+]
+
+
+@pytest.mark.parametrize(
+    "func, keyword, name", STAGE_DEFAULTS,
+    ids=[f"{f.__name__}-{k}" for f, k, _ in STAGE_DEFAULTS])
+def test_stage_default_equals_config_default(func, keyword, name):
+    default = inspect.signature(func).parameters[keyword].default
+    assert default == FIELDS[name].default
 
 
 def test_every_field_is_read_by_a_command(sweep):
